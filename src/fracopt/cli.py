@@ -66,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None, help="output prefix for .csv/.json")
         p.add_argument("--scheme", type=str, default=None,
                        choices=("fully_discrete", "variational"))
-        p.add_argument("--solver", type=str, default=None, choices=("auto", "direct", "cg"))
         p.add_argument("--config", type=str, default=None, help="key=value config file")
     return parser
 
@@ -101,7 +100,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     tol = _pick(args.tol, file_cfg, "tol", float, 1e-8)
     seed = _pick(args.seed, file_cfg, "seed", int, 0)
     scheme = _pick(args.scheme, file_cfg, "scheme", str, "fully_discrete")
-    solver = _pick(args.solver, file_cfg, "solver", str, "auto")
     gamma = _pick(args.gamma, file_cfg, "gamma", float, None)
     out = _pick(args.out, file_cfg, "out", str, f"fracopt_{args.command.replace('-', '_')}")
 
@@ -116,7 +114,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         tol=tol,
         scheme=scheme,
         seed=seed,
-        solver_method=solver,
     )
 
     if args.command in ("state-rates", "control-rates"):

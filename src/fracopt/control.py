@@ -162,14 +162,13 @@ class ReducedProblem:
     """
 
     def __init__(self, problem: ProblemConfig, mesh: TensorMesh,
-                 op: Optional[CylinderOperator] = None, solver_method: str = "auto"):
+                 op: Optional[CylinderOperator] = None):
         self.problem = problem
         self.mesh = mesh
         self.op = op if op is not None else assemble_stiffness(mesh, problem.s, problem.c)
         self.quad = BaseQuadrature(mesh.base, 3)
         self.ud_q = self.quad.eval_callable(problem.u_d)
         self.f_q = self.quad.eval_callable(problem.forcing) if problem.forcing else None
-        self.solver_method = solver_method
         self.n_state_solves = 0
 
     # -- loads ------------------------------------------------------------
@@ -179,28 +178,36 @@ class ReducedProblem:
         b[: self.mesh.n_trace] = node_vec[self.mesh.base.interior_nodes]
         return b
 
+    def cell_point_values(self, z: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(z[:, None], self.ud_q.shape)
+
     def control_point_values(self, Z: ControlField) -> np.ndarray:
-        vals = np.broadcast_to(Z.cell_values[:, None], self.ud_q.shape).copy()
+        vals = self.cell_point_values(Z.cell_values).copy()
         if self.f_q is not None:
             vals += self.f_q
         return vals
 
     # -- state / adjoint ---------------------------------------------------
-    def state(self, point_values: np.ndarray, x0: Optional[FeField] = None) -> FeField:
+    def state(self, point_values: np.ndarray) -> FeField:
         self.n_state_solves += 1
-        return solve_state(self.op, self._load_from_point_values(point_values),
-                           x0=x0, method=self.solver_method)
+        return solve_state(self.op, self._load_from_point_values(point_values))
 
-    def adjoint(self, V: FeField, x0: Optional[FeField] = None) -> FeField:
-        mismatch_q = V.trace().at_quadrature(self.quad) - self.ud_q
-        self.n_state_solves += 1
-        return solve_state(self.op, self._load_from_point_values(mismatch_q),
-                           x0=x0, method=self.solver_method)
+    def adjoint(self, V: FeField) -> FeField:
+        return self.state(self.mismatch(V))
 
     # -- cost pieces --------------------------------------------------------
+    def mismatch(self, V: FeField) -> np.ndarray:
+        return V.trace().at_quadrature(self.quad) - self.ud_q
+
     def misfit(self, V: FeField) -> float:
-        d = V.trace().at_quadrature(self.quad) - self.ud_q
+        d = self.mismatch(V)
         return 0.5 * self.quad.integrate(d * d)
+
+    def misfit_change(self, V: FeField, D: FeField) -> float:
+        """misfit(V + D) - misfit(V), priced without cancellation: near the
+        optimum the difference of the two costs is lost in their rounding."""
+        d = D.trace().at_quadrature(self.quad)
+        return self.quad.integrate((self.mismatch(V) + 0.5 * d) * d)
 
     def cost_fully_discrete(self, Z: ControlField, V: FeField) -> float:
         reg = 0.5 * self.problem.mu * self.mesh.base.cell_volume * float(
@@ -246,15 +253,17 @@ def solve_fully_discrete(
     max_iterations: int = 200,
     z0: Optional[ControlField] = None,
     rp: Optional[ReducedProblem] = None,
-    solver_method: str = "auto",
 ) -> Tuple[ControlField, FeField, FeField, ReducedCostReport]:
     """Projected gradient with Armijo backtracking for piecewise-constant controls.
 
     Stops when the unit-step fixed-point residual ||Z - proj(Z - g)||_L2
-    drops below `tol`; every accepted step does not increase the cost.
+    drops below `tol`; every accepted step does not increase the cost.  The
+    state is affine in the control, so each trial solves for the state D of
+    the increment dZ and prices the step as misfit_change(V, D) +
+    mu (<Z, dZ> + |dZ|^2 / 2); then V + D is the new state.
     """
     t_start = time.perf_counter()
-    rp = rp if rp is not None else ReducedProblem(problem, mesh, solver_method=solver_method)
+    rp = rp if rp is not None else ReducedProblem(problem, mesh)
     bounds = problem.bounds
     if z0 is None:
         Z = ControlField.constant(mesh.base, 0.5 * (bounds.a + bounds.b)).project(bounds)
@@ -280,10 +289,11 @@ def solve_fully_discrete(
         accepted = False
         while True:
             z_new = project_box(Z.cell_values - t * g, bounds)
-            Z_new = ControlField(mesh.base, z_new)
-            V_new = rp.state(rp.control_point_values(Z_new), x0=V)
-            j_new = rp.cost_fully_discrete(Z_new, V_new)
-            if j_new <= j + ARMIJO_DECREASE * rp.control_inner(g, z_new - Z.cell_values):
+            dz = z_new - Z.cell_values
+            D = rp.state(rp.cell_point_values(dz))
+            dj = rp.misfit_change(V, D) + problem.mu * rp.control_inner(
+                Z.cell_values + 0.5 * dz, dz)
+            if dj <= ARMIJO_DECREASE * rp.control_inner(g, dz):
                 accepted = True
                 break
             t *= 0.5
@@ -293,9 +303,11 @@ def solve_fully_discrete(
             # quadratic model should never get here; keep the last iterate
             # rather than take a cost-increasing step
             break
-        Z, V, j = Z_new, V_new, j_new
+        Z = ControlField(mesh.base, z_new)
+        V = FeField(mesh, V.free_values + D.free_values)
+        j += dj
         history.append(j)
-        P = rp.adjoint(V, x0=P)
+        P = rp.adjoint(V)
         g = rp.gradient_fully_discrete(Z, P)
         fp_res = rp.control_norm(Z.cell_values - project_box(Z.cell_values - g, bounds))
     else:
@@ -343,30 +355,23 @@ def solve_variational(
     tol: float = 1e-8,
     max_iterations: int = 200,
     rp: Optional[ReducedProblem] = None,
-    solver_method: str = "auto",
 ) -> Tuple[VariationalControl, FeField, ReducedCostReport]:
     """Damped fixed-point iteration g <- proj(-tr P / mu), control undiscretized.
 
     The working representation of g is its values at the load quadrature
     points; damping theta halves whenever a full update would increase the
     cost (rare: the map is a contraction for mu * lambda_1^{2s} > 1-ish).
+    The state is affine in g, so one solve for the state D of the update
+    direction prices the cost change of every theta exactly, as a quadratic
+    in theta; the loop stops unconverged if no theta decreases the cost.
     """
     t_start = time.perf_counter()
-    rp = rp if rp is not None else ReducedProblem(problem, mesh, solver_method=solver_method)
+    rp = rp if rp is not None else ReducedProblem(problem, mesh)
     bounds, mu = problem.bounds, problem.mu
 
     G = np.full(rp.ud_q.shape, float(np.clip(0.5 * (bounds.a + bounds.b), bounds.a, bounds.b)))
-
-    def total_cost(gvals: np.ndarray, V: FeField) -> float:
-        reg = 0.5 * mu * rp.quad.integrate(gvals * gvals)
-        return rp.misfit(V) + reg
-
-    def state_of(gvals: np.ndarray, x0=None) -> FeField:
-        vals = gvals + rp.f_q if rp.f_q is not None else gvals
-        return rp.state(vals, x0=x0)
-
-    V = state_of(G)
-    j = total_cost(G, V)
+    V = rp.state(G + rp.f_q if rp.f_q is not None else G)
+    j = rp.misfit(V) + 0.5 * mu * rp.quad.integrate(G * G)
     history = [j]
     P = rp.adjoint(V)
     converged = False
@@ -380,17 +385,25 @@ def solve_variational(
             converged = True
             iterations -= 1
             break
+        delta = G_prop - G
+        D = rp.state(delta)
+        d = D.trace().at_quadrature(rp.quad)
+        slope = rp.quad.integrate(rp.mismatch(V) * d + mu * G * delta)
+        curvature = 0.5 * rp.quad.integrate(d * d + mu * delta * delta)
         theta = 1.0
-        while True:
-            G_new = (1.0 - theta) * G + theta * G_prop
-            V_new = state_of(G_new, x0=V)
-            j_new = total_cost(G_new, V_new)
-            if j_new <= j or theta < 1e-8:
-                break
+        dj = slope + curvature
+        while dj > 0.0:
             theta *= 0.5
-        G, V, j = G_new, V_new, j_new
+            if theta < 1e-8:
+                break
+            dj = theta * (slope + theta * curvature)
+        if dj > 0.0:
+            break  # keep the last iterate rather than take a cost-increasing step
+        G = G + theta * delta
+        V = FeField(mesh, V.free_values + theta * D.free_values)
+        j += dj
         history.append(j)
-        P = rp.adjoint(V, x0=P)
+        P = rp.adjoint(V)
     else:
         converged = fp_res <= tol
 

@@ -8,7 +8,9 @@ computed trace converges to the solution of the fractional problem itself.
 Assembly is exact: the y-direction factors are integrated in closed form
 (valid down to the singular first interval), the base factors are the
 standard uniform-mesh mass/stiffness matrices, and the global operator is a
-sum of Kronecker products restricted to the free unknowns.
+sum of Kronecker products restricted to the free unknowns.  The same
+tensor structure gives one exact solver: sine transforms in the base
+directions and tridiagonal solves in y (see CylinderOperator).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
 from .meshes import BasePartition, TensorMesh
 from .spectral import ConfigurationError, FractionalConstants
@@ -40,8 +42,6 @@ __all__ = [
     "trace",
 ]
 
-# sparse direct factorization up to this many unknowns, Jacobi-PCG beyond
-DIRECT_SOLVE_LIMIT = 80_000
 SOLVER_RTOL = 1e-10
 
 
@@ -283,51 +283,47 @@ def base_direction_matrices(N: int):
     return _tridiag(sdiag, np.full(N, -1.0 / h)), _tridiag(mdiag, np.full(N, h / 6.0))
 
 
-def base_matrices(base: BasePartition):
-    """(stiffness, mass) over all base nodes, exact integrals."""
-    S1, M1 = base_direction_matrices(base.cells_per_side)
-    if base.n == 1:
-        return S1.tocsr(), M1.tocsr()
-    Sx = sp.kron(M1, S1) + sp.kron(S1, M1)  # node idx = j*(N+1)+i, x1 fastest
-    Mx = sp.kron(M1, M1)
-    return Sx.tocsr(), Mx.tocsr()
+def _sine_matrix(m: int) -> np.ndarray:
+    """Orthonormal symmetric DST-I matrix of order m: Q @ Q = I, and Q T Q is
+    diagonal for every tridiagonal Toeplitz T, such as the interior base
+    factors on a uniform partition into m + 1 cells."""
+    k = np.arange(1, m + 1)
+    return math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
 
 
 class CylinderOperator:
-    """Assembled bilinear form a_Y over the free unknowns, with solver."""
+    """Assembled bilinear form a_Y over the free unknowns, with its exact solver.
 
-    def __init__(self, mesh: TensorMesh, matrix: sp.csr_matrix, s: float, c: float):
+    a_Y = (My (x) Sx + Sy (x) Mx + c My (x) Mx) / d_s on a uniform base mesh, so
+    the sine matrix diagonalizes the base factors (fast diagonalization,
+    Lynch-Rice-Thomas): each base mode j leaves one SPD tridiagonal system
+    (a_j My + b_j Sy) / d_s in y.  The graded y-direction is never
+    diagonalized; its mass matrix is too badly conditioned.  The assembled
+    matrix is the independent check of every solve.
+    """
+
+    def __init__(self, mesh: TensorMesh, matrix: sp.csr_matrix, s: float, c: float,
+                 sine: np.ndarray, banded: np.ndarray):
         self.mesh = mesh
         self.matrix = matrix
         self.s = s
         self.c = c
         self.constants = FractionalConstants.from_order(s)
-        self._lu = None
-        self._pc = None
+        self._sine = sine  # per base direction
+        self._banded = banded  # mode-major block-diagonal y-systems, LAPACK band storage
         self._norm1 = None
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def _direct(self):
-        if self._lu is None:
-            # factor the Jacobi-symmetrized system: the y^alpha weights on a
-            # graded mesh spread the diagonal over many orders of magnitude,
-            # and equilibration keeps the backward error of the LU in check.
-            # MMD on A^T+A fills far less than COLAMD for this stencil.
-            d = self.matrix.diagonal()
-            scale = 1.0 / np.sqrt(d)
-            S = sp.diags(scale)
-            lu = spla.splu((S @ self.matrix @ S).tocsc(), permc_spec="MMD_AT_PLUS_A")
-            self._lu = (lu, scale)
-        return self._lu
-
-    def _jacobi(self):
-        if self._pc is None:
-            d = self.matrix.diagonal()
-            self._pc = spla.LinearOperator(self.matrix.shape, matvec=lambda v: v / d)
-        return self._pc
+    def _to_modes(self, layers: np.ndarray) -> np.ndarray:
+        """Sine transform of each layer (row) in every base direction; an involution."""
+        Q = self._sine
+        if self.mesh.n == 1:
+            return layers @ Q
+        m = len(Q)
+        return (Q @ layers.reshape(-1, m, m) @ Q).reshape(layers.shape)
 
     def _contract_met(self, x: np.ndarray, b: np.ndarray, bnorm: float) -> bool:
         """Residual contract: relative residual below tolerance, or the
@@ -341,34 +337,19 @@ class CylinderOperator:
         eta = rnorm / (self._norm1 * float(np.linalg.norm(x)) + bnorm)
         return eta <= 5e-15
 
-    def solve(self, b: np.ndarray, x0: np.ndarray | None = None, method: str = "auto") -> np.ndarray:
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """K^{-1} b; raises SolverError if the residual contract fails."""
         b = np.asarray(b, dtype=float)
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
             return np.zeros(self.n)
-        if method == "auto":
-            method = "direct" if self.n <= DIRECT_SOLVE_LIMIT else "cg"
-        if method == "direct":
-            lu, scale = self._direct()
-            x = scale * lu.solve(scale * b)
-            for _ in range(3):  # iterative refinement to secure the contract
-                if self._contract_met(x, b, bnorm):
-                    break
-                x = x + scale * lu.solve(scale * (b - self.matrix @ x))
-        elif method == "cg":
-            maxiter = int(50 * math.sqrt(self.n)) + 100
-            x, info = spla.cg(
-                self.matrix, b, x0=x0, rtol=0.1 * SOLVER_RTOL, atol=0.0,
-                maxiter=maxiter, M=self._jacobi()
-            )
-            if info > 0 and not self._contract_met(x, b, bnorm):
-                rel = np.linalg.norm(b - self.matrix @ x) / bnorm
-                raise SolverError(f"CG did not converge within {maxiter} iterations", rel)
-        else:
-            raise ConfigurationError(f"unknown solve method {method!r}")
+        M, nt = self.mesh.extended.M, self.mesh.n_trace
+        rhs = self._to_modes(b.reshape(M, nt)).T.ravel()
+        y = solve_banded((1, 1), self._banded, rhs, check_finite=False)
+        x = self._to_modes(y.reshape(nt, M).T).ravel()
         if not self._contract_met(x, b, bnorm):
             rel = float(np.linalg.norm(b - self.matrix @ x) / bnorm)
-            raise SolverError(f"solver residual contract violated ({method})", rel)
+            raise SolverError("solver residual contract violated", rel)
         return x
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -390,20 +371,45 @@ def assemble_stiffness(mesh: TensorMesh, s: float, c: float = 0.0) -> CylinderOp
     if c < 0.0:
         raise ConfigurationError(f"coefficient c must be >= 0, got {c}")
     consts = FractionalConstants.from_order(s)
-    Sy, My = extended_direction_matrices(mesh.extended.nodes, consts.alpha)
+    with np.errstate(all="ignore"):  # non-finite integrals are rejected below
+        Sy, My = extended_direction_matrices(mesh.extended.nodes, consts.alpha)
+    if not (np.isfinite(Sy.data).all() and np.isfinite(My.data).all()):
+        raise ConfigurationError(
+            "the weighted y-integrals overflow on this graded partition; "
+            "use fewer layers or a weaker grading"
+        )
     M = mesh.extended.M
     Sy = Sy[:M, :M]
     My = My[:M, :M]
-    Sx, Mx = base_matrices(mesh.base)
-    ii = mesh.base.interior_nodes
-    Sx = Sx[ii][:, ii]
-    Mx = Mx[ii][:, ii]
+    S1, M1 = base_direction_matrices(mesh.base.cells_per_side)
+    S1 = S1[1:-1, 1:-1]  # interior base nodes
+    M1 = M1[1:-1, 1:-1]
+    Q = _sine_matrix(S1.shape[0])
+    sigma, tau = np.diag(Q @ (S1 @ Q)), np.diag(Q @ (M1 @ Q))
+    if mesh.n == 1:
+        Sx, Mx = S1, M1
+    else:
+        # interior node (i, j) -> j*(N-1) + i, x1 fastest; base mode (k, l) alike
+        Sx = sp.kron(M1, S1) + sp.kron(S1, M1)
+        Mx = sp.kron(M1, M1)
+        sigma = (np.outer(tau, sigma) + np.outer(sigma, tau)).ravel()
+        tau = np.outer(tau, tau).ravel()
     K = sp.kron(My, Sx) + sp.kron(Sy, Mx)
     if c != 0.0:
         K = K + c * sp.kron(My, Mx)
     K = (K * (1.0 / consts.d_s)).tocsr()
     K.sum_duplicates()
-    return CylinderOperator(mesh, K, s, c)
+
+    a = (sigma + c * tau)[:, None] / consts.d_s  # My coefficient per base mode
+    b = tau[:, None] / consts.d_s  # Sy coefficient
+    diag = a * My.diagonal() + b * Sy.diagonal()
+    upper = np.zeros_like(diag)
+    upper[:, :-1] = a * My.diagonal(1) + b * Sy.diagonal(1)  # no coupling across modes
+    banded = np.zeros((3, diag.size))
+    banded[0, 1:] = upper.ravel()[:-1]
+    banded[1] = diag.ravel()
+    banded[2, :-1] = upper.ravel()[:-1]
+    return CylinderOperator(mesh, K, s, c, Q, banded)
 
 
 # ---------------------------------------------------------------------------
@@ -440,17 +446,13 @@ def assemble_trace_load(mesh: TensorMesh, r, npts: int = 3) -> np.ndarray:
     return b
 
 
-def solve_state(op: CylinderOperator, load: np.ndarray, x0: FeField | None = None,
-                method: str = "auto") -> FeField:
-    x0v = x0.free_values if isinstance(x0, FeField) else x0
-    return FeField(op.mesh, op.solve(np.asarray(load, dtype=float), x0=x0v, method=method))
+def solve_state(op: CylinderOperator, load: np.ndarray) -> FeField:
+    return FeField(op.mesh, op.solve(np.asarray(load, dtype=float)))
 
 
-def solve_adjoint(op: CylinderOperator, trace_mismatch, npts: int = 3,
-                  x0: FeField | None = None, method: str = "auto") -> FeField:
+def solve_adjoint(op: CylinderOperator, trace_mismatch, npts: int = 3) -> FeField:
     """Solve a_Y(P, W) = (mismatch, tr W); same operator since a_Y is symmetric."""
-    load = assemble_trace_load(op.mesh, trace_mismatch, npts=npts)
-    return solve_state(op, load, x0=x0, method=method)
+    return solve_state(op, assemble_trace_load(op.mesh, trace_mismatch, npts=npts))
 
 
 def energy_error_galerkin(V: FeField, data: Callable, exact_trace: Callable, d_s: float,

@@ -100,7 +100,12 @@ class GradedPartition:
         self.Y = Y
         self.nodes = Y * (np.arange(M + 1) / M) ** gamma
         self.widths = np.diff(self.nodes)
-        assert np.all(self.widths > 0.0)
+        if not np.all(self.widths >= np.finfo(float).tiny):  # also rejects NaN
+            raise ConfigurationError(
+                f"graded partition M={M}, gamma={gamma:.4g}, Y={Y:.4g} has a first width of "
+                f"{self.widths[0]:.3e}, not a positive normal float; use fewer layers "
+                "or a weaker grading"
+            )
 
     def sigma(self) -> float:
         """Largest ratio of widths of neighboring intervals."""

@@ -36,37 +36,9 @@ class ConfigurationError(ValueError):
     """Raised for unsupported domains, orders or mesh parameters."""
 
 
-# ---------------------------------------------------------------------------
-# Gamma function (Lanczos, g=7).  Only needed on (0, 2) for the constants
-# d_s, c_s and the Bessel series, where it is accurate to ~1e-14 relative.
-# ---------------------------------------------------------------------------
-
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma(z: float) -> float:
-    """Gamma function via the Lanczos approximation (reflection for z < 1/2)."""
-    if z <= 0.0 and z == math.floor(z):
-        raise ValueError(f"gamma undefined at non-positive integer {z}")
-    if z < 0.5:
-        return math.pi / (math.sin(math.pi * z) * gamma(1.0 - z))
-    z -= 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, coef in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += coef / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    """Gamma function; raises ValueError at the poles 0, -1, -2, ..."""
+    return math.gamma(z)
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,6 @@ class StudyConfig:
     tol: float = 1e-8
     scheme: str = "fully_discrete"
     seed: int = 0
-    solver_method: str = "auto"
 
     def __post_init__(self):
         if self.mode not in ("anisotropic", "uniform"):
@@ -97,7 +96,6 @@ class StudyConfig:
             "tol": self.tol,
             "scheme": self.scheme,
             "seed": self.seed,
-            "solver_method": self.solver_method,
         }
 
 
@@ -203,7 +201,7 @@ def run_rate_study(cfg: StudyConfig) -> List[ConvergenceRecord]:
 
         for target in cfg.dof_targets:
             mesh = _build_mesh(cfg.n, target, gamma, Y, s, cfg.mode == "anisotropic")
-            rp = ReducedProblem(problem, mesh, solver_method=cfg.solver_method)
+            rp = ReducedProblem(problem, mesh)
             t0 = time.perf_counter()
             if cfg.scheme == "fully_discrete":
                 Z, V, P, rep = solve_fully_discrete(problem, mesh, tol=cfg.tol, rp=rp)
@@ -249,10 +247,9 @@ def run_rate_study(cfg: StudyConfig) -> List[ConvergenceRecord]:
 
 def _rate_checks(rec: ConvergenceRecord) -> None:
     if rec.scheme == "fully_discrete":
-        rec.checks["control_slope_band"] = -0.45 <= rec.slopes["err_control_L2"] <= -0.25 \
-            if rec.n == 2 else True
-        rec.checks["state_l2_slope_band"] = -0.85 <= rec.slopes["err_state_L2"] <= -0.5 \
-            if rec.n == 2 else True
+        if rec.n == 2:  # these bands exist for n=2 only
+            rec.checks["control_slope_band"] = -0.45 <= rec.slopes["err_control_L2"] <= -0.25
+            rec.checks["state_l2_slope_band"] = -0.85 <= rec.slopes["err_state_L2"] <= -0.5
     else:
         rec.checks["variational_slope_band"] = _a_priori_rate_band(
             rec.slopes["err_control_L2"], rec.s, rec.n, tol=0.2)
@@ -295,7 +292,7 @@ def run_oracle_check(cfg: StudyConfig) -> List[ConvergenceRecord]:
             op = assemble_stiffness(mesh, s)
             t0 = time.perf_counter()
             load = assemble_trace_load(mesh, datum)
-            V = solve_state(op, load, method=cfg.solver_method)
+            V = solve_state(op, load)
             err_l2 = l2_trace_error(V.trace(), exact_trace)
             rec.rows.append({
                 "cells": mesh.n_cells,
@@ -355,8 +352,7 @@ def run_truncation_study(cfg: StudyConfig, Y_values: Sequence[float],
 
     def solve_at(Y: float):
         mesh = TensorMesh(base, make_graded_partition(M, gamma, Y, s=s))
-        Z, V, _, rep = solve_fully_discrete(problem, mesh, tol=cfg.tol,
-                                            solver_method=cfg.solver_method)
+        Z, V, _, rep = solve_fully_discrete(problem, mesh, tol=cfg.tol)
         return Z, V, rep
 
     Z_ref, V_ref, _ = solve_at(ref_Y)
@@ -426,8 +422,7 @@ def run_compare_refinement(cfg: StudyConfig) -> ConvergenceRecord:
 
     for mode, gamma in (("uniform", 1.0), ("anisotropic", gamma_an)):
         mesh = _build_mesh(cfg.n, target, gamma, Y, s, mode == "anisotropic")
-        Z, V, P, rep = solve_fully_discrete(problem, mesh, tol=cfg.tol,
-                                            solver_method=cfg.solver_method)
+        Z, V, P, rep = solve_fully_discrete(problem, mesh, tol=cfg.tol)
         rec.rows.append({
             "mode": mode,
             "gamma": gamma,

@@ -52,6 +52,11 @@ def _rate_band(s, n, tol):
     return (1.0 + tol) * (-2.0 / (n + 1)), (1.0 - tol) * (-(1.0 + s) / (n + 1))
 
 
+def _all_rows_solved(rec) -> bool:
+    """A slope fitted after a dropped row would silently use fewer meshes."""
+    return "aborted_at_target" not in rec.extras and len(rec.rows) == len(N2_TARGETS)
+
+
 @pytest.fixture(scope="session")
 def control_sweep():
     """Fully-discrete manufactured sweep shared by criteria 2, 3 and 8."""
@@ -116,13 +121,14 @@ def test_criterion_2_control_rate(control_sweep):
     details = []
     for rec in records:
         slope = rec.slopes["err_control_L2"]
-        ok = -0.45 <= slope <= -0.25
+        ok = -0.45 <= slope <= -0.25 and _all_rows_solved(rec)
         ok_all &= ok
         details.append(f"s={rec.s}: {slope:+.3f}")
     _report("criterion 2 (control rate, n=2)", ok_all,
             ", ".join(details) + f"; band [-0.45,-0.25]; {elapsed:.0f}s")
     assert elapsed < 1800.0
     for rec in records:
+        assert _all_rows_solved(rec), (rec.s, rec.extras)
         assert -0.45 <= rec.slopes["err_control_L2"] <= -0.25, rec.s
 
 
@@ -132,12 +138,13 @@ def test_criterion_3_state_l2_rate(control_sweep):
     ok_all = True
     for rec in records:
         slope = rec.slopes["err_state_L2"]
-        ok = -0.85 <= slope <= -0.5
+        ok = -0.85 <= slope <= -0.5 and _all_rows_solved(rec)
         ok_all &= ok
         details.append(f"s={rec.s}: {slope:+.3f}")
     _report("criterion 3 (state L2 rate, n=2)", ok_all,
             ", ".join(details) + "; band [-0.85,-0.5]")
     for rec in records:
+        assert _all_rows_solved(rec), (rec.s, rec.extras)
         assert -0.85 <= rec.slopes["err_state_L2"] <= -0.5, rec.s
 
 

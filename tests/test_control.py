@@ -33,8 +33,8 @@ from fracopt import (
 )
 
 
-def manufactured_setup(n=1, s=0.5, N=12, M=12):
-    mp = build_manufactured(s, n)
+def manufactured_setup(n=1, s=0.5, N=12, M=12, mu=1.0):
+    mp = build_manufactured(s, n, mu=mu)
     problem = mp.problem()
     Y = choose_truncation(s, first_eigenvalue(n), N * M, n)
     mesh = TensorMesh(BasePartition(n, N), GradedPartition(M, default_grading(s), Y))
@@ -234,6 +234,17 @@ def test_vi_detects_perturbed_control():
     assert res.fixed_point_residual > 1e-6
 
 
+def test_fully_discrete_converges_below_cost_rounding():
+    # near tol the cost decrease of a step is below the rounding of the cost
+    # itself; the line search must price the step, not difference two costs
+    mp = build_manufactured(0.5, 1)
+    Y = choose_truncation(0.5, first_eigenvalue(1), 256, 1)
+    mesh = TensorMesh(BasePartition(1, 8), GradedPartition(8, default_grading(0.5), Y))
+    _, _, _, rep = solve_fully_discrete(mp.problem(), mesh, tol=1e-13)
+    assert rep.converged
+    assert rep.vi_residual <= 1e-13
+
+
 def test_nonconverged_flag_on_tiny_cap():
     mp, problem, mesh = manufactured_setup(n=1, s=0.5, N=12, M=12)
     _, _, _, rep = solve_fully_discrete(problem, mesh, max_iterations=1, tol=1e-14)
@@ -270,6 +281,15 @@ def test_variational_cost_history_monotone():
     _, _, rep = solve_variational(problem, mesh)
     hist = rep.cost_history
     assert all(b <= a + 1e-15 for a, b in zip(hist, hist[1:]))
+
+
+@pytest.mark.parametrize("mu", [1e-1, 1e-2, 1e-3])
+def test_variational_accepts_no_cost_increase_for_small_mu(mu):
+    mp, problem, mesh = manufactured_setup(n=1, s=0.5, N=64, M=64, mu=mu)
+    _, _, rep = solve_variational(problem, mesh)
+    hist = rep.cost_history
+    slack = 4.0 * np.finfo(float).eps * abs(hist[0])
+    assert all(b <= a + slack for a, b in zip(hist, hist[1:]))
 
 
 def test_variational_close_to_fully_discrete():

@@ -12,9 +12,11 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from fracopt import (
     BasePartition,
+    ConfigurationError,
     ControlField,
     FeField,
     FractionalConstants,
@@ -24,6 +26,7 @@ from fracopt import (
     TraceField,
     assemble_stiffness,
     assemble_trace_load,
+    default_grading,
     energy_error_galerkin,
     l2_trace_error,
     solve_adjoint,
@@ -245,14 +248,36 @@ def test_solve_linearity():
     assert np.allclose(V2.free_values, 2.0 * V1.free_values, rtol=1e-9)
 
 
-@pytest.mark.parametrize("method", ["direct", "cg"])
-def test_solver_residual_contract(method):
+def test_solver_residual_contract():
     mesh = small_mesh(n=2, N=6, M=6, gamma=3.1)
     op = assemble_stiffness(mesh, 0.5)
     b = assemble_trace_load(mesh, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
-    V = solve_state(op, b, method=method)
+    V = solve_state(op, b)
     r = np.linalg.norm(op.matrix @ V.free_values - b) / np.linalg.norm(b)
     assert r <= 1e-10
+
+
+@pytest.mark.parametrize("n, N, M", [(1, 12, 9), (2, 6, 5)])
+@pytest.mark.parametrize("c", [0.0, 1.5])
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("graded", [False, True])
+def test_solve_matches_sparse_direct_reference(n, N, M, c, s, graded):
+    mesh = small_mesh(n=n, N=N, M=M, gamma=default_grading(s) if graded else 1.0, Y=2.0)
+    op = assemble_stiffness(mesh, s, c)
+    rng = np.random.default_rng(7)
+    # random cellwise load: excites every base mode, asymmetric in x1, x2
+    b = assemble_trace_load(mesh, rng.uniform(-1.0, 1.0, mesh.base.n_cells))
+    x = op.solve(b)
+    ref = spsolve(op.matrix.tocsc(), b)
+    nt = mesh.n_trace
+    assert np.linalg.norm(x[:nt] - ref[:nt]) <= 1e-10 * np.linalg.norm(ref[:nt])
+
+
+def test_assembly_rejects_overflowing_weights():
+    # s=0.015, gamma=100.1: the widths stay normal floats, their squares do not
+    mesh = TensorMesh(BasePartition(1, 4), GradedPartition(128, default_grading(0.015), 6.0))
+    with pytest.raises(ConfigurationError):
+        assemble_stiffness(mesh, 0.015)
 
 
 def test_galerkin_orthogonality():

@@ -1,6 +1,6 @@
 """Spectral machinery against independent oracles.
 
-Oracles used here: math.gamma (stdlib) for the Lanczos gamma, the integral
+Oracles used here: math.gamma (stdlib) and known values for gamma, the integral
 representation K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt evaluated by
 adaptive quadrature, a shooting solve of the profile ODE, and closed forms
 at s = 1/2.

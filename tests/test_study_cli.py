@@ -1,5 +1,6 @@
 """Study harness, manufactured problem, reporting, and the CLI."""
 
+import functools
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from fracopt import (
     BasePartition,
     ConfigurationError,
     GradedPartition,
+    SolverError,
     StudyConfig,
     TensorMesh,
     build_manufactured,
@@ -25,6 +27,7 @@ from fracopt import (
     run_rate_study,
     run_truncation_study,
 )
+from fracopt import study
 from fracopt.cli import main, read_config_file
 
 
@@ -132,6 +135,13 @@ def test_oracle_slope_band_rejects_uniform_mesh():
     assert not rec.checks["oracle_slope_band"]
 
 
+def test_oracle_check_rejects_degenerate_grading():
+    # s=0.01 grades with gamma=150.1: the first of 128 layers underflows
+    cfg = StudyConfig(s_values=(0.01,), n=1, dof_targets=(16384,))
+    with pytest.raises((ConfigurationError, SolverError)):
+        run_oracle_check(cfg)
+
+
 def test_oracle_extension_diagnostic_decreases():
     cfg = StudyConfig(s_values=(0.5,), n=1, dof_targets=(256, 1024, 4096))
     rec = run_oracle_check(cfg)[0]
@@ -186,11 +196,20 @@ def test_energy_surrogate_rate_matches_energy_norm():
     assert rec.slopes["err_state_Hs"] == pytest.approx(-0.5, abs=0.06)
 
 
-def test_rate_study_aborts_with_partial_output():
-    cfg = StudyConfig(s_values=(0.5,), n=1, dof_targets=(64, 256), tol=1e-16)
+def test_rate_study_aborts_with_partial_output(monkeypatch):
+    capped = functools.partial(study.solve_fully_discrete, max_iterations=1)
+    monkeypatch.setattr(study, "solve_fully_discrete", capped)
+    cfg = StudyConfig(s_values=(0.5,), n=1, dof_targets=(64, 256))
     rec = run_rate_study(cfg)[0]
     assert "aborted_at_target" in rec.extras
     assert len(rec.rows) < 2
+
+
+def test_rate_checks_make_no_n2_band_claims_for_n1():
+    cfg = StudyConfig(s_values=(0.5,), n=1, mode="uniform", dof_targets=(64, 256))
+    rec = run_rate_study(cfg)[0]
+    assert "control_slope_band" not in rec.checks
+    assert "state_l2_slope_band" not in rec.checks
 
 
 def test_study_config_validation():

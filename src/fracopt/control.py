@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -23,6 +23,7 @@ from .fem import (
     FeField,
     TraceField,
     assemble_stiffness,
+    assemble_trace_load,
     solve_state,
 )
 from .meshes import BasePartition, TensorMesh
@@ -172,12 +173,6 @@ class ReducedProblem:
         self.n_state_solves = 0
 
     # -- loads ------------------------------------------------------------
-    def _load_from_point_values(self, vals: np.ndarray) -> np.ndarray:
-        node_vec = self.quad.node_load(vals)
-        b = np.zeros(self.mesh.n_free)
-        b[: self.mesh.n_trace] = node_vec[self.mesh.base.interior_nodes]
-        return b
-
     def cell_point_values(self, z: np.ndarray) -> np.ndarray:
         return np.broadcast_to(z[:, None], self.ud_q.shape)
 
@@ -190,7 +185,7 @@ class ReducedProblem:
     # -- state / adjoint ---------------------------------------------------
     def state(self, point_values: np.ndarray) -> FeField:
         self.n_state_solves += 1
-        return solve_state(self.op, self._load_from_point_values(point_values))
+        return solve_state(self.op, assemble_trace_load(self.mesh, point_values, quad=self.quad))
 
     def adjoint(self, V: FeField) -> FeField:
         return self.state(self.mismatch(V))
@@ -434,15 +429,7 @@ class OptimalityResiduals:
     fixed_point_residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "state_residual": self.state_residual,
-            "state_residual_rel": self.state_residual_rel,
-            "adjoint_residual": self.adjoint_residual,
-            "adjoint_residual_rel": self.adjoint_residual_rel,
-            "vi_violation_min": self.vi_violation_min,
-            "vi_violation_exact": self.vi_violation_exact,
-            "fixed_point_residual": self.fixed_point_residual,
-        }
+        return asdict(self)
 
 
 def optimality_residuals(
@@ -464,12 +451,11 @@ def optimality_residuals(
     rp = rp if rp is not None else ReducedProblem(problem, mesh)
     K = rp.op.matrix
 
-    b_state = rp._load_from_point_values(rp.control_point_values(Z))
+    b_state = assemble_trace_load(mesh, rp.control_point_values(Z), quad=rp.quad)
     r_state = float(np.linalg.norm(K @ V.free_values - b_state))
     nb_state = float(np.linalg.norm(b_state))
 
-    mismatch_q = V.trace().at_quadrature(rp.quad) - rp.ud_q
-    b_adj = rp._load_from_point_values(mismatch_q)
+    b_adj = assemble_trace_load(mesh, rp.mismatch(V), quad=rp.quad)
     r_adj = float(np.linalg.norm(K @ P.free_values - b_adj))
     nb_adj = float(np.linalg.norm(b_adj))
 

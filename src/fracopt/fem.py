@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -107,13 +107,6 @@ class BaseQuadrature:
 
     def integrate(self, values: np.ndarray) -> float:
         return float((values * self.weights).sum())
-
-    def node_load(self, values: np.ndarray) -> np.ndarray:
-        """Assemble integral of values * hat_i into a full base-node vector."""
-        local = (values * self.weights) @ self.shapes.T  # (#cells, 2^n)
-        out = np.zeros(self.base.n_nodes)
-        np.add.at(out, self.base.cells, local)
-        return out
 
     def cell_averages(self, fn: Callable) -> np.ndarray:
         return self.eval_callable(fn) @ self.weights / self.base.cell_volume
@@ -297,25 +290,35 @@ class CylinderOperator:
     a_Y = (My (x) Sx + Sy (x) Mx + c My (x) Mx) / d_s on a uniform base mesh, so
     the sine matrix diagonalizes the base factors (fast diagonalization,
     Lynch-Rice-Thomas): each base mode j leaves one SPD tridiagonal system
-    (a_j My + b_j Sy) / d_s in y.  The graded y-direction is never
+    (a_j My + b_j Sy) / d_s in y.  Every load lies on the layer y=0, so
+    assembly solves these once for a unit trace load: `profiles[:, j]` is the
+    y-profile of mode j.  A solve transforms the trace block, scales the
+    profiles and transforms all layers back.  The graded y-direction is never
     diagonalized; its mass matrix is too badly conditioned.  The assembled
     matrix is the independent check of every solve.
     """
 
     def __init__(self, mesh: TensorMesh, matrix: sp.csr_matrix, s: float, c: float,
-                 sine: np.ndarray, banded: np.ndarray):
+                 sine: np.ndarray, mass_modes: np.ndarray, profiles: np.ndarray):
         self.mesh = mesh
         self.matrix = matrix
         self.s = s
         self.c = c
         self.constants = FractionalConstants.from_order(s)
         self._sine = sine  # per base direction
-        self._banded = banded  # mode-major block-diagonal y-systems, LAPACK band storage
+        self._mass_modes = mass_modes  # diagonal of the base mass matrix in sine modes
+        self.profiles = profiles
         self._norm1 = None
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def symbol(self) -> np.ndarray:
+        """Discrete fractional symbol per base mode, lowest first: trace
+        response to one normalized sine mode, approximating (lambda_j + c)^{-s}."""
+        return self._mass_modes * self.profiles[0]
 
     def _to_modes(self, layers: np.ndarray) -> np.ndarray:
         """Sine transform of each layer (row) in every base direction; an involution."""
@@ -338,22 +341,20 @@ class CylinderOperator:
         return eta <= 5e-15
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """K^{-1} b; raises SolverError if the residual contract fails."""
+        """K^{-1} b for a trace load b; SolverError if the residual contract fails."""
         b = np.asarray(b, dtype=float)
+        nt = self.mesh.n_trace
+        if np.any(b[nt:]):
+            raise ConfigurationError("solve takes trace loads only; this load is nonzero "
+                                     "off the layer y=0")
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
             return np.zeros(self.n)
-        M, nt = self.mesh.extended.M, self.mesh.n_trace
-        rhs = self._to_modes(b.reshape(M, nt)).T.ravel()
-        y = solve_banded((1, 1), self._banded, rhs, check_finite=False)
-        x = self._to_modes(y.reshape(nt, M).T).ravel()
+        x = self._to_modes(self.profiles * self._to_modes(b[None, :nt])).ravel()
         if not self._contract_met(x, b, bnorm):
             rel = float(np.linalg.norm(b - self.matrix @ x) / bnorm)
             raise SolverError("solver residual contract violated", rel)
         return x
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
 
     def energy_product(self, u: np.ndarray, v: np.ndarray) -> float:
         return float(u @ (self.matrix @ v))
@@ -405,11 +406,15 @@ def assemble_stiffness(mesh: TensorMesh, s: float, c: float = 0.0) -> CylinderOp
     diag = a * My.diagonal() + b * Sy.diagonal()
     upper = np.zeros_like(diag)
     upper[:, :-1] = a * My.diagonal(1) + b * Sy.diagonal(1)  # no coupling across modes
-    banded = np.zeros((3, diag.size))
-    banded[0, 1:] = upper.ravel()[:-1]
-    banded[1] = diag.ravel()
-    banded[2, :-1] = upper.ravel()[:-1]
-    return CylinderOperator(mesh, K, s, c, Q, banded)
+    upper = upper.ravel()[:-1]
+    banded = np.stack([np.r_[0.0, upper], diag.ravel(), np.r_[upper, 0.0]])
+    unit = np.zeros_like(diag)
+    unit[:, 0] = 1.0  # unit load on the trace layer of every base mode
+    profiles = solve_banded((1, 1), banded, unit.ravel(), check_finite=False)
+    if not np.isfinite(profiles).all():
+        raise ConfigurationError("the y-profiles of the trace load are not finite on this "
+                                 "graded partition; use fewer layers or a weaker grading")
+    return CylinderOperator(mesh, K, s, c, Q, tau, profiles.reshape(diag.shape).T.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -432,15 +437,17 @@ def _values_at_quadrature(quad: BaseQuadrature, r) -> np.ndarray:
     raise ConfigurationError(f"cannot interpret load data of shape {getattr(arr, 'shape', None)}")
 
 
-def assemble_trace_load(mesh: TensorMesh, r, npts: int = 3) -> np.ndarray:
+def assemble_trace_load(mesh: TensorMesh, r, npts: int = 3,
+                        quad: Optional[BaseQuadrature] = None) -> np.ndarray:
     """Load vector <r, tr W_i> over free DOFs (nonzero only on the y=0 layer).
 
     `r` may be a per-cell-constant control, a TraceField, a callable on the
-    base domain, or precomputed values at the quadrature points.
+    base domain, or precomputed values at the points of `quad` (by default
+    the npts-point rule on the base mesh).
     """
-    quad = BaseQuadrature(mesh.base, npts)
-    vals = _values_at_quadrature(quad, r)
-    node_vec = quad.node_load(vals)
+    quad = quad if quad is not None else BaseQuadrature(mesh.base, npts)
+    local = (_values_at_quadrature(quad, r) * quad.weights) @ quad.shapes.T  # (#cells, 2^n)
+    node_vec = np.bincount(mesh.base.cells.ravel(), local.ravel(), minlength=mesh.base.n_nodes)
     b = np.zeros(mesh.n_free)
     b[: mesh.n_trace] = node_vec[mesh.base.interior_nodes]
     return b

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -120,20 +120,7 @@ class ConvergenceRecord:
         return fit_loglog_slope(xs, ys)
 
     def to_dict(self) -> dict:
-        return {
-            "study": self.study,
-            "s": self.s,
-            "n": self.n,
-            "mode": self.mode,
-            "scheme": self.scheme,
-            "gamma": self.gamma,
-            "Y": self.Y,
-            "rows": self.rows,
-            "slopes": self.slopes,
-            "slope_residuals": self.slope_residuals,
-            "checks": self.checks,
-            "extras": self.extras,
-        }
+        return asdict(self)
 
 
 def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:
@@ -272,12 +259,14 @@ def run_oracle_check(cfg: StudyConfig) -> List[ConvergenceRecord]:
     Datum is the first eigenmode, so the exact trace is lam_1^{-s} phi_1 and
     the exact extension is known through the Bessel profile; both the trace
     L2 error and the deviation from the exact extension at the mesh nodes
-    are recorded.
+    are recorded, and per mesh the relative error of the discrete symbol
+    of the lowest mode against lam_1^{-s}.
     """
     records = []
     for s in cfg.s_values:
         gamma, Y = _resolve_mesh_family(cfg, s)
         rec = ConvergenceRecord("oracle", s, cfg.n, cfg.mode, "state_only", gamma, Y)
+        rec.extras["symbol_rel_error_mode1"] = symbol_errors = []  # one per row
         lam, phi = eigenpair((1,) * cfg.n, cfg.n)
         scale = 2.0 ** (cfg.n / 2.0)  # use unnormalized sine data, amplitude 1
 
@@ -290,6 +279,7 @@ def run_oracle_check(cfg: StudyConfig) -> List[ConvergenceRecord]:
         for target in cfg.dof_targets:
             mesh = _build_mesh(cfg.n, target, gamma, Y, s, cfg.mode == "anisotropic")
             op = assemble_stiffness(mesh, s)
+            symbol_errors.append(abs(op.symbol[0] * lam**s - 1.0))
             t0 = time.perf_counter()
             load = assemble_trace_load(mesh, datum)
             V = solve_state(op, load)

@@ -7,11 +7,14 @@ module for exact traces.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 from fracopt import (
@@ -26,13 +29,17 @@ from fracopt import (
     TraceField,
     assemble_stiffness,
     assemble_trace_load,
+    balanced_resolution,
+    choose_truncation,
     default_grading,
     energy_error_galerkin,
+    first_eigenvalue,
     l2_trace_error,
     solve_adjoint,
     solve_state,
     trace,
 )
+from fracopt import fem
 from fracopt.fem import (
     base_direction_matrices,
     extended_direction_matrices,
@@ -271,6 +278,56 @@ def test_solve_matches_sparse_direct_reference(n, N, M, c, s, graded):
     ref = spsolve(op.matrix.tocsc(), b)
     nt = mesh.n_trace
     assert np.linalg.norm(x[:nt] - ref[:nt]) <= 1e-10 * np.linalg.norm(ref[:nt])
+    # the profiles build every layer, not only the trace
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_solve_rejects_load_off_trace_layer():
+    mesh = small_mesh(n=1, N=4, M=3)
+    op = assemble_stiffness(mesh, 0.5)
+    b = np.zeros(mesh.n_free)
+    b[mesh.n_trace + 1] = 1.0
+    with pytest.raises(ConfigurationError, match="off the layer y=0"):
+        op.solve(b)
+
+
+@pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
+def test_symbol_of_lowest_mode_approaches_fractional_eigenvalue(s):
+    # one truncation height for both meshes, as in an oracle sweep
+    Y = choose_truncation(s, first_eigenvalue(1), 16_384, 1)
+    errors = []
+    for target in (4096, 16_384):
+        N, M = balanced_resolution(target, 1)
+        mesh = TensorMesh(BasePartition(1, N), GradedPartition(M, default_grading(s), Y))
+        symbol = assemble_stiffness(mesh, s).symbol
+        assert symbol.shape == (mesh.n_trace,)
+        errors.append(abs(symbol[0] / math.pi ** (-2.0 * s) - 1.0))
+    assert errors[1] <= 2e-3
+    assert errors[1] < errors[0]
+
+
+def test_assembly_rejects_nonfinite_profiles(monkeypatch):
+    # no partition with finite y-integrals is known to get here; a band
+    # solve that breaks down must still be reported, not solved with
+    monkeypatch.setattr(fem, "solve_banded", lambda lu, ab, rhs, **kw: np.full_like(rhs, np.nan))
+    with pytest.raises(ConfigurationError, match="profiles"):
+        assemble_stiffness(small_mesh(), 0.5)
+
+
+@given(s=st.floats(0.005, 0.995), M=st.integers(2, 160))
+@settings(max_examples=60, deadline=None)
+def test_assembly_solves_unit_trace_load_or_rejects_grading(s, M):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning fails the test
+        try:
+            mesh = TensorMesh(BasePartition(1, 4), GradedPartition(M, default_grading(s), 2.0))
+            op = assemble_stiffness(mesh, s)
+        except ConfigurationError:
+            return
+        assert np.isfinite(op.profiles).all()
+        b = assemble_trace_load(mesh, np.ones(mesh.base.n_cells))
+        x = op.solve(b)  # raises SolverError if the residual contract fails
+    assert np.isfinite(x).all()
 
 
 def test_assembly_rejects_overflowing_weights():

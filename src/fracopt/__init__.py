@@ -4,7 +4,7 @@ The fractional operator is realized as the Dirichlet-to-Neumann map of a
 degenerate elliptic problem on a cylinder in one extra dimension; the
 cylinder is truncated, meshed by tensor products with a graded partition in
 the extended variable, and the box-constrained control problem is solved by
-projected gradient descent in either a fully discrete (piecewise-constant
+one projected descent loop in either a fully discrete (piecewise-constant
 control) or variational (undiscretized control) formulation.
 """
 
@@ -33,9 +33,7 @@ from .fem import (
     assemble_trace_load,
     energy_error_galerkin,
     l2_trace_error,
-    solve_adjoint,
     solve_state,
-    trace,
 )
 from .manufactured import ManufacturedProblem, build_manufactured
 from .meshes import (
@@ -48,7 +46,6 @@ from .meshes import (
     default_grading,
     first_eigenvalue,
     make_graded_partition,
-    make_tensor_mesh,
     regularity_report,
 )
 from .spectral import (

@@ -2,10 +2,14 @@
 
 Two discretizations of the control space: piecewise constants per base cell
 (fully discrete) and the variational approach where the control is never
-meshed but represented through the clamped adjoint trace.  Both are driven
-by projected gradient descent on the reduced quadratic cost, so every
-iterate is feasible by construction and the cost is monotone under the
-Armijo line search.
+meshed but represented through the clamped adjoint trace.  Both solve the
+same first-order system z = proj(-tr P / mu) with one projected descent
+loop on the control values at the load quadrature points.  The schemes
+differ only in the restriction of the adjoint trace to their control space,
+the step of the fixed-point residual, and the step rule: Armijo backtracking
+along the projected arc (fully discrete) or the cost-minimizing point on the
+segment towards proj(-tr P / mu) (variational).  Every iterate is feasible,
+and no accepted step raises the cost.
 """
 
 from __future__ import annotations
@@ -198,12 +202,6 @@ class ReducedProblem:
         d = self.mismatch(V)
         return 0.5 * self.quad.integrate(d * d)
 
-    def misfit_change(self, V: FeField, D: FeField) -> float:
-        """misfit(V + D) - misfit(V), priced without cancellation: near the
-        optimum the difference of the two costs is lost in their rounding."""
-        d = D.trace().at_quadrature(self.quad)
-        return self.quad.integrate((self.mismatch(V) + 0.5 * d) * d)
-
     def cost_fully_discrete(self, Z: ControlField, V: FeField) -> float:
         reg = 0.5 * self.problem.mu * self.mesh.base.cell_volume * float(
             Z.cell_values @ Z.cell_values
@@ -241,6 +239,109 @@ def reduced_cost_and_gradient(Z: ControlField, problem: ProblemConfig, mesh: Ten
     )
 
 
+def _descend(rp: ReducedProblem, z0: Optional[ControlField], scheme: str, tol: float,
+             max_iterations: int) -> Tuple[np.ndarray, FeField, FeField, ReducedCostReport]:
+    """Projected descent on the control values G at the load quadrature points.
+
+    A scheme fixes two facts.  Its restriction maps the adjoint trace into
+    the control space at the points: cell averages (fully discrete) or the
+    values themselves (variational).  Its fixed-point residual
+    ||G - proj(G - step g)||_L2, g = mu G + restrict(tr P), takes step 1
+    (fully discrete) or 1/mu (variational).  The step rule is also per
+    scheme (_arc_step, _segment_step).  The rest is shared: each trial solves
+    once for the state of its increment and is priced exactly (_price), the
+    loop stops unconverged rather than take a step that raises the cost, and
+    the gradient is reported as the cell averages of g.  Starts from z0, by
+    default the box midpoint.
+    """
+    t_start, solves_before = time.perf_counter(), rp.n_state_solves
+    problem, quad = rp.problem, rp.quad
+    bounds, mu = problem.bounds, problem.mu
+    if scheme == "fully_discrete":
+        # cell averages, exact for the multilinear trace, at every point of the cell
+        restrict, step, search = (lambda tr: rp.cell_point_values(tr.cell_averages()),
+                                  1.0, _arc_step)
+    else:
+        restrict, step, search = (lambda tr: tr.at_quadrature(quad)), 1.0 / mu, _segment_step
+
+    if z0 is None:
+        z0 = ControlField.constant(rp.mesh.base, 0.5 * (bounds.a + bounds.b))
+    G = rp.cell_point_values(z0.project(bounds).cell_values).copy()
+    V = rp.state(G + rp.f_q if rp.f_q is not None else G)
+    r = rp.mismatch(V)
+    j = 0.5 * quad.integrate(r * r + mu * G * G)
+    history = [j]
+    iterations = 0
+    while True:
+        P = rp.state(r)  # adjoint
+        g = mu * G + restrict(P.trace())
+        target = project_box(G - step * g, bounds)
+        fp_res = math.sqrt(quad.integrate((G - target) ** 2))
+        if fp_res <= tol or iterations == max_iterations:
+            break
+        iterations += 1
+        trial = search(rp, G, g, r, target)
+        if trial is None:
+            break  # no trial lowers the cost; keep the last iterate
+        G, D, dj = trial
+        V = FeField(rp.mesh, V.free_values + D)
+        r = rp.mismatch(V)
+        j += dj
+        history.append(j)
+
+    report = ReducedCostReport(
+        j=j,
+        gradient=ControlField(rp.mesh.base, g @ quad.weights / rp.mesh.base.cell_volume),
+        vi_residual=fp_res,
+        iterations=iterations,
+        cost_history=history,
+        converged=fp_res <= tol,
+        n_state_solves=rp.n_state_solves - solves_before,
+        wall_time=time.perf_counter() - t_start,
+        scheme=scheme,
+    )
+    return G, V, P, report
+
+
+def _price(rp: ReducedProblem, r: np.ndarray, G: np.ndarray, dG: np.ndarray):
+    """Solve for the state D of the increment dG.  The cost of G + theta dG
+    is j + theta (slope + theta curvature): exact, and free of the
+    cancellation of differencing two costs near the optimum."""
+    D = rp.state(dG)
+    d = D.trace().at_quadrature(rp.quad)
+    mu = rp.problem.mu
+    slope = rp.quad.integrate(r * d + mu * G * dG)
+    curvature = 0.5 * rp.quad.integrate(d * d + mu * dG * dG)
+    return D.free_values, slope, curvature
+
+
+def _arc_step(rp, G, g, r, target):
+    """Armijo backtracking along the projected arc proj(G - t g), t = 1/mu,
+    1/(2 mu), ...: the fully discrete step rule."""
+    t0 = 1.0 / rp.problem.mu
+    t = t0
+    while t >= MIN_STEP_FRACTION * t0:
+        G_new = project_box(G - t * g, rp.problem.bounds)
+        dG = G_new - G
+        D, slope, curvature = _price(rp, r, G, dG)
+        dj = slope + curvature
+        if dj <= ARMIJO_DECREASE * rp.quad.integrate(g * dG):
+            return G_new, D, dj
+        t *= 0.5
+    return None
+
+
+def _segment_step(rp, G, g, r, target):
+    """Cost-minimizing theta = min(1, -slope / (2 curvature)) on the segment
+    from G to target = proj(-tr P / mu): the variational step rule."""
+    dG = target - G
+    D, slope, curvature = _price(rp, r, G, dG)
+    if not slope < 0.0:
+        return None
+    theta = min(1.0, -slope / (2.0 * curvature))
+    return G + theta * dG, theta * D, theta * (slope + theta * curvature)
+
+
 def solve_fully_discrete(
     problem: ProblemConfig,
     mesh: TensorMesh,
@@ -249,77 +350,16 @@ def solve_fully_discrete(
     z0: Optional[ControlField] = None,
     rp: Optional[ReducedProblem] = None,
 ) -> Tuple[ControlField, FeField, FeField, ReducedCostReport]:
-    """Projected gradient with Armijo backtracking for piecewise-constant controls.
+    """Projected gradient for piecewise-constant controls, on the shared loop.
 
     Stops when the unit-step fixed-point residual ||Z - proj(Z - g)||_L2
-    drops below `tol`; every accepted step does not increase the cost.  The
-    state is affine in the control, so each trial solves for the state D of
-    the increment dZ and prices the step as misfit_change(V, D) +
-    mu (<Z, dZ> + |dZ|^2 / 2); then V + D is the new state.
+    drops below `tol`.  Step rule: Armijo backtracking along the projected
+    arc proj(Z - t g), t = 1/mu halving; no accepted step raises the cost.
     """
-    t_start = time.perf_counter()
     rp = rp if rp is not None else ReducedProblem(problem, mesh)
-    bounds = problem.bounds
-    if z0 is None:
-        Z = ControlField.constant(mesh.base, 0.5 * (bounds.a + bounds.b)).project(bounds)
-    else:
-        Z = z0.project(bounds)
-
-    V = rp.state(rp.control_point_values(Z))
-    P = rp.adjoint(V)
-    j = rp.cost_fully_discrete(Z, V)
-    g = rp.gradient_fully_discrete(Z, P)
-    history = [j]
-    step0 = 1.0 / problem.mu
-    converged = False
-    fp_res = rp.control_norm(Z.cell_values - project_box(Z.cell_values - g, bounds))
-
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        if fp_res <= tol:
-            converged = True
-            iterations -= 1
-            break
-        t = step0
-        accepted = False
-        while True:
-            z_new = project_box(Z.cell_values - t * g, bounds)
-            dz = z_new - Z.cell_values
-            D = rp.state(rp.cell_point_values(dz))
-            dj = rp.misfit_change(V, D) + problem.mu * rp.control_inner(
-                Z.cell_values + 0.5 * dz, dz)
-            if dj <= ARMIJO_DECREASE * rp.control_inner(g, dz):
-                accepted = True
-                break
-            t *= 0.5
-            if t < MIN_STEP_FRACTION * step0:
-                break
-        if not accepted:
-            # quadratic model should never get here; keep the last iterate
-            # rather than take a cost-increasing step
-            break
-        Z = ControlField(mesh.base, z_new)
-        V = FeField(mesh, V.free_values + D.free_values)
-        j += dj
-        history.append(j)
-        P = rp.adjoint(V)
-        g = rp.gradient_fully_discrete(Z, P)
-        fp_res = rp.control_norm(Z.cell_values - project_box(Z.cell_values - g, bounds))
-    else:
-        converged = fp_res <= tol
-
-    report = ReducedCostReport(
-        j=j,
-        gradient=ControlField(mesh.base, g),
-        vi_residual=fp_res,
-        iterations=iterations,
-        cost_history=history,
-        converged=converged,
-        n_state_solves=rp.n_state_solves,
-        wall_time=time.perf_counter() - t_start,
-        scheme="fully_discrete",
-    )
-    return Z, V, P, report
+    G, V, P, report = _descend(rp, z0, "fully_discrete", tol, max_iterations)
+    # one point per cell: re-averaging constant values would round them
+    return ControlField(mesh.base, G[:, 0]), V, P, report
 
 
 class VariationalControl:
@@ -329,17 +369,12 @@ class VariationalControl:
     so it can be sampled on any quadrature or plotting grid.
     """
 
-    def __init__(self, bounds: BoxBounds, mu: float, adjoint_trace: Optional[TraceField] = None,
-                 fill_value: float = 0.0):
+    def __init__(self, bounds: BoxBounds, mu: float, adjoint_trace: TraceField):
         self.bounds = bounds
         self.mu = mu
         self.adjoint_trace = adjoint_trace
-        self.fill_value = fill_value
 
     def __call__(self, *coords):
-        if self.adjoint_trace is None:
-            shape = np.broadcast(*(np.asarray(c) for c in coords)).shape
-            return np.full(shape, np.clip(self.fill_value, self.bounds.a, self.bounds.b))
         return np.clip(-self.adjoint_trace.evaluate(*coords) / self.mu,
                        self.bounds.a, self.bounds.b)
 
@@ -351,71 +386,17 @@ def solve_variational(
     max_iterations: int = 200,
     rp: Optional[ReducedProblem] = None,
 ) -> Tuple[VariationalControl, FeField, ReducedCostReport]:
-    """Damped fixed-point iteration g <- proj(-tr P / mu), control undiscretized.
+    """Fixed-point iteration G <- proj(-tr P / mu), control undiscretized,
+    on the shared loop.
 
-    The working representation of g is its values at the load quadrature
-    points; damping theta halves whenever a full update would increase the
-    cost (rare: the map is a contraction for mu * lambda_1^{2s} > 1-ish).
-    The state is affine in g, so one solve for the state D of the update
-    direction prices the cost change of every theta exactly, as a quadratic
-    in theta; the loop stops unconverged if no theta decreases the cost.
+    G lives at the load quadrature points; the loop stops when
+    ||G - proj(-tr P / mu)||_L2 drops below `tol`.  Step rule: the
+    cost-minimizing point on the segment towards proj(-tr P / mu), so no
+    accepted step raises the cost.
     """
-    t_start = time.perf_counter()
     rp = rp if rp is not None else ReducedProblem(problem, mesh)
-    bounds, mu = problem.bounds, problem.mu
-
-    G = np.full(rp.ud_q.shape, float(np.clip(0.5 * (bounds.a + bounds.b), bounds.a, bounds.b)))
-    V = rp.state(G + rp.f_q if rp.f_q is not None else G)
-    j = rp.misfit(V) + 0.5 * mu * rp.quad.integrate(G * G)
-    history = [j]
-    P = rp.adjoint(V)
-    converged = False
-    fp_res = math.inf
-
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        G_prop = np.clip(-P.trace().at_quadrature(rp.quad) / mu, bounds.a, bounds.b)
-        fp_res = math.sqrt(rp.quad.integrate((G - G_prop) ** 2))
-        if fp_res <= tol:
-            converged = True
-            iterations -= 1
-            break
-        delta = G_prop - G
-        D = rp.state(delta)
-        d = D.trace().at_quadrature(rp.quad)
-        slope = rp.quad.integrate(rp.mismatch(V) * d + mu * G * delta)
-        curvature = 0.5 * rp.quad.integrate(d * d + mu * delta * delta)
-        theta = 1.0
-        dj = slope + curvature
-        while dj > 0.0:
-            theta *= 0.5
-            if theta < 1e-8:
-                break
-            dj = theta * (slope + theta * curvature)
-        if dj > 0.0:
-            break  # keep the last iterate rather than take a cost-increasing step
-        G = G + theta * delta
-        V = FeField(mesh, V.free_values + theta * D.free_values)
-        j += dj
-        history.append(j)
-        P = rp.adjoint(V)
-    else:
-        converged = fp_res <= tol
-
-    control = VariationalControl(bounds, mu, adjoint_trace=P.trace())
-    g_avg = (G @ rp.quad.weights) / mesh.base.cell_volume  # (cells,) per-cell mean
-    report = ReducedCostReport(
-        j=j,
-        gradient=ControlField(mesh.base, P.trace().cell_averages() + mu * g_avg),
-        vi_residual=fp_res,
-        iterations=iterations,
-        cost_history=history,
-        converged=converged,
-        n_state_solves=rp.n_state_solves,
-        wall_time=time.perf_counter() - t_start,
-        scheme="variational",
-    )
-    return control, V, report
+    _, V, P, report = _descend(rp, None, "variational", tol, max_iterations)
+    return VariationalControl(problem.bounds, problem.mu, P.trace()), V, report
 
 
 @dataclass

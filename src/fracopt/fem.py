@@ -37,9 +37,7 @@ __all__ = [
     "assemble_trace_load",
     "energy_error_galerkin",
     "l2_trace_error",
-    "solve_adjoint",
     "solve_state",
-    "trace",
 ]
 
 SOLVER_RTOL = 1e-10
@@ -200,10 +198,6 @@ class FeField:
         header = ",".join(f"x{d+1}" for d in range(self.mesh.n)) + ",y,value"
         data = np.column_stack([coords, self.node_values()])
         np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.16e")
-
-
-def trace(v: FeField) -> TraceField:
-    return v.trace()
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +449,6 @@ def assemble_trace_load(mesh: TensorMesh, r, npts: int = 3,
 
 def solve_state(op: CylinderOperator, load: np.ndarray) -> FeField:
     return FeField(op.mesh, op.solve(np.asarray(load, dtype=float)))
-
-
-def solve_adjoint(op: CylinderOperator, trace_mismatch, npts: int = 3) -> FeField:
-    """Solve a_Y(P, W) = (mismatch, tr W); same operator since a_Y is symmetric."""
-    return solve_state(op, assemble_trace_load(op.mesh, trace_mismatch, npts=npts))
 
 
 def energy_error_galerkin(V: FeField, data: Callable, exact_trace: Callable, d_s: float,

@@ -13,7 +13,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "default_grading",
     "first_eigenvalue",
     "make_graded_partition",
-    "make_tensor_mesh",
     "regularity_report",
 ]
 
@@ -182,10 +180,6 @@ class TensorMesh:
         return json.dumps(self.summary(), indent=2, sort_keys=True)
 
 
-def make_tensor_mesh(base: BasePartition, extended: GradedPartition) -> TensorMesh:
-    return TensorMesh(base, extended)
-
-
 @dataclass(frozen=True)
 class MeshRegularityReport:
     sigma_Y: float
@@ -206,14 +200,13 @@ def regularity_report(mesh: TensorMesh, s: float) -> MeshRegularityReport:
     )
 
 
-def balanced_resolution(target_dofs: int, n: int) -> Tuple[int, int]:
-    """Pick (cells_per_side, M) with M^(n+1) ~ target, balancing base and layers."""
+def balanced_resolution(target_dofs: int, n: int) -> int:
+    """Cells per base side and layer count M, one number: M^(n+1) ~ target."""
     if n not in (1, 2):
         raise ConfigurationError(f"dimension n must be 1 or 2, got {n}")
     if target_dofs < 2 ** (n + 1):
         raise ConfigurationError(f"target_dofs must be >= {2**(n+1)} for n={n}")
-    M = max(1, round(target_dofs ** (1.0 / (n + 1))))
-    return M, M
+    return max(1, round(target_dofs ** (1.0 / (n + 1))))
 
 
 def choose_truncation(s: float, lambda1: float, target_dofs: int, n: int) -> float:

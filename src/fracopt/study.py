@@ -137,8 +137,8 @@ def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, f
 
 def _build_mesh(n: int, target: int, gamma: float, Y: float, s: float,
                 warn_grading: bool) -> TensorMesh:
-    N, M = balanced_resolution(target, n)
-    base = BasePartition(n, N)
+    M = balanced_resolution(target, n)
+    base = BasePartition(n, M)
     ext = make_graded_partition(M, gamma, Y, s=s if warn_grading else None)
     return TensorMesh(base, ext)
 
@@ -334,8 +334,8 @@ def run_truncation_study(cfg: StudyConfig, Y_values: Sequence[float],
         u_d = lambda x1, x2: np.sin(math.pi * x1) * np.sin(math.pi * x2)
     problem = ProblemConfig(s=s, u_d=u_d, bounds=BoxBounds(0.0, 0.5), mu=1.0)
     gamma = cfg.gamma if cfg.gamma is not None else default_grading(s)
-    N, M = balanced_resolution(max(cfg.dof_targets), cfg.n)
-    M *= 4  # oversample layers; the floor should come from the Y-rescaled
+    N = balanced_resolution(max(cfg.dof_targets), cfg.n)
+    M = 4 * N  # oversample layers; the floor should come from the Y-rescaled
     # template, not from running out of y-resolution
     base = BasePartition(cfg.n, N)
     ref_Y = reference_Y if reference_Y is not None else 2.0 * Y_values[-1] + 2.0

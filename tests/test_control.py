@@ -245,6 +245,18 @@ def test_fully_discrete_converges_below_cost_rounding():
     assert rep.vi_residual <= 1e-13
 
 
+def test_report_counts_only_its_own_solves():
+    # a ReducedProblem shared by several solves keeps one running count
+    mp, problem, mesh = manufactured_setup(n=1, s=0.5, N=12, M=12)
+    rp = ReducedProblem(problem, mesh)
+    first = solve_fully_discrete(problem, mesh, rp=rp)[-1]
+    again = solve_fully_discrete(problem, mesh, rp=rp)[-1]
+    variational = solve_variational(problem, mesh, rp=rp)[-1]
+    assert again.n_state_solves == first.n_state_solves
+    # state and adjoint at the start, then one trial and one adjoint per step
+    assert variational.n_state_solves == 2 * variational.iterations + 2
+
+
 def test_nonconverged_flag_on_tiny_cap():
     mp, problem, mesh = manufactured_setup(n=1, s=0.5, N=12, M=12)
     _, _, _, rep = solve_fully_discrete(problem, mesh, max_iterations=1, tol=1e-14)
@@ -290,6 +302,17 @@ def test_variational_accepts_no_cost_increase_for_small_mu(mu):
     hist = rep.cost_history
     slack = 4.0 * np.finfo(float).eps * abs(hist[0])
     assert all(b <= a + slack for a, b in zip(hist, hist[1:]))
+
+
+@pytest.mark.parametrize("mu", [1e-1, 1e-2, 1e-3])
+@pytest.mark.parametrize("scheme", ["fully_discrete", "variational"])
+def test_both_schemes_converge_for_small_mu(scheme, mu):
+    # the n=1 mesh of 16,384 cells, at the default iteration cap
+    _, problem, mesh = manufactured_setup(n=1, s=0.5, N=128, M=128, mu=mu)
+    solve = solve_fully_discrete if scheme == "fully_discrete" else solve_variational
+    rep = solve(problem, mesh)[-1]
+    assert rep.converged
+    assert rep.vi_residual <= 1e-8
 
 
 def test_variational_close_to_fully_discrete():

@@ -10,12 +10,12 @@ from fracopt import (
     BasePartition,
     ConfigurationError,
     GradedPartition,
+    TensorMesh,
     balanced_resolution,
     choose_truncation,
     default_grading,
     first_eigenvalue,
     make_graded_partition,
-    make_tensor_mesh,
     regularity_report,
 )
 
@@ -63,14 +63,14 @@ def test_graded_rejects_bad_input():
 
 
 def test_tensor_mesh_counts_n1():
-    mesh = make_tensor_mesh(BasePartition(1, 4), GradedPartition(3, 2.0, 1.0))
+    mesh = TensorMesh(BasePartition(1, 4), GradedPartition(3, 2.0, 1.0))
     assert mesh.n_cells == 12
     assert mesh.n_nodes == 20
     assert mesh.n_trace == 3  # interior base nodes at y=0
 
 
 def test_tensor_mesh_counts_n2():
-    mesh = make_tensor_mesh(BasePartition(2, 8), GradedPartition(8, 3.1, 1.0))
+    mesh = TensorMesh(BasePartition(2, 8), GradedPartition(8, 3.1, 1.0))
     assert mesh.n_cells == 512
     assert mesh.n_nodes == 81 * 9
     assert mesh.n_free == 49 * 8
@@ -78,7 +78,7 @@ def test_tensor_mesh_counts_n2():
 
 
 def test_mask_partition_is_exact():
-    mesh = make_tensor_mesh(BasePartition(2, 5), GradedPartition(4, 2.0, 1.0))
+    mesh = TensorMesh(BasePartition(2, 5), GradedPartition(4, 2.0, 1.0))
     free = set(mesh.free_nodes.tolist())
     dirichlet = set(np.flatnonzero(mesh.dirichlet_mask).tolist())
     assert free.isdisjoint(dirichlet)
@@ -89,31 +89,31 @@ def test_mask_partition_is_exact():
 
 
 def test_trace_dofs_lead_the_free_block():
-    mesh = make_tensor_mesh(BasePartition(1, 4), GradedPartition(3, 2.0, 1.0))
+    mesh = TensorMesh(BasePartition(1, 4), GradedPartition(3, 2.0, 1.0))
     # first n_trace free nodes are the interior base nodes on layer 0
     assert mesh.free_nodes[: mesh.n_trace].tolist() == [1, 2, 3]
 
 
 def test_trace_count_independent_of_layers():
     for M in (1, 3, 9):
-        mesh = make_tensor_mesh(BasePartition(1, 6), GradedPartition(M, 2.0, 1.0))
+        mesh = TensorMesh(BasePartition(1, 6), GradedPartition(M, 2.0, 1.0))
         assert mesh.n_trace == 5
 
 
 def test_balanced_resolution_examples():
-    assert balanced_resolution(4096, 2) == (16, 16)
-    assert balanced_resolution(64, 1) == (8, 8)
-    assert balanced_resolution(1000, 2) == (10, 10)
+    assert balanced_resolution(4096, 2) == 16
+    assert balanced_resolution(64, 1) == 8
+    assert balanced_resolution(1000, 2) == 10
 
 
 def test_regularity_report_uniform():
-    mesh = make_tensor_mesh(BasePartition(1, 4), GradedPartition(6, 1.0, 1.0))
+    mesh = TensorMesh(BasePartition(1, 4), GradedPartition(6, 1.0, 1.0))
     rep = regularity_report(mesh, 0.5)
     assert rep.sigma_Y == pytest.approx(1.0)
 
 
 def test_regularity_report_exact_enumeration():
-    mesh = make_tensor_mesh(BasePartition(1, 4), GradedPartition(4, 2.0, 1.0))
+    mesh = TensorMesh(BasePartition(1, 4), GradedPartition(4, 2.0, 1.0))
     rep = regularity_report(mesh, 0.9)
     ratios = [((k + 1) ** 2 - k**2) / (k**2 - (k - 1) ** 2) for k in (1, 2, 3)]
     assert rep.sigma_Y == pytest.approx(max(ratios))
@@ -121,9 +121,9 @@ def test_regularity_report_exact_enumeration():
 
 def test_regularity_strict_inequality():
     s = 0.5
-    mesh = make_tensor_mesh(BasePartition(1, 4), GradedPartition(4, 3.0 / (2 * s), 1.0))
+    mesh = TensorMesh(BasePartition(1, 4), GradedPartition(4, 3.0 / (2 * s), 1.0))
     assert not regularity_report(mesh, s).gamma_ok
-    mesh = make_tensor_mesh(BasePartition(1, 4), GradedPartition(4, 3.0 / (2 * s) + 0.1, 1.0))
+    mesh = TensorMesh(BasePartition(1, 4), GradedPartition(4, 3.0 / (2 * s) + 0.1, 1.0))
     assert regularity_report(mesh, s).gamma_ok
 
 
@@ -152,7 +152,7 @@ def test_first_eigenvalue():
 
 
 def test_summary_json_roundtrip():
-    mesh = make_tensor_mesh(BasePartition(2, 4), GradedPartition(4, 2.5, 1.7))
+    mesh = TensorMesh(BasePartition(2, 4), GradedPartition(4, 2.5, 1.7))
     data = json.loads(mesh.summary_json())
     assert data["n_cells"] == mesh.n_cells
     assert data["sigma_Y"] == pytest.approx(mesh.extended.sigma())

@@ -8,6 +8,7 @@ oracle-check.  Flags may also be supplied through a key=value config file
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from typing import Dict, Optional, Sequence
 
@@ -67,6 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scheme", type=str, default=None,
                        choices=("fully_discrete", "variational"))
         p.add_argument("--config", type=str, default=None, help="key=value config file")
+        p.add_argument("--verbose", action="store_true", help="debug log to stderr")
     return parser
 
 
@@ -87,6 +89,9 @@ def _default_dofs(command: str, n: int) -> tuple:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     file_cfg = read_config_file(args.config) if args.config else {}
+    if args.verbose:
+        logging.basicConfig(format="%(name)s: %(message)s")
+        logging.getLogger("fracopt").setLevel(logging.DEBUG)
 
     n = _pick(args.n, file_cfg, "n", int, 2)
     default_s = (0.05,) if args.command == "compare-refinement" else (0.5,)

@@ -7,15 +7,19 @@ computed trace converges to the solution of the fractional problem itself.
 
 Assembly is exact: the y-direction factors are integrated in closed form
 (valid down to the singular first interval), the base factors are the
-standard uniform-mesh mass/stiffness matrices, and the global operator is a
-sum of Kronecker products restricted to the free unknowns.  The same
-tensor structure gives one exact solver: sine transforms in the base
-directions and tridiagonal solves in y (see CylinderOperator).
+standard uniform-mesh mass/stiffness matrices, and the global operator on the
+free unknowns is a stencil whose diagonals are outer products of the 1D
+factors' bands.  The same tensor structure gives one exact solver: sine
+transforms in the base directions and tridiagonal solves in y.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import logging
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -41,6 +45,7 @@ __all__ = [
 ]
 
 SOLVER_RTOL = 1e-10
+_log = logging.getLogger("fracopt")
 
 
 class SolverError(RuntimeError):
@@ -281,32 +286,32 @@ def _sine_matrix(m: int) -> np.ndarray:
 class CylinderOperator:
     """Assembled bilinear form a_Y over the free unknowns, with its exact solver.
 
-    a_Y = (My (x) Sx + Sy (x) Mx + c My (x) Mx) / d_s on a uniform base mesh, so
-    the sine matrix diagonalizes the base factors (fast diagonalization,
-    Lynch-Rice-Thomas): each base mode j leaves one SPD tridiagonal system
-    (a_j My + b_j Sy) / d_s in y.  Every load lies on the layer y=0, so
-    assembly solves these once for a unit trace load: `profiles[:, j]` is the
-    y-profile of mode j.  A solve transforms the trace block, scales the
-    profiles and transforms all layers back.  The graded y-direction is never
-    diagonalized; its mass matrix is too badly conditioned.  The assembled
-    matrix is the independent check of every solve.
+    a_Y = (My (x) Sx + Sy (x) Mx + c My (x) Mx) / d_s on a uniform base mesh, a
+    stencil of 3^(n+1) diagonals (`matrix`, DIA).  The sine matrix diagonalizes
+    the base factors (fast diagonalization, Lynch-Rice-Thomas): each base mode j
+    leaves one SPD tridiagonal system (a_j My + b_j Sy) / d_s in y.  Every load
+    lies on the layer y=0, so assembly solves these once for a unit trace load:
+    `profiles[:, j]` is the y-profile of mode j.  A solve transforms the trace
+    block, scales the profiles and transforms all layers back.  The graded
+    y-direction is never diagonalized; its mass matrix is too badly
+    conditioned.  The assembled matrix is the independent check of every solve.
     """
 
-    def __init__(self, mesh: TensorMesh, matrix: sp.csr_matrix, s: float, c: float,
-                 sine: np.ndarray, mass_modes: np.ndarray, profiles: np.ndarray):
+    def __init__(self, mesh: TensorMesh, matrix: sp.dia_matrix, norm1: float, s: float,
+                 c: float, sine: np.ndarray, mass_modes: np.ndarray, profiles: np.ndarray):
         self.mesh = mesh
         self.matrix = matrix
+        self.norm1 = norm1  # exact max column abs-sum of `matrix`
         self.s = s
         self.c = c
         self.constants = FractionalConstants.from_order(s)
         self._sine = sine  # per base direction
         self._mass_modes = mass_modes  # diagonal of the base mass matrix in sine modes
         self.profiles = profiles
-        self._norm1 = None
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.mesh.n_free
 
     @property
     def symbol(self) -> np.ndarray:
@@ -322,17 +327,15 @@ class CylinderOperator:
         m = len(Q)
         return (Q @ layers.reshape(-1, m, m) @ Q).reshape(layers.shape)
 
-    def _contract_met(self, x: np.ndarray, b: np.ndarray, bnorm: float) -> bool:
-        """Residual contract: relative residual below tolerance, or the
-        solution exact to machine backward error (the relative residual
+    def _contract_met(self, x: np.ndarray, b: np.ndarray, bnorm: float) -> Tuple[bool, float]:
+        """Residual contract and residual norm: relative residual below tolerance,
+        or the solution exact to machine backward error (the relative residual
         cannot be evaluated below eps*|K||x|/|b| in double precision)."""
-        if self._norm1 is None:
-            self._norm1 = float(abs(self.matrix).sum(axis=0).max())
         rnorm = float(np.linalg.norm(b - self.matrix @ x))
         if rnorm <= SOLVER_RTOL * bnorm:
-            return True
-        eta = rnorm / (self._norm1 * float(np.linalg.norm(x)) + bnorm)
-        return eta <= 5e-15
+            return True, rnorm
+        eta = rnorm / (self.norm1 * float(np.linalg.norm(x)) + bnorm)
+        return eta <= 5e-15, rnorm
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """K^{-1} b for a trace load b; SolverError if the residual contract fails."""
@@ -345,26 +348,42 @@ class CylinderOperator:
         if bnorm == 0.0:
             return np.zeros(self.n)
         x = self._to_modes(self.profiles * self._to_modes(b[None, :nt])).ravel()
-        if not self._contract_met(x, b, bnorm):
-            rel = float(np.linalg.norm(b - self.matrix @ x) / bnorm)
-            raise SolverError("solver residual contract violated", rel)
+        met, rnorm = self._contract_met(x, b, bnorm)
+        if not met:
+            raise SolverError("solver residual contract violated", rnorm / bnorm)
         return x
 
-    def energy_product(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(u @ (self.matrix @ v))
 
-    def export_coo(self, path) -> None:
-        coo = self.matrix.tocoo()
-        with open(path, "w") as fh:
-            fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-            for i, j, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{i} {j} {v:.16e}\n")
+def _column_bands(T: sp.spmatrix) -> dict:
+    """band[k][j] = T[j - k, j] for a tridiagonal T, zero where j - k falls outside."""
+    return {-1: np.r_[T.diagonal(-1), 0.0], 0: T.diagonal(), 1: np.r_[0.0, T.diagonal(1)]}
+
+
+def _stencil_diagonals(A: dict, B: dict, S1: dict, M1: dict, n: int, c: float):
+    """DIA data and offsets of A (x) Sx + B (x) Mx over layer-major unknowns from the
+    column bands of each factor: Mx = M1 (x) .. (x) M1, Sx = c Mx + sum over
+    directions of S1 there and M1 elsewhere.  Stencil offset (ky, k_n, .., k_1)
+    lies at ky m^n + .. + k_1.  For m <= 2 distinct stencil offsets collide; they
+    never share an entry (the bands are zero across a boundary), so they are summed."""
+    m = len(M1[0])
+    stencil = np.array(list(itertools.product((-1, 0, 1), repeat=n + 1)))
+    offsets, slot = np.unique(stencil @ m ** np.arange(n, -1, -1), return_inverse=True)
+    data = np.zeros((len(offsets), m**n * len(A[0])))
+    for (ky, *kb), k in zip(stencil, slot):
+        mass = [M1[j] for j in kb]
+        Mx = functools.reduce(np.multiply.outer, mass)
+        Sx = c * Mx + sum(functools.reduce(np.multiply.outer, mass[:d] + [S1[kb[d]]] + mass[d + 1:])
+                          for d in range(n))
+        data[k] += np.multiply.outer(A[ky], Sx).ravel()
+        data[k] += np.multiply.outer(B[ky], Mx).ravel()
+    return data, offsets
 
 
 def assemble_stiffness(mesh: TensorMesh, s: float, c: float = 0.0) -> CylinderOperator:
     """Assemble (1/d_s) int y^alpha (grad w . grad phi + c w phi) on free DOFs."""
     if c < 0.0:
         raise ConfigurationError(f"coefficient c must be >= 0, got {c}")
+    start = time.perf_counter()
     consts = FractionalConstants.from_order(s)
     with np.errstate(all="ignore"):  # non-finite integrals are rejected below
         Sy, My = extended_direction_matrices(mesh.extended.nodes, consts.alpha)
@@ -374,27 +393,20 @@ def assemble_stiffness(mesh: TensorMesh, s: float, c: float = 0.0) -> CylinderOp
             "use fewer layers or a weaker grading"
         )
     M = mesh.extended.M
-    Sy = Sy[:M, :M]
-    My = My[:M, :M]
-    S1, M1 = base_direction_matrices(mesh.base.cells_per_side)
-    S1 = S1[1:-1, 1:-1]  # interior base nodes
-    M1 = M1[1:-1, 1:-1]
+    Sy, My = Sy[:M, :M], My[:M, :M]
+    S1, M1 = (T[1:-1, 1:-1] for T in base_direction_matrices(mesh.base.cells_per_side))
+    # free unknown (layer, node) -> layer*m^n + node; interior node (i, j) -> j*m + i,
+    # x1 fastest; base mode (k, l) alike
+    y_bands = [_column_bands(T / consts.d_s) for T in (My, Sy)]
+    data, offsets = _stencil_diagonals(*y_bands, _column_bands(S1), _column_bands(M1), mesh.n, c)
+    norm1 = float(functools.reduce(np.add, map(np.abs, data)).max())  # column abs-sums
+    K = sp.dia_matrix((data, offsets), shape=(mesh.n_free, mesh.n_free))
+
     Q = _sine_matrix(S1.shape[0])
     sigma, tau = np.diag(Q @ (S1 @ Q)), np.diag(Q @ (M1 @ Q))
-    if mesh.n == 1:
-        Sx, Mx = S1, M1
-    else:
-        # interior node (i, j) -> j*(N-1) + i, x1 fastest; base mode (k, l) alike
-        Sx = sp.kron(M1, S1) + sp.kron(S1, M1)
-        Mx = sp.kron(M1, M1)
+    if mesh.n == 2:
         sigma = (np.outer(tau, sigma) + np.outer(sigma, tau)).ravel()
         tau = np.outer(tau, tau).ravel()
-    K = sp.kron(My, Sx) + sp.kron(Sy, Mx)
-    if c != 0.0:
-        K = K + c * sp.kron(My, Mx)
-    K = (K * (1.0 / consts.d_s)).tocsr()
-    K.sum_duplicates()
-
     a = (sigma + c * tau)[:, None] / consts.d_s  # My coefficient per base mode
     b = tau[:, None] / consts.d_s  # Sy coefficient
     diag = a * My.diagonal() + b * Sy.diagonal()
@@ -408,7 +420,9 @@ def assemble_stiffness(mesh: TensorMesh, s: float, c: float = 0.0) -> CylinderOp
     if not np.isfinite(profiles).all():
         raise ConfigurationError("the y-profiles of the trace load are not finite on this "
                                  "graded partition; use fewer layers or a weaker grading")
-    return CylinderOperator(mesh, K, s, c, Q, tau, profiles.reshape(diag.shape).T.copy())
+    _log.debug("assembled %d free dofs: %d diagonals, |K|_1 = %.6g, %.3f s",
+               mesh.n_free, len(offsets), norm1, time.perf_counter() - start)
+    return CylinderOperator(mesh, K, norm1, s, c, Q, tau, profiles.reshape(diag.shape).T.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,7 @@ def test_criterion_7_property_suite():
 
     # stiffness symmetry
     mesh = TensorMesh(BasePartition(2, 5), GradedPartition(5, 3.1, 1.5))
-    K = assemble_stiffness(mesh, 0.3).matrix
+    K = assemble_stiffness(mesh, 0.3).matrix.tocsr()
     assert abs(K - K.T).max() <= 1e-12 * abs(K).max()
 
     # s=1/2 assembly equals the unweighted assembly

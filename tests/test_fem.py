@@ -130,10 +130,55 @@ def test_single_column_entries_vs_oracle():
 # ---------------------------------------------------------------------------
 
 
+def _kronecker_stiffness(mesh, s, c):
+    """(My (x) Sx + Sy (x) Mx + c My (x) Mx) / d_s over the free unknowns, by sp.kron."""
+    consts = FractionalConstants.from_order(s)
+    M = mesh.extended.M
+    Sy, My = extended_direction_matrices(mesh.extended.nodes, consts.alpha)
+    Sy, My = Sy[:M, :M], My[:M, :M]
+    S1, M1 = base_direction_matrices(mesh.base.cells_per_side)
+    S1, M1 = S1[1:-1, 1:-1], M1[1:-1, 1:-1]
+    if mesh.n == 1:
+        Sx, Mx = S1, M1
+    else:
+        Sx, Mx = sp.kron(M1, S1) + sp.kron(S1, M1), sp.kron(M1, M1)
+    K = sp.kron(My, Sx) + sp.kron(Sy, Mx) + c * sp.kron(My, Mx)
+    return (K / consts.d_s).tocsr()
+
+
+# N=2 and N=3 leave one and two interior base nodes: distinct stencil offsets share a diagonal
+@pytest.mark.parametrize("N", [2, 3, 5, 8])
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("c", [0.0, 1.5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_stencil_matrix_matches_kronecker_reference(n, c, s, N):
+    mesh = small_mesh(n=n, N=N, M=5, gamma=default_grading(s), Y=1.4)
+    op = assemble_stiffness(mesh, s, c)
+    ref = _kronecker_stiffness(mesh, s, c)
+    K = op.matrix
+    assert isinstance(K, sp.dia_matrix)
+    assert K.shape == ref.shape == (mesh.n_free, mesh.n_free)
+    assert np.abs(K.toarray() - ref.toarray()).max() <= 1e-15 * abs(ref).max()
+    norm1 = abs(ref).sum(axis=0).max()
+    assert abs(op.norm1 - norm1) <= 1e-15 * norm1
+
+
+def test_assembly_uses_no_kronecker_products(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.sparse.kron called during assembly")
+
+    monkeypatch.setattr(sp, "kron", refuse)
+    for n in (1, 2):
+        mesh = small_mesh(n=n, N=6, M=4, gamma=2.5)
+        op = assemble_stiffness(mesh, 0.4, 1.0)
+        b = assemble_trace_load(mesh, lambda *x: np.ones_like(x[0]))
+        assert np.linalg.norm(op.matrix @ op.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
+
+
 @pytest.mark.parametrize("n,s", [(1, 0.3), (1, 0.75), (2, 0.5), (2, 0.2)])
 def test_stiffness_symmetry(n, s):
     mesh = small_mesh(n=n, N=5, M=4, gamma=3.0)
-    K = assemble_stiffness(mesh, s).matrix
+    K = assemble_stiffness(mesh, s).matrix.tocsr()
     d = abs(K - K.T)
     assert d.max() <= 1e-12 * abs(K).max()
 
@@ -352,9 +397,8 @@ def test_adjoint_pairing_symmetry():
     u1 = solve_state(op, b1)
     u2 = solve_state(op, b2)
     # a(u1, u2) both ways through the symmetric operator
-    assert op.energy_product(u1.free_values, u2.free_values) == pytest.approx(
-        op.energy_product(u2.free_values, u1.free_values), rel=1e-12
-    )
+    u, v = u1.free_values, u2.free_values
+    assert u @ (op.matrix @ v) == pytest.approx(v @ (op.matrix @ u), rel=1e-12)
     # and <b1, u2> = a(u1, u2) = <b2, u1>
     assert float(b1 @ u2.free_values) == pytest.approx(float(b2 @ u1.free_values), rel=1e-9)
 
@@ -413,15 +457,10 @@ def test_field_csv_exports(tmp_path):
     V = solve_state(op, b)
     f1 = tmp_path / "field.csv"
     f2 = tmp_path / "trace.csv"
-    f3 = tmp_path / "matrix.txt"
     V.to_csv(f1)
     V.trace().to_csv(f2)
-    op.export_coo(f3)
     data = np.loadtxt(f1, delimiter=",", skiprows=1)
     assert data.shape == (mesh.n_nodes, 3)
-    i, j, v = np.loadtxt(f3, skiprows=1, unpack=True)
-    K = sp.coo_matrix((v, (i.astype(int), j.astype(int)))).toarray()
-    assert np.allclose(K, op.matrix.toarray(), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import logging
 import math
 import os
 
@@ -282,6 +283,22 @@ def test_cli_oracle_check_writes_even_when_flags_fail(tmp_path):
     rc = main(["oracle-check", "--s", "0.5", "--n", "1", "--dofs", "256,1024", "--out", out])
     assert rc in (0, 2)
     assert os.path.exists(out + ".csv")
+
+
+def test_cli_verbose_logs_assembly(tmp_path, caplog):
+    logger = logging.getLogger("fracopt")
+    argv = ["oracle-check", "--s", "0.5", "--n", "1", "--dofs", "256", "--out",
+            str(tmp_path / "v")]
+    try:
+        main(argv)
+        assert not [r for r in caplog.records if r.name == "fracopt"]
+        main(argv + ["--verbose"])
+    finally:
+        logger.setLevel(logging.NOTSET)
+    lines = [r.getMessage() for r in caplog.records if r.name == "fracopt"]
+    assert lines and all(r.levelno == logging.DEBUG for r in caplog.records
+                         if r.name == "fracopt")
+    assert "free dofs" in lines[0] and "diagonals" in lines[0] and "|K|_1" in lines[0]
 
 
 def test_cli_truncation_smoke(tmp_path):

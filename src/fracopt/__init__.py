@@ -39,14 +39,12 @@ from .manufactured import ManufacturedProblem, build_manufactured
 from .meshes import (
     BasePartition,
     GradedPartition,
-    MeshRegularityReport,
     TensorMesh,
     balanced_resolution,
     choose_truncation,
     default_grading,
     first_eigenvalue,
     make_graded_partition,
-    regularity_report,
 )
 from .spectral import (
     ConfigurationError,

@@ -9,11 +9,14 @@ differ only in the restriction of the adjoint trace to their control space,
 the step of the fixed-point residual, and the step rule: Armijo backtracking
 along the projected arc (fully discrete) or the cost-minimizing point on the
 segment towards proj(-tr P / mu) (variational).  Every iterate is feasible,
-and no accepted step raises the cost.
+and no accepted step raises the cost.  The loop runs on trace vectors; the
+state and adjoint it returns, and the cost and fixed-point residual taken
+from them, are solved in full and certified against the stiffness matrix.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import asdict, dataclass, field
@@ -25,6 +28,7 @@ from .fem import (
     BaseQuadrature,
     CylinderOperator,
     FeField,
+    SolverError,
     TraceField,
     assemble_stiffness,
     assemble_trace_load,
@@ -51,6 +55,10 @@ __all__ = [
 
 ARMIJO_DECREASE = 1e-4
 MIN_STEP_FRACTION = 1e-12
+# Relative gap allowed between the state trace accumulated over the loop's
+# trace solves and the trace of the certified state; measured gaps stay below 1e-15.
+TRACE_GAP_RTOL = 1e-10
+_log = logging.getLogger("fracopt")
 
 
 @dataclass(frozen=True)
@@ -144,6 +152,9 @@ class ReducedCostReport:
     n_state_solves: int = 1
     wall_time: float = 0.0
     scheme: str = "fully_discrete"
+    # exit solves of the optimizer: relative residuals of the certified state
+    # and adjoint, the trace gap and the profiles' assembly backward error
+    certificate: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -155,6 +166,7 @@ class ReducedCostReport:
             "n_state_solves": self.n_state_solves,
             "wall_time_s": self.wall_time,
             "cost_history": list(self.cost_history),
+            "certificate": dict(self.certificate),
         }
 
 
@@ -188,18 +200,29 @@ class ReducedProblem:
 
     # -- state / adjoint ---------------------------------------------------
     def state(self, point_values: np.ndarray) -> FeField:
+        """Full state of a load given at the points, through the checked solve."""
         self.n_state_solves += 1
         return solve_state(self.op, assemble_trace_load(self.mesh, point_values, quad=self.quad))
 
+    def state_trace(self, point_values: np.ndarray) -> np.ndarray:
+        """Trace of the state of a load given at the points (unchecked; see _descend)."""
+        self.n_state_solves += 1
+        load = assemble_trace_load(self.mesh, point_values, quad=self.quad)
+        return self.op.solve_trace(load[: self.mesh.n_trace])
+
     def adjoint(self, V: FeField) -> FeField:
-        return self.state(self.mismatch(V))
+        return self.state(self.mismatch(V.trace().values))
 
     # -- cost pieces --------------------------------------------------------
-    def mismatch(self, V: FeField) -> np.ndarray:
-        return V.trace().at_quadrature(self.quad) - self.ud_q
+    def at_points(self, trace: np.ndarray) -> np.ndarray:
+        return TraceField(self.mesh.base, trace).at_quadrature(self.quad)
+
+    def mismatch(self, trace: np.ndarray) -> np.ndarray:
+        """Trace minus desired state at the points, for trace values `trace`."""
+        return self.at_points(trace) - self.ud_q
 
     def misfit(self, V: FeField) -> float:
-        d = self.mismatch(V)
+        d = self.mismatch(V.trace().values)
         return 0.5 * self.quad.integrate(d * d)
 
     def cost_fully_discrete(self, Z: ControlField, V: FeField) -> float:
@@ -249,70 +272,118 @@ def _descend(rp: ReducedProblem, z0: Optional[ControlField], scheme: str, tol: f
     ||G - proj(G - step g)||_L2, g = mu G + restrict(tr P), takes step 1
     (fully discrete) or 1/mu (variational).  The step rule is also per
     scheme (_arc_step, _segment_step).  The rest is shared: each trial solves
-    once for the state of its increment and is priced exactly (_price), the
-    loop stops unconverged rather than take a step that raises the cost, and
-    the gradient is reported as the cell averages of g.  Starts from z0, by
-    default the box midpoint.
+    once for the state trace of its increment and is priced exactly
+    (_price), the loop stops unconverged rather than take a step that raises
+    the cost, and the gradient is reported as the cell averages of g.
+    Starts from z0, by default the box midpoint.
+
+    The loop runs on traces from CylinderOperator.solve_trace, unchecked;
+    these iterates only steer, choosing the final G.  Its outputs are
+    certified: the state V of the final G and the adjoint P of its mismatch
+    are solved in full by CylinderOperator.solve, which checks each against
+    the stencil K (SOLVER_RTOL or the backward-error clause) or raises
+    SolverError, and the cost, fixed-point residual, gradient and
+    `converged` are taken from them.  The state is affine in G, so the
+    accumulated state trace (initial trace plus accepted increments) must
+    equal the trace of V up to rounding; a relative gap above TRACE_GAP_RTOL
+    raises SolverError, which covers every accepted intermediate solve.
     """
     t_start, solves_before = time.perf_counter(), rp.n_state_solves
     problem, quad = rp.problem, rp.quad
     bounds, mu = problem.bounds, problem.mu
     if scheme == "fully_discrete":
         # cell averages, exact for the multilinear trace, at every point of the cell
-        restrict, step, search = (lambda tr: rp.cell_point_values(tr.cell_averages()),
-                                  1.0, _arc_step)
+        restrict, step, search = (lambda p: rp.cell_point_values(
+            TraceField(rp.mesh.base, p).cell_averages()), 1.0, _arc_step)
     else:
-        restrict, step, search = (lambda tr: tr.at_quadrature(quad)), 1.0 / mu, _segment_step
+        restrict, step, search = rp.at_points, 1.0 / mu, _segment_step
+
+    def optimality(G, p):
+        """Gradient, fixed-point target and residual at G for the adjoint trace p."""
+        g = mu * G + restrict(p)
+        target = project_box(G - step * g, bounds)
+        return g, target, math.sqrt(quad.integrate((G - target) ** 2))
+
+    def load(G):
+        return G + rp.f_q if rp.f_q is not None else G
 
     if z0 is None:
         z0 = ControlField.constant(rp.mesh.base, 0.5 * (bounds.a + bounds.b))
     G = rp.cell_point_values(z0.project(bounds).cell_values).copy()
-    V = rp.state(G + rp.f_q if rp.f_q is not None else G)
-    r = rp.mismatch(V)
+    v = rp.state_trace(load(G))
+    r = rp.mismatch(v)
     j = 0.5 * quad.integrate(r * r + mu * G * G)
     history = [j]
     iterations = 0
     while True:
-        P = rp.state(r)  # adjoint
-        g = mu * G + restrict(P.trace())
-        target = project_box(G - step * g, bounds)
-        fp_res = math.sqrt(quad.integrate((G - target) ** 2))
+        g, target, fp_res = optimality(G, rp.state_trace(r))  # adjoint trace
         if fp_res <= tol or iterations == max_iterations:
             break
         iterations += 1
         trial = search(rp, G, g, r, target)
         if trial is None:
             break  # no trial lowers the cost; keep the last iterate
-        G, D, dj = trial
-        V = FeField(rp.mesh, V.free_values + D)
-        r = rp.mismatch(V)
+        G, d, dj = trial
+        v = v + d
+        r = rp.mismatch(v)
         j += dj
         history.append(j)
+    loop_solves = rp.n_state_solves - solves_before
 
+    V = rp.state(load(G))  # checked exit solves; the report counts the loop's only
+    v_cert = V.trace().values
+    gap = float(np.linalg.norm(v - v_cert)) / max(float(np.linalg.norm(v_cert)),
+                                                  np.finfo(float).tiny)
+    if gap > TRACE_GAP_RTOL:
+        raise SolverError("the accumulated state trace departs from the certified state's",
+                          gap)
+    r = rp.mismatch(v_cert)
+    P = rp.state(r)
+    g, _, fp_res = optimality(G, P.trace().values)
+    state_res = _residual(rp, V.free_values, load(G))[1]
+    adjoint_res = _residual(rp, P.free_values, r)[1]
+    wall_time = time.perf_counter() - t_start
+    _log.debug("%s: %d iterations, %d solves, certified residuals %.2e (state) %.2e "
+               "(adjoint), trace gap %.2e, %.3f s", scheme, iterations, loop_solves,
+               state_res, adjoint_res, gap, wall_time)
     report = ReducedCostReport(
-        j=j,
+        j=0.5 * quad.integrate(r * r + mu * G * G),
         gradient=ControlField(rp.mesh.base, g @ quad.weights / rp.mesh.base.cell_volume),
         vi_residual=fp_res,
         iterations=iterations,
         cost_history=history,
         converged=fp_res <= tol,
-        n_state_solves=rp.n_state_solves - solves_before,
-        wall_time=time.perf_counter() - t_start,
+        n_state_solves=loop_solves,
+        wall_time=wall_time,
         scheme=scheme,
+        certificate={
+            "state_residual_rel": state_res,
+            "adjoint_residual_rel": adjoint_res,
+            "trace_gap": gap,
+            "profile_backward_error": rp.op.profile_backward_error,
+        },
     )
     return G, V, P, report
 
 
+def _residual(rp: ReducedProblem, x: np.ndarray, point_values: np.ndarray):
+    """|b - K x| and its relative value (absolute for b = 0), b the load of
+    the values at the points."""
+    b = assemble_trace_load(rp.mesh, point_values, quad=rp.quad)
+    r, nb = float(np.linalg.norm(b - rp.op.matrix @ x)), float(np.linalg.norm(b))
+    return r, r / nb if nb > 0 else r
+
+
 def _price(rp: ReducedProblem, r: np.ndarray, G: np.ndarray, dG: np.ndarray):
-    """Solve for the state D of the increment dG.  The cost of G + theta dG
+    """Solve for the state trace d of the increment dG.  The cost of G + theta dG
     is j + theta (slope + theta curvature): exact, and free of the
     cancellation of differencing two costs near the optimum."""
-    D = rp.state(dG)
-    d = D.trace().at_quadrature(rp.quad)
+    d = rp.state_trace(dG)
+    dq = rp.at_points(d)
     mu = rp.problem.mu
-    slope = rp.quad.integrate(r * d + mu * G * dG)
-    curvature = 0.5 * rp.quad.integrate(d * d + mu * dG * dG)
-    return D.free_values, slope, curvature
+    slope = rp.quad.integrate(r * dq + mu * G * dG)
+    curvature = 0.5 * rp.quad.integrate(dq * dq + mu * dG * dG)
+    return d, slope, curvature
 
 
 def _arc_step(rp, G, g, r, target):
@@ -430,15 +501,8 @@ def optimality_residuals(
     piecewise-constant controls; nonnegative up to tolerance at an optimum.
     """
     rp = rp if rp is not None else ReducedProblem(problem, mesh)
-    K = rp.op.matrix
-
-    b_state = assemble_trace_load(mesh, rp.control_point_values(Z), quad=rp.quad)
-    r_state = float(np.linalg.norm(K @ V.free_values - b_state))
-    nb_state = float(np.linalg.norm(b_state))
-
-    b_adj = assemble_trace_load(mesh, rp.mismatch(V), quad=rp.quad)
-    r_adj = float(np.linalg.norm(K @ P.free_values - b_adj))
-    nb_adj = float(np.linalg.norm(b_adj))
+    r_state, rel_state = _residual(rp, V.free_values, rp.control_point_values(Z))
+    r_adj, rel_adj = _residual(rp, P.free_values, rp.mismatch(V.trace().values))
 
     g = rp.gradient_fully_discrete(Z, P)
     rng = np.random.default_rng(seed)
@@ -453,9 +517,9 @@ def optimality_residuals(
 
     return OptimalityResiduals(
         state_residual=r_state,
-        state_residual_rel=r_state / nb_state if nb_state > 0 else r_state,
+        state_residual_rel=rel_state,
         adjoint_residual=r_adj,
-        adjoint_residual_rel=r_adj / nb_adj if nb_adj > 0 else r_adj,
+        adjoint_residual_rel=rel_adj,
         vi_violation_min=vi,
         vi_violation_exact=vi_exact,
         fixed_point_residual=fp,

@@ -10,7 +10,9 @@ Assembly is exact: the y-direction factors are integrated in closed form
 standard uniform-mesh mass/stiffness matrices, and the global operator on the
 free unknowns is a stencil whose diagonals are outer products of the 1D
 factors' bands.  The same tensor structure gives one exact solver: sine
-transforms in the base directions and tridiagonal solves in y.
+transforms in the base directions and tridiagonal solves in y.  Its trace at
+y=0 alone costs two transforms of one layer, which is all the optimizer loop
+needs; the fields that leave the loop are solved in full and checked.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ __all__ = [
 ]
 
 SOLVER_RTOL = 1e-10
+# backward error |b - Kx| / (|K|_1 |x| + |b|) of a solution exact to machine precision
+BACKWARD_ERROR_TOL = 5e-15
 _log = logging.getLogger("fracopt")
 
 
@@ -291,23 +295,29 @@ class CylinderOperator:
     the base factors (fast diagonalization, Lynch-Rice-Thomas): each base mode j
     leaves one SPD tridiagonal system (a_j My + b_j Sy) / d_s in y.  Every load
     lies on the layer y=0, so assembly solves these once for a unit trace load:
-    `profiles[:, j]` is the y-profile of mode j.  A solve transforms the trace
-    block, scales the profiles and transforms all layers back.  The graded
-    y-direction is never diagonalized; its mass matrix is too badly
-    conditioned.  The assembled matrix is the independent check of every solve.
+    `profiles[:, j]` is the y-profile of mode j, and assembly rejects a profile
+    whose backward error exceeds BACKWARD_ERROR_TOL.  `solve` transforms the
+    trace block, scales the profiles and transforms all layers back, then
+    checks the result against the assembled matrix, which is independent of
+    the transforms and the profiles.  `solve_trace` returns only the trace,
+    unchecked: the optimizer loop iterates on it and certifies its outputs
+    through `solve` (control._descend).  The graded y-direction is never
+    diagonalized; its mass matrix is too badly conditioned.
     """
 
     def __init__(self, mesh: TensorMesh, matrix: sp.dia_matrix, norm1: float, s: float,
-                 c: float, sine: np.ndarray, mass_modes: np.ndarray, profiles: np.ndarray):
+                 c: float, sine: np.ndarray, mass_modes: np.ndarray, profiles: np.ndarray,
+                 profile_backward_error: float):
         self.mesh = mesh
         self.matrix = matrix
         self.norm1 = norm1  # exact max column abs-sum of `matrix`
         self.s = s
         self.c = c
-        self.constants = FractionalConstants.from_order(s)
         self._sine = sine  # per base direction
         self._mass_modes = mass_modes  # diagonal of the base mass matrix in sine modes
         self.profiles = profiles
+        # largest backward error of the profiles' tridiagonal solves, checked at assembly
+        self.profile_backward_error = profile_backward_error
 
     @property
     def n(self) -> int:
@@ -335,7 +345,7 @@ class CylinderOperator:
         if rnorm <= SOLVER_RTOL * bnorm:
             return True, rnorm
         eta = rnorm / (self.norm1 * float(np.linalg.norm(x)) + bnorm)
-        return eta <= 5e-15, rnorm
+        return eta <= BACKWARD_ERROR_TOL, rnorm
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """K^{-1} b for a trace load b; SolverError if the residual contract fails."""
@@ -352,6 +362,12 @@ class CylinderOperator:
         if not met:
             raise SolverError("solver residual contract violated", rnorm / bnorm)
         return x
+
+    def solve_trace(self, b_t: np.ndarray) -> np.ndarray:
+        """Trace block of K^{-1} b for the trace load whose trace block is b_t:
+        Q (profiles[0] * Q b_t), two transforms of one layer.  Not checked
+        against K; callers certify what they derive from it (control._descend)."""
+        return self._to_modes(self.profiles[0] * self._to_modes(b_t[None, :]))[0]
 
 
 def _column_bands(T: sp.spmatrix) -> dict:
@@ -420,9 +436,20 @@ def assemble_stiffness(mesh: TensorMesh, s: float, c: float = 0.0) -> CylinderOp
     if not np.isfinite(profiles).all():
         raise ConfigurationError("the y-profiles of the trace load are not finite on this "
                                  "graded partition; use fewer layers or a weaker grading")
-    _log.debug("assembled %d free dofs: %d diagonals, |K|_1 = %.6g, %.3f s",
-               mesh.n_free, len(offsets), norm1, time.perf_counter() - start)
-    return CylinderOperator(mesh, K, norm1, s, c, Q, tau, profiles.reshape(diag.shape).T.copy())
+    # per mode j: |T_j p_j - e_0| / (|T_j|_1 |p_j| + 1), T_j its tridiagonal
+    T = sp.dia_matrix((banded, [1, 0, -1]), shape=(diag.size, diag.size))
+    rnorm = np.linalg.norm((T @ profiles - unit.ravel()).reshape(diag.shape), axis=1)
+    norm1_T = np.abs(banded).sum(axis=0).reshape(diag.shape).max(axis=1)
+    profiles = profiles.reshape(diag.shape)
+    eta = rnorm / (norm1_T * np.linalg.norm(profiles, axis=1) + 1.0)
+    worst = int(eta.argmax())
+    if not eta[worst] <= BACKWARD_ERROR_TOL:
+        raise SolverError(f"the y-profile of base mode {worst} has backward error "
+                          f"{eta[worst]:.3e} > {BACKWARD_ERROR_TOL:g}", float(rnorm[worst]))
+    _log.debug("assembled %d free dofs: %d diagonals, |K|_1 = %.6g, profile backward error "
+               "%.2e, %.3f s", mesh.n_free, len(offsets), norm1, eta[worst],
+               time.perf_counter() - start)
+    return CylinderOperator(mesh, K, norm1, s, c, Q, tau, profiles.T.copy(), float(eta[worst]))
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,8 @@ trace at y=0 is the leading contiguous block of the free unknowns.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,14 +19,12 @@ from .spectral import ConfigurationError
 __all__ = [
     "BasePartition",
     "GradedPartition",
-    "MeshRegularityReport",
     "TensorMesh",
     "balanced_resolution",
     "choose_truncation",
     "default_grading",
     "first_eigenvalue",
     "make_graded_partition",
-    "regularity_report",
 ]
 
 
@@ -148,8 +144,6 @@ class TensorMesh:
         self.free_nodes = np.flatnonzero(~layer_dirichlet)
         self.n_free = len(self.free_nodes)
         self.n_trace = base.n_interior
-        self.global_to_free = np.full(self.n_nodes, -1, dtype=int)
-        self.global_to_free[self.free_nodes] = np.arange(self.n_free)
 
     @property
     def n(self) -> int:
@@ -161,43 +155,6 @@ class TensorMesh:
         xs = np.tile(self.base.node_coords, (self.extended.M + 1, 1))
         ys = np.repeat(self.extended.nodes, nb)
         return np.column_stack([xs, ys])
-
-    def summary(self) -> dict:
-        return {
-            "n": self.base.n,
-            "cells_per_side": self.base.cells_per_side,
-            "M": self.extended.M,
-            "gamma": self.extended.gamma,
-            "Y": self.extended.Y,
-            "n_cells": self.n_cells,
-            "n_nodes": self.n_nodes,
-            "n_free_dofs": self.n_free,
-            "n_trace_dofs": self.n_trace,
-            "sigma_Y": self.extended.sigma(),
-        }
-
-    def summary_json(self) -> str:
-        return json.dumps(self.summary(), indent=2, sort_keys=True)
-
-
-@dataclass(frozen=True)
-class MeshRegularityReport:
-    sigma_Y: float
-    gamma: float
-    gamma_min: float
-    gamma_ok: bool
-
-
-def regularity_report(mesh: TensorMesh, s: float) -> MeshRegularityReport:
-    """Neighbor width ratio sigma_Y and whether gamma > 3/(2s) holds strictly."""
-    gamma_min = 3.0 / (2.0 * s)
-    gamma = mesh.extended.gamma
-    return MeshRegularityReport(
-        sigma_Y=mesh.extended.sigma(),
-        gamma=gamma,
-        gamma_min=gamma_min,
-        gamma_ok=gamma > gamma_min,
-    )
 
 
 def balanced_resolution(target_dofs: int, n: int) -> int:

@@ -218,6 +218,7 @@ def run_rate_study(cfg: StudyConfig) -> List[ConvergenceRecord]:
                 "iterations": rep.iterations,
                 "cost": rep.j,
                 "fixed_point_residual": rep.vi_residual,
+                "certificate": rep.certificate,
                 "wall_time_s": time.perf_counter() - t0,
             }
             if cert_dict is not None:
@@ -235,11 +236,20 @@ def run_rate_study(cfg: StudyConfig) -> List[ConvergenceRecord]:
 def _rate_checks(rec: ConvergenceRecord) -> None:
     if rec.scheme == "fully_discrete":
         if rec.n == 2:  # these bands exist for n=2 only
-            rec.checks["control_slope_band"] = -0.45 <= rec.slopes["err_control_L2"] <= -0.25
-            rec.checks["state_l2_slope_band"] = -0.85 <= rec.slopes["err_state_L2"] <= -0.5
+            _band_check(rec, "control_slope_band", "err_control_L2",
+                        lambda k: -0.45 <= k <= -0.25)
+            _band_check(rec, "state_l2_slope_band", "err_state_L2", lambda k: -0.85 <= k <= -0.5)
     else:
-        rec.checks["variational_slope_band"] = _a_priori_rate_band(
-            rec.slopes["err_control_L2"], rec.s, rec.n, tol=0.2)
+        _band_check(rec, "variational_slope_band", "err_control_L2",
+                    lambda k: _a_priori_rate_band(k, rec.s, rec.n, tol=0.2))
+
+
+def _band_check(rec: ConvergenceRecord, name: str, key: str, band: Callable) -> None:
+    """Set check `name` to band(slope of `key`).  A sweep of one mesh fits no
+    slope, so it makes no check; an aborted sweep fails it."""
+    slope = rec.slopes[key]
+    if math.isfinite(slope) or "aborted_at_target" in rec.extras:
+        rec.checks[name] = band(slope)
 
 
 def _a_priori_rate_band(slope: float, s: float, n: int, tol: float) -> bool:
@@ -293,8 +303,8 @@ def run_oracle_check(cfg: StudyConfig) -> List[ConvergenceRecord]:
                 "wall_time_s": time.perf_counter() - t0,
             })
         rec.slopes["err_state_L2"], rec.slope_residuals["err_state_L2"] = rec.fit("err_state_L2")
-        rec.checks["oracle_slope_band"] = _a_priori_rate_band(
-            rec.slopes["err_state_L2"], s, cfg.n, tol=0.15)
+        _band_check(rec, "oracle_slope_band", "err_state_L2",
+                    lambda k: _a_priori_rate_band(k, s, cfg.n, tol=0.15))
         rec.extras["expected_slope"] = -(1.0 + s) / (cfg.n + 1)
         records.append(rec)
     return records

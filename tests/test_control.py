@@ -16,9 +16,11 @@ from fracopt import (
     BoxBounds,
     ConfigurationError,
     ControlField,
+    CylinderOperator,
     GradedPartition,
     ProblemConfig,
     ReducedProblem,
+    SolverError,
     TensorMesh,
     build_manufactured,
     choose_truncation,
@@ -304,6 +306,14 @@ def test_variational_accepts_no_cost_increase_for_small_mu(mu):
     assert all(b <= a + slack for a, b in zip(hist, hist[1:]))
 
 
+# (iterations, solves) of the loop on the n=1 mesh of 16,384 cells
+SMALL_MU_COUNTS = {
+    ("fully_discrete", 1e-1): (9, 20), ("fully_discrete", 1e-2): (21, 64),
+    ("fully_discrete", 1e-3): (76, 419), ("variational", 1e-1): (7, 16),
+    ("variational", 1e-2): (12, 26), ("variational", 1e-3): (45, 92),
+}
+
+
 @pytest.mark.parametrize("mu", [1e-1, 1e-2, 1e-3])
 @pytest.mark.parametrize("scheme", ["fully_discrete", "variational"])
 def test_both_schemes_converge_for_small_mu(scheme, mu):
@@ -313,6 +323,43 @@ def test_both_schemes_converge_for_small_mu(scheme, mu):
     rep = solve(problem, mesh)[-1]
     assert rep.converged
     assert rep.vi_residual <= 1e-8
+    assert (rep.iterations, rep.n_state_solves) == SMALL_MU_COUNTS[scheme, mu]
+
+
+@pytest.mark.parametrize("scheme", ["fully_discrete", "variational"])
+def test_only_exit_fields_are_solved_in_full(scheme, monkeypatch):
+    # the loop runs on trace solves; the state and adjoint it returns are the
+    # two solves checked against K, and the report certifies them
+    _, problem, mesh = manufactured_setup(n=1, s=0.5, N=16, M=16, mu=1e-2)
+    calls = []
+    solve = CylinderOperator.solve
+    monkeypatch.setattr(CylinderOperator, "solve",
+                        lambda op, b: calls.append(b) or solve(op, b))
+    rep = (solve_fully_discrete if scheme == "fully_discrete" else solve_variational)(
+        problem, mesh)[-1]
+    assert len(calls) == 2
+    assert rep.iterations > 1 and rep.converged
+    cert = rep.to_dict()["certificate"]
+    assert cert["state_residual_rel"] <= 1e-10 and cert["adjoint_residual_rel"] <= 1e-10
+    assert cert["trace_gap"] <= 1e-13
+    assert cert["profile_backward_error"] <= 5e-15
+
+
+def test_corrupted_profiles_fail_at_exit():
+    _, problem, mesh = manufactured_setup(n=1, s=0.5, N=16, M=16)
+    rp = ReducedProblem(problem, mesh)
+    rp.op.profiles[1:] *= 1.0 + 1e-6  # every layer but the trace: the loop cannot see it
+    with pytest.raises(SolverError, match="residual contract"):
+        solve_fully_discrete(problem, mesh, rp=rp)
+
+
+def test_inaccurate_trace_solves_fail_at_exit(monkeypatch):
+    _, problem, mesh = manufactured_setup(n=1, s=0.5, N=16, M=16)
+    rp = ReducedProblem(problem, mesh)
+    solve_trace = rp.op.solve_trace
+    monkeypatch.setattr(rp.op, "solve_trace", lambda b: solve_trace(b) * (1.0 + 1e-8))
+    with pytest.raises(SolverError, match="accumulated state trace"):
+        solve_variational(problem, mesh, rp=rp)
 
 
 def test_variational_close_to_fully_discrete():

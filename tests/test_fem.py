@@ -323,6 +323,9 @@ def test_solve_matches_sparse_direct_reference(n, N, M, c, s, graded):
     assert np.linalg.norm(x[:nt] - ref[:nt]) <= 1e-10 * np.linalg.norm(ref[:nt])
     # the profiles build every layer, not only the trace
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    # the trace-only solve is the trace of the full one
+    t = op.solve_trace(b[:nt])
+    assert np.linalg.norm(t - x[:nt]) <= 1e-13 * np.linalg.norm(x[:nt])
 
 
 def test_solve_rejects_load_off_trace_layer():
@@ -354,6 +357,15 @@ def test_assembly_rejects_nonfinite_profiles(monkeypatch):
     # solve that breaks down must still be reported, not solved with
     monkeypatch.setattr(fem, "solve_banded", lambda lu, ab, rhs, **kw: np.full_like(rhs, np.nan))
     with pytest.raises(ConfigurationError, match="profiles"):
+        assemble_stiffness(small_mesh(), 0.5)
+
+
+def test_assembly_rejects_inaccurate_profiles(monkeypatch):
+    # profiles off by 1e-12 relative have a backward error far above 5e-15
+    solve = fem.solve_banded
+    monkeypatch.setattr(fem, "solve_banded",
+                        lambda lu, ab, rhs, **kw: solve(lu, ab, rhs, **kw) * (1.0 + 1e-12))
+    with pytest.raises(fem.SolverError, match="backward error"):
         assemble_stiffness(small_mesh(), 0.5)
 
 

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -16,7 +15,6 @@ from fracopt import (
     default_grading,
     first_eigenvalue,
     make_graded_partition,
-    regularity_report,
 )
 
 
@@ -106,25 +104,10 @@ def test_balanced_resolution_examples():
     assert balanced_resolution(1000, 2) == 10
 
 
-def test_regularity_report_uniform():
-    mesh = TensorMesh(BasePartition(1, 4), GradedPartition(6, 1.0, 1.0))
-    rep = regularity_report(mesh, 0.5)
-    assert rep.sigma_Y == pytest.approx(1.0)
-
-
-def test_regularity_report_exact_enumeration():
-    mesh = TensorMesh(BasePartition(1, 4), GradedPartition(4, 2.0, 1.0))
-    rep = regularity_report(mesh, 0.9)
+def test_sigma_exact_enumeration():
+    part = GradedPartition(4, 2.0, 1.0)
     ratios = [((k + 1) ** 2 - k**2) / (k**2 - (k - 1) ** 2) for k in (1, 2, 3)]
-    assert rep.sigma_Y == pytest.approx(max(ratios))
-
-
-def test_regularity_strict_inequality():
-    s = 0.5
-    mesh = TensorMesh(BasePartition(1, 4), GradedPartition(4, 3.0 / (2 * s), 1.0))
-    assert not regularity_report(mesh, s).gamma_ok
-    mesh = TensorMesh(BasePartition(1, 4), GradedPartition(4, 3.0 / (2 * s) + 0.1, 1.0))
-    assert regularity_report(mesh, s).gamma_ok
+    assert part.sigma() == pytest.approx(max(ratios))
 
 
 def test_choose_truncation_formula():
@@ -149,11 +132,3 @@ def test_first_eigenvalue():
     assert first_eigenvalue(1) == pytest.approx(math.pi**2)
     assert first_eigenvalue(2) == pytest.approx(2.0 * math.pi**2)
     assert first_eigenvalue(2, c=1.5) == pytest.approx(2.0 * math.pi**2 + 1.5)
-
-
-def test_summary_json_roundtrip():
-    mesh = TensorMesh(BasePartition(2, 4), GradedPartition(4, 2.5, 1.7))
-    data = json.loads(mesh.summary_json())
-    assert data["n_cells"] == mesh.n_cells
-    assert data["sigma_Y"] == pytest.approx(mesh.extended.sigma())
-    assert data["gamma"] == 2.5

@@ -299,6 +299,56 @@ def test_cli_verbose_logs_assembly(tmp_path, caplog):
     assert lines and all(r.levelno == logging.DEBUG for r in caplog.records
                          if r.name == "fracopt")
     assert "free dofs" in lines[0] and "diagonals" in lines[0] and "|K|_1" in lines[0]
+    assert "profile backward error" in lines[0]
+
+
+def test_cli_verbose_logs_optimizer_runs(tmp_path, caplog):
+    argv = ["control-rates", "--s", "0.5", "--n", "1", "--dofs", "64", "--scheme",
+            "variational", "--out", str(tmp_path / "v"), "--verbose"]
+    try:
+        main(argv)
+    finally:
+        logging.getLogger("fracopt").setLevel(logging.NOTSET)
+    lines = [r.getMessage() for r in caplog.records if r.name == "fracopt"]
+    assert "profile backward error" in lines[0]
+    run = [line for line in lines if line.startswith("variational:")]
+    assert len(run) == 1
+    assert "iterations" in run[0] and "solves" in run[0] and "certified residuals" in run[0]
+
+
+@pytest.mark.parametrize("argv, band", [
+    (["oracle-check", "--s", "0.5", "--n", "2", "--dofs", "3000"], "oracle_slope_band"),
+    (["control-rates", "--scheme", "variational", "--s", "0.5", "--n", "1", "--dofs", "256"],
+     "variational_slope_band"),
+])
+def test_cli_single_target_makes_no_slope_check(argv, band, tmp_path, capsys):
+    # one mesh fits no slope, so there is no band to pass or fail
+    rc = main(argv + ["--out", str(tmp_path / "one")])
+    text = capsys.readouterr().out
+    assert rc == 0
+    assert band not in text and "FAIL" not in text
+    with open(str(tmp_path / "one") + ".json") as fh:
+        record = json.load(fh)["records"][0]
+    assert record["checks"] == {} and len(record["rows"]) == 1
+
+
+def test_aborted_single_target_sweep_fails_its_band(monkeypatch):
+    capped = functools.partial(study.solve_variational, max_iterations=1)
+    monkeypatch.setattr(study, "solve_variational", capped)
+    cfg = StudyConfig(s_values=(0.5,), n=1, dof_targets=(64,), scheme="variational")
+    rec = run_rate_study(cfg)[0]
+    assert rec.extras["aborted_at_target"] == 64
+    assert rec.checks == {"variational_slope_band": False}
+
+
+@pytest.mark.parametrize("scheme", ["fully_discrete", "variational"])
+def test_rate_rows_carry_the_exit_certificate(scheme):
+    cfg = StudyConfig(s_values=(0.5,), n=1, dof_targets=(64,), scheme=scheme)
+    row = run_rate_study(cfg)[0].rows[0]
+    cert = row["certificate"]
+    assert set(cert) == {"state_residual_rel", "adjoint_residual_rel", "trace_gap",
+                         "profile_backward_error"}
+    assert cert["state_residual_rel"] <= 1e-10 and cert["adjoint_residual_rel"] <= 1e-10
 
 
 def test_cli_truncation_smoke(tmp_path):

@@ -11,7 +11,7 @@ along the projected arc (fully discrete) or the cost-minimizing point on the
 segment towards proj(-tr P / mu) (variational).  Every iterate is feasible,
 and no accepted step raises the cost.  The loop runs on trace vectors; the
 state and adjoint it returns, and the cost and fixed-point residual taken
-from them, are solved in full and certified against the stiffness matrix.
+from them, are solved in full and certified against the stiffness operator.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .fem import (
     SolverError,
     TraceField,
     assemble_stiffness,
+    assemble_trace_block,
     assemble_trace_load,
     solve_state,
 )
@@ -207,8 +208,7 @@ class ReducedProblem:
     def state_trace(self, point_values: np.ndarray) -> np.ndarray:
         """Trace of the state of a load given at the points (unchecked; see _descend)."""
         self.n_state_solves += 1
-        load = assemble_trace_load(self.mesh, point_values, quad=self.quad)
-        return self.op.solve_trace(load[: self.mesh.n_trace])
+        return self.op.solve_trace(assemble_trace_block(self.quad, point_values))
 
     def adjoint(self, V: FeField) -> FeField:
         return self.state(self.mismatch(V.trace().values))
@@ -281,8 +281,8 @@ def _descend(rp: ReducedProblem, z0: Optional[ControlField], scheme: str, tol: f
     these iterates only steer, choosing the final G.  Its outputs are
     certified: the state V of the final G and the adjoint P of its mismatch
     are solved in full by CylinderOperator.solve, which checks each against
-    the stencil K (SOLVER_RTOL or the backward-error clause) or raises
-    SolverError, and the cost, fixed-point residual, gradient and
+    CylinderOperator.apply (SOLVER_RTOL or the backward-error clause) or
+    raises SolverError, and the cost, fixed-point residual, gradient and
     `converged` are taken from them.  The state is affine in G, so the
     accumulated state trace (initial trace plus accepted increments) must
     equal the trace of V up to rounding; a relative gap above TRACE_GAP_RTOL
@@ -370,7 +370,7 @@ def _residual(rp: ReducedProblem, x: np.ndarray, point_values: np.ndarray):
     """|b - K x| and its relative value (absolute for b = 0), b the load of
     the values at the points."""
     b = assemble_trace_load(rp.mesh, point_values, quad=rp.quad)
-    r, nb = float(np.linalg.norm(b - rp.op.matrix @ x)), float(np.linalg.norm(b))
+    r, nb = float(np.linalg.norm(b - rp.op.apply(x))), float(np.linalg.norm(b))
     return r, r / nb if nb > 0 else r
 
 

@@ -8,17 +8,15 @@ computed trace converges to the solution of the fractional problem itself.
 Assembly is exact: the y-direction factors are integrated in closed form
 (valid down to the singular first interval), the base factors are the
 standard uniform-mesh mass/stiffness matrices, and the global operator on the
-free unknowns is a stencil whose diagonals are outer products of the 1D
-factors' bands.  The same tensor structure gives one exact solver: sine
-transforms in the base directions and tridiagonal solves in y.  Its trace at
-y=0 alone costs two transforms of one layer, which is all the optimizer loop
-needs; the fields that leave the loop are solved in full and checked.
+free unknowns is applied from the 1D factors' bands, never assembled.  The same
+tensor structure gives one exact solver: sine transforms in the base directions
+and tridiagonal solves in y.  Its trace at y=0 alone costs two transforms of one
+layer, which is all the optimizer loop needs; the fields that leave the loop are
+solved in full and checked.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import logging
 import math
 import time
@@ -252,21 +250,21 @@ def weighted_interval_integrals(nodes: np.ndarray, alpha: float):
     return q0 / h2, m00, m01, m11
 
 
-def _tridiag(diag: np.ndarray, off: np.ndarray) -> sp.csr_matrix:
-    return sp.diags([off, diag, off], [-1, 0, 1], format="csr")
+def _tridiag(diag: np.ndarray, off: np.ndarray) -> sp.dia_matrix:
+    """Symmetric tridiagonal matrix; `.data[:, j]` holds column j, zero-padded."""
+    data = np.stack([np.r_[off, 0.0], diag, np.r_[0.0, off]])
+    return sp.dia_matrix((data, [-1, 0, 1]), shape=(len(diag),) * 2)
+
+
+def _extended_bands(nodes: np.ndarray, alpha: float):
+    """(diagonal, off-diagonal) of the weighted stiffness and mass over all 1D nodes of [0, Y]."""
+    scoef, m00, m01, m11 = weighted_interval_integrals(nodes, alpha)
+    return (np.r_[scoef, 0.0] + np.r_[0.0, scoef], -scoef), (np.r_[m00, 0.0] + np.r_[0.0, m11], m01)
 
 
 def extended_direction_matrices(nodes: np.ndarray, alpha: float):
     """Weighted stiffness and mass matrices over all 1D nodes of [0, Y]."""
-    scoef, m00, m01, m11 = weighted_interval_integrals(nodes, alpha)
-    m = len(nodes)
-    sdiag = np.zeros(m)
-    sdiag[:-1] += scoef
-    sdiag[1:] += scoef
-    mdiag = np.zeros(m)
-    mdiag[:-1] += m00
-    mdiag[1:] += m11
-    return _tridiag(sdiag, -scoef), _tridiag(mdiag, m01)
+    return tuple(_tridiag(*band).tocsr() for band in _extended_bands(nodes, alpha))
 
 
 def base_direction_matrices(N: int):
@@ -276,7 +274,8 @@ def base_direction_matrices(N: int):
     sdiag[0] = sdiag[-1] = 1.0 / h
     mdiag = np.full(N + 1, 2.0 * h / 3.0)
     mdiag[0] = mdiag[-1] = h / 3.0
-    return _tridiag(sdiag, np.full(N, -1.0 / h)), _tridiag(mdiag, np.full(N, h / 6.0))
+    return tuple(_tridiag(d, np.full(N, o)).tocsr()
+                 for d, o in ((sdiag, -1.0 / h), (mdiag, h / 6.0)))
 
 
 def _sine_matrix(m: int) -> np.ndarray:
@@ -287,37 +286,51 @@ def _sine_matrix(m: int) -> np.ndarray:
     return math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
 
 
-class CylinderOperator:
-    """Assembled bilinear form a_Y over the free unknowns, with its exact solver.
+def _neighbour_sum(X: np.ndarray, axis: int) -> np.ndarray:
+    """E X along `axis`: X[k - 1] + X[k + 1], zero beyond either end."""
+    E = np.zeros_like(X)
+    Xs, Es = np.swapaxes(X, 0, axis), np.swapaxes(E, 0, axis)
+    Es[1:] = Xs[:-1]
+    Es[:-1] += Xs[1:]
+    return E
 
-    a_Y = (My (x) Sx + Sy (x) Mx + c My (x) Mx) / d_s on a uniform base mesh, a
-    stencil of 3^(n+1) diagonals (`matrix`, DIA).  The sine matrix diagonalizes
-    the base factors (fast diagonalization, Lynch-Rice-Thomas): each base mode j
-    leaves one SPD tridiagonal system (a_j My + b_j Sy) / d_s in y.  Every load
-    lies on the layer y=0, so assembly solves these once for a unit trace load:
-    `profiles[:, j]` is the y-profile of mode j, and assembly rejects a profile
-    whose backward error exceeds BACKWARD_ERROR_TOL.  `solve` transforms the
-    trace block, scales the profiles and transforms all layers back, then
-    checks the result against the assembled matrix, which is independent of
-    the transforms and the profiles.  `solve_trace` returns only the trace,
-    unchecked: the optimizer loop iterates on it and certifies its outputs
-    through `solve` (control._descend).  The graded y-direction is never
-    diagonalized; its mass matrix is too badly conditioned.
+
+class CylinderOperator:
+    """Bilinear form a_Y over the free unknowns, applied matrix-free, with its exact solver.
+
+    K = (My (x) Sx + Sy (x) Mx + c My (x) Mx) / d_s on a uniform base mesh.  The interior
+    base factors are Toeplitz, S1 = (2I - E)/h and M1 = h(4I + E)/6 with E the neighbour
+    sum, so K = sum_t T_t (x) N_t with N_0 = I, N_1 = E_1 (+ E_2), N_2 = E_1 E_2 and each
+    T_t a y-tridiagonal: `apply` computes K x with one shift-sum per base direction, and
+    `norm1` is the exact ||K||_1.  The sine matrix diagonalizes the base factors (fast
+    diagonalization, Lynch-Rice-Thomas): each base mode j leaves one SPD tridiagonal
+    system (a_j My + b_j Sy) / d_s in y, solved at assembly for a unit load on the layer
+    y=0; `profiles[:, j]` is its y-profile, rejected if its backward error exceeds
+    BACKWARD_ERROR_TOL.  `solve` transforms the trace block, scales the profiles,
+    transforms all layers back and checks the result with `apply`, independent of both.
+    `solve_trace` returns only the trace, unchecked: the optimizer loop iterates on it
+    and certifies its outputs through `solve` (control._descend).  The graded
+    y-direction is never diagonalized; its mass matrix is too badly conditioned.
     """
 
-    def __init__(self, mesh: TensorMesh, matrix: sp.dia_matrix, norm1: float, s: float,
-                 c: float, sine: np.ndarray, mass_modes: np.ndarray, profiles: np.ndarray,
+    def __init__(self, mesh: TensorMesh, s: float, c: float, layer_ops: Tuple[sp.dia_matrix, ...],
+                 sine: np.ndarray, mass_modes: np.ndarray, profiles: np.ndarray,
                  profile_backward_error: float):
         self.mesh = mesh
-        self.matrix = matrix
-        self.norm1 = norm1  # exact max column abs-sum of `matrix`
         self.s = s
         self.c = c
+        self._layer_ops = layer_ops  # T_t, the y-factor of N_t
         self._sine = sine  # per base direction
         self._mass_modes = mass_modes  # diagonal of the base mass matrix in sine modes
         self.profiles = profiles
         # largest backward error of the profiles' tridiagonal solves, checked at assembly
         self.profile_backward_error = profile_backward_error
+        # |K|_1: a column adds |T_t| over the N_t-neighbours of its node, disjoint for
+        # distinct t; a node with k = min(m - 1, 2) neighbours per direction has most
+        k = min(len(sine) - 1, 2)
+        counts = (1, k) if mesh.n == 1 else (1, 2 * k, k * k)
+        self.norm1 = float(sum(n_t * np.abs(T.data).sum(axis=0)
+                               for n_t, T in zip(counts, layer_ops)).max())
 
     @property
     def n(self) -> int:
@@ -328,6 +341,16 @@ class CylinderOperator:
         """Discrete fractional symbol per base mode, lowest first: trace
         response to one normalized sine mode, approximating (lambda_j + c)^{-s}."""
         return self._mass_modes * self.profiles[0]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """K x over the free unknowns (layer-major, x1 fastest), from the 1D bands."""
+        n, m = self.mesh.n, len(self._sine)
+        X = np.asarray(x, dtype=float).reshape((-1,) + (m,) * n)
+        fields = [X, _neighbour_sum(X, n)]  # N_t X: X, E_1 X
+        if n == 2:
+            fields.append(_neighbour_sum(fields[1], 1))  # E_2 E_1 X
+            fields[1] += _neighbour_sum(X, 1)  # (E_1 + E_2) X
+        return sum(T @ F.reshape(len(X), -1) for T, F in zip(self._layer_ops, fields)).ravel()
 
     def _to_modes(self, layers: np.ndarray) -> np.ndarray:
         """Sine transform of each layer (row) in every base direction; an involution."""
@@ -341,7 +364,7 @@ class CylinderOperator:
         """Residual contract and residual norm: relative residual below tolerance,
         or the solution exact to machine backward error (the relative residual
         cannot be evaluated below eps*|K||x|/|b| in double precision)."""
-        rnorm = float(np.linalg.norm(b - self.matrix @ x))
+        rnorm = float(np.linalg.norm(b - self.apply(x)))
         if rnorm <= SOLVER_RTOL * bnorm:
             return True, rnorm
         eta = rnorm / (self.norm1 * float(np.linalg.norm(x)) + bnorm)
@@ -370,86 +393,60 @@ class CylinderOperator:
         return self._to_modes(self.profiles[0] * self._to_modes(b_t[None, :]))[0]
 
 
-def _column_bands(T: sp.spmatrix) -> dict:
-    """band[k][j] = T[j - k, j] for a tridiagonal T, zero where j - k falls outside."""
-    return {-1: np.r_[T.diagonal(-1), 0.0], 0: T.diagonal(), 1: np.r_[0.0, T.diagonal(1)]}
-
-
-def _stencil_diagonals(A: dict, B: dict, S1: dict, M1: dict, n: int, c: float):
-    """DIA data and offsets of A (x) Sx + B (x) Mx over layer-major unknowns from the
-    column bands of each factor: Mx = M1 (x) .. (x) M1, Sx = c Mx + sum over
-    directions of S1 there and M1 elsewhere.  Stencil offset (ky, k_n, .., k_1)
-    lies at ky m^n + .. + k_1.  For m <= 2 distinct stencil offsets collide; they
-    never share an entry (the bands are zero across a boundary), so they are summed."""
-    m = len(M1[0])
-    stencil = np.array(list(itertools.product((-1, 0, 1), repeat=n + 1)))
-    offsets, slot = np.unique(stencil @ m ** np.arange(n, -1, -1), return_inverse=True)
-    data = np.zeros((len(offsets), m**n * len(A[0])))
-    for (ky, *kb), k in zip(stencil, slot):
-        mass = [M1[j] for j in kb]
-        Mx = functools.reduce(np.multiply.outer, mass)
-        Sx = c * Mx + sum(functools.reduce(np.multiply.outer, mass[:d] + [S1[kb[d]]] + mass[d + 1:])
-                          for d in range(n))
-        data[k] += np.multiply.outer(A[ky], Sx).ravel()
-        data[k] += np.multiply.outer(B[ky], Mx).ravel()
-    return data, offsets
-
-
 def assemble_stiffness(mesh: TensorMesh, s: float, c: float = 0.0) -> CylinderOperator:
     """Assemble (1/d_s) int y^alpha (grad w . grad phi + c w phi) on free DOFs."""
     if c < 0.0:
         raise ConfigurationError(f"coefficient c must be >= 0, got {c}")
+    if mesh.n_free == 0:
+        raise ConfigurationError("the base mesh has no interior node; use 2 or more cells")
     start = time.perf_counter()
     consts = FractionalConstants.from_order(s)
     with np.errstate(all="ignore"):  # non-finite integrals are rejected below
-        Sy, My = extended_direction_matrices(mesh.extended.nodes, consts.alpha)
-    if not (np.isfinite(Sy.data).all() and np.isfinite(My.data).all()):
-        raise ConfigurationError(
-            "the weighted y-integrals overflow on this graded partition; "
-            "use fewer layers or a weaker grading"
-        )
-    M = mesh.extended.M
-    Sy, My = Sy[:M, :M], My[:M, :M]
-    S1, M1 = (T[1:-1, 1:-1] for T in base_direction_matrices(mesh.base.cells_per_side))
+        y_bands = _extended_bands(mesh.extended.nodes, consts.alpha)
+    if not all(np.isfinite(band).all() for pair in y_bands for band in pair):
+        raise ConfigurationError("the weighted y-integrals overflow on this graded partition; "
+                                 "use fewer layers or a weaker grading")
+    M, m, h = mesh.extended.M, mesh.base.cells_per_side - 1, mesh.base.h
+    (sy, sy_up), (my, my_up) = ((d[:M], o[:M - 1]) for d, o in y_bands)  # free layers
+    sd, so, md, mo = 2.0 / h, -1.0 / h, 2.0 * h / 3.0, h / 6.0  # interior S1, M1 (Toeplitz)
+    stiff, mass = ((sd, so), (md, mo)) if mesh.n == 1 else (  # coefficients of N_t in Sx, Mx
+        (2.0 * sd * md, sd * mo + so * md, 2.0 * so * mo), (md * md, md * mo, mo * mo))
+    layer_ops = tuple(_tridiag(((a + c * b) * my + b * sy) / consts.d_s,
+                               ((a + c * b) * my_up + b * sy_up) / consts.d_s)
+                      for a, b in zip(stiff, mass))
     # free unknown (layer, node) -> layer*m^n + node; interior node (i, j) -> j*m + i,
     # x1 fastest; base mode (k, l) alike
-    y_bands = [_column_bands(T / consts.d_s) for T in (My, Sy)]
-    data, offsets = _stencil_diagonals(*y_bands, _column_bands(S1), _column_bands(M1), mesh.n, c)
-    norm1 = float(functools.reduce(np.add, map(np.abs, data)).max())  # column abs-sums
-    K = sp.dia_matrix((data, offsets), shape=(mesh.n_free, mesh.n_free))
-
-    Q = _sine_matrix(S1.shape[0])
+    S1, M1 = (_tridiag(np.full(m, d), np.full(m - 1, o)) for d, o in ((sd, so), (md, mo)))
+    Q = _sine_matrix(m)
     sigma, tau = np.diag(Q @ (S1 @ Q)), np.diag(Q @ (M1 @ Q))
     if mesh.n == 2:
         sigma = (np.outer(tau, sigma) + np.outer(sigma, tau)).ravel()
         tau = np.outer(tau, tau).ravel()
     a = (sigma + c * tau)[:, None] / consts.d_s  # My coefficient per base mode
     b = tau[:, None] / consts.d_s  # Sy coefficient
-    diag = a * My.diagonal() + b * Sy.diagonal()
-    upper = np.zeros_like(diag)
-    upper[:, :-1] = a * My.diagonal(1) + b * Sy.diagonal(1)  # no coupling across modes
-    upper = upper.ravel()[:-1]
-    banded = np.stack([np.r_[0.0, upper], diag.ravel(), np.r_[upper, 0.0]])
+    diag = a * my + b * sy
+    upper = np.pad(a * my_up + b * sy_up, ((0, 0), (0, 1)))  # no coupling across modes
+    # solve_banded layout: upper, diagonal, lower; upper's last entry is zero
+    banded = np.stack([np.roll(upper.ravel(), 1), diag.ravel(), upper.ravel()])
     unit = np.zeros_like(diag)
     unit[:, 0] = 1.0  # unit load on the trace layer of every base mode
-    profiles = solve_banded((1, 1), banded, unit.ravel(), check_finite=False)
-    if not np.isfinite(profiles).all():
+    p = solve_banded((1, 1), banded, unit.ravel(), check_finite=False)
+    if not np.isfinite(p).all():
         raise ConfigurationError("the y-profiles of the trace load are not finite on this "
                                  "graded partition; use fewer layers or a weaker grading")
-    # per mode j: |T_j p_j - e_0| / (|T_j|_1 |p_j| + 1), T_j its tridiagonal
-    T = sp.dia_matrix((banded, [1, 0, -1]), shape=(diag.size, diag.size))
-    rnorm = np.linalg.norm((T @ profiles - unit.ravel()).reshape(diag.shape), axis=1)
+    # per mode j: |T_j p_j - e_0| / (|T_j|_1 |p_j| + 1), T p from the banded rows (zero-padded)
+    Tp = banded[1] * p + np.roll(banded[0] * p, -1) + np.roll(banded[2] * p, 1) - unit.ravel()
+    rnorm, profiles = np.linalg.norm(Tp.reshape(diag.shape), axis=1), p.reshape(diag.shape)
     norm1_T = np.abs(banded).sum(axis=0).reshape(diag.shape).max(axis=1)
-    profiles = profiles.reshape(diag.shape)
     eta = rnorm / (norm1_T * np.linalg.norm(profiles, axis=1) + 1.0)
     worst = int(eta.argmax())
     if not eta[worst] <= BACKWARD_ERROR_TOL:
         raise SolverError(f"the y-profile of base mode {worst} has backward error "
                           f"{eta[worst]:.3e} > {BACKWARD_ERROR_TOL:g}", float(rnorm[worst]))
-    _log.debug("assembled %d free dofs: %d diagonals, |K|_1 = %.6g, profile backward error "
-               "%.2e, %.3f s", mesh.n_free, len(offsets), norm1, eta[worst],
-               time.perf_counter() - start)
-    return CylinderOperator(mesh, K, norm1, s, c, Q, tau, profiles.T.copy(), float(eta[worst]))
+    op = CylinderOperator(mesh, s, c, layer_ops, Q, tau, profiles.T.copy(), float(eta[worst]))
+    _log.debug("assembled %d free dofs: |K|_1 = %.6g, profile backward error %.2e, %.3f s",
+               mesh.n_free, op.norm1, eta[worst], time.perf_counter() - start)
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -472,20 +469,23 @@ def _values_at_quadrature(quad: BaseQuadrature, r) -> np.ndarray:
     raise ConfigurationError(f"cannot interpret load data of shape {getattr(arr, 'shape', None)}")
 
 
+def assemble_trace_block(quad: BaseQuadrature, r) -> np.ndarray:
+    """Trace block of the load <r, tr W_i>, one entry per interior base node.  `r` may be a
+    per-cell-constant control, a TraceField, a callable on the base domain, or values at
+    the points of `quad`."""
+    base = quad.base
+    local = (_values_at_quadrature(quad, r) * quad.weights) @ quad.shapes.T  # (#cells, 2^n)
+    node_vec = np.bincount(base.cells.ravel(), local.ravel(), minlength=base.n_nodes)
+    return node_vec[base.interior_nodes]
+
+
 def assemble_trace_load(mesh: TensorMesh, r, npts: int = 3,
                         quad: Optional[BaseQuadrature] = None) -> np.ndarray:
-    """Load vector <r, tr W_i> over free DOFs (nonzero only on the y=0 layer).
-
-    `r` may be a per-cell-constant control, a TraceField, a callable on the
-    base domain, or precomputed values at the points of `quad` (by default
-    the npts-point rule on the base mesh).
-    """
+    """Load vector <r, tr W_i> over free DOFs (nonzero only on the y=0 layer):
+    the trace block of `r` (assemble_trace_block; by default on the npts-point
+    rule of the base mesh), padded with zeros."""
     quad = quad if quad is not None else BaseQuadrature(mesh.base, npts)
-    local = (_values_at_quadrature(quad, r) * quad.weights) @ quad.shapes.T  # (#cells, 2^n)
-    node_vec = np.bincount(mesh.base.cells.ravel(), local.ravel(), minlength=mesh.base.n_nodes)
-    b = np.zeros(mesh.n_free)
-    b[: mesh.n_trace] = node_vec[mesh.base.interior_nodes]
-    return b
+    return np.r_[assemble_trace_block(quad, r), np.zeros(mesh.n_free - mesh.n_trace)]
 
 
 def solve_state(op: CylinderOperator, load: np.ndarray) -> FeField:

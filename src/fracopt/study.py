@@ -234,11 +234,15 @@ def run_rate_study(cfg: StudyConfig) -> List[ConvergenceRecord]:
 
 
 def _rate_checks(rec: ConvergenceRecord) -> None:
+    """Slope bands of the sweep.  An aborted sweep fails every band it has, and
+    a sweep with no band (fully discrete, n=1) fails `converged` instead."""
     if rec.scheme == "fully_discrete":
         if rec.n == 2:  # these bands exist for n=2 only
             _band_check(rec, "control_slope_band", "err_control_L2",
                         lambda k: -0.45 <= k <= -0.25)
             _band_check(rec, "state_l2_slope_band", "err_state_L2", lambda k: -0.85 <= k <= -0.5)
+        elif "aborted_at_target" in rec.extras:
+            rec.checks["converged"] = False
     else:
         _band_check(rec, "variational_slope_band", "err_control_L2",
                     lambda k: _a_priori_rate_band(k, rec.s, rec.n, tol=0.2))
@@ -246,10 +250,12 @@ def _rate_checks(rec: ConvergenceRecord) -> None:
 
 def _band_check(rec: ConvergenceRecord, name: str, key: str, band: Callable) -> None:
     """Set check `name` to band(slope of `key`).  A sweep of one mesh fits no
-    slope, so it makes no check; an aborted sweep fails it."""
-    slope = rec.slopes[key]
-    if math.isfinite(slope) or "aborted_at_target" in rec.extras:
-        rec.checks[name] = band(slope)
+    slope, so it makes no check; an aborted sweep fails it, even where the
+    rows it kept fit a slope."""
+    if "aborted_at_target" in rec.extras:
+        rec.checks[name] = False
+    elif math.isfinite(rec.slopes[key]):
+        rec.checks[name] = band(rec.slopes[key])
 
 
 def _a_priori_rate_band(slope: float, s: float, n: int, tol: float) -> bool:

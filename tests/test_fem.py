@@ -49,6 +49,11 @@ def small_mesh(n=1, N=4, M=3, gamma=2.0, Y=1.0):
     return TensorMesh(BasePartition(n, N), GradedPartition(M, gamma, Y))
 
 
+def dense(op):
+    """The operator as a dense matrix, one apply per unit vector (small meshes only)."""
+    return np.column_stack([op.apply(e) for e in np.eye(op.n)])
+
+
 # ---------------------------------------------------------------------------
 # weighted 1D integrals vs mpmath
 # ---------------------------------------------------------------------------
@@ -107,7 +112,7 @@ def test_single_column_entries_vs_oracle():
     s = 0.3
     consts = FractionalConstants.from_order(s)
     mesh = small_mesh(N=2, M=3, gamma=2.0, Y=1.5)
-    K = assemble_stiffness(mesh, s).matrix.toarray()
+    K = dense(assemble_stiffness(mesh, s))
     Sy, My = extended_direction_matrices(mesh.extended.nodes, consts.alpha)
     Sy, My = Sy.toarray()[:3, :3], My.toarray()[:3, :3]
     h = 0.5
@@ -155,10 +160,9 @@ def test_stencil_matrix_matches_kronecker_reference(n, c, s, N):
     mesh = small_mesh(n=n, N=N, M=5, gamma=default_grading(s), Y=1.4)
     op = assemble_stiffness(mesh, s, c)
     ref = _kronecker_stiffness(mesh, s, c)
-    K = op.matrix
-    assert isinstance(K, sp.dia_matrix)
+    K = dense(op)
     assert K.shape == ref.shape == (mesh.n_free, mesh.n_free)
-    assert np.abs(K.toarray() - ref.toarray()).max() <= 1e-15 * abs(ref).max()
+    assert np.abs(K - ref.toarray()).max() <= 1e-15 * abs(ref).max()
     norm1 = abs(ref).sum(axis=0).max()
     assert abs(op.norm1 - norm1) <= 1e-15 * norm1
 
@@ -172,20 +176,20 @@ def test_assembly_uses_no_kronecker_products(monkeypatch):
         mesh = small_mesh(n=n, N=6, M=4, gamma=2.5)
         op = assemble_stiffness(mesh, 0.4, 1.0)
         b = assemble_trace_load(mesh, lambda *x: np.ones_like(x[0]))
-        assert np.linalg.norm(op.matrix @ op.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
+        assert np.linalg.norm(op.apply(op.solve(b)) - b) <= 1e-10 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("n,s", [(1, 0.3), (1, 0.75), (2, 0.5), (2, 0.2)])
 def test_stiffness_symmetry(n, s):
     mesh = small_mesh(n=n, N=5, M=4, gamma=3.0)
-    K = assemble_stiffness(mesh, s).matrix.tocsr()
+    K = dense(assemble_stiffness(mesh, s))
     d = abs(K - K.T)
     assert d.max() <= 1e-12 * abs(K).max()
 
 
 def test_stiffness_positive_definite():
     mesh = small_mesh(n=2, N=4, M=4, gamma=3.1)
-    K = assemble_stiffness(mesh, 0.4).matrix
+    K = dense(assemble_stiffness(mesh, 0.4))
     rng = np.random.default_rng(7)
     for _ in range(100):
         v = rng.standard_normal(K.shape[0])
@@ -195,7 +199,7 @@ def test_stiffness_positive_definite():
 def test_s_half_reduces_to_unweighted_assembly():
     # reference built from textbook P1 local matrices on the same partitions
     mesh = small_mesh(n=2, N=4, M=5, gamma=2.5, Y=1.3)
-    K = assemble_stiffness(mesh, 0.5).matrix
+    K = dense(assemble_stiffness(mesh, 0.5))
 
     hy = np.diff(mesh.extended.nodes)
     m = len(mesh.extended.nodes)
@@ -211,15 +215,14 @@ def test_s_half_reduces_to_unweighted_assembly():
     ii = mesh.base.interior_nodes
     ref = np.kron(My[:M, :M], Sx[np.ix_(ii, ii)]) + np.kron(Sy[:M, :M], Mx[np.ix_(ii, ii)])
 
-    Kd = K.toarray()
     mask = ref != 0
-    assert np.max(np.abs(Kd - ref)[mask] / np.abs(ref)[mask]) <= 1e-12
-    assert np.max(np.abs(Kd - ref)) <= 1e-12 * np.abs(ref).max()
+    assert np.max(np.abs(K - ref)[mask] / np.abs(ref)[mask]) <= 1e-12
+    assert np.max(np.abs(K - ref)) <= 1e-12 * np.abs(ref).max()
 
 
 def test_interior_row_sums_vanish_without_reaction():
     mesh = small_mesh(n=1, N=6, M=4, gamma=2.0)
-    K = assemble_stiffness(mesh, 0.5).matrix.toarray()
+    K = dense(assemble_stiffness(mesh, 0.5))
     # dof on layer 1, base node 3: all stencil neighbors are free
     dof = 1 * mesh.n_trace + 2
     assert abs(K[dof].sum()) <= 1e-12 * np.abs(K).max()
@@ -229,14 +232,14 @@ def test_constant_shift_adds_weighted_mass():
     mesh = small_mesh(n=1, N=5, M=4, gamma=2.0)
     s, c = 0.4, 2.0
     consts = FractionalConstants.from_order(s)
-    K0 = assemble_stiffness(mesh, s, 0.0).matrix
-    Kc = assemble_stiffness(mesh, s, c).matrix
+    K0 = dense(assemble_stiffness(mesh, s, 0.0))
+    Kc = dense(assemble_stiffness(mesh, s, c))
     _, My = extended_direction_matrices(mesh.extended.nodes, consts.alpha)
     _, Mx = base_direction_matrices(mesh.base.cells_per_side)
     ii = mesh.base.interior_nodes
     Mw = sp.kron(My[: mesh.extended.M, : mesh.extended.M],
                  Mx.toarray()[np.ix_(ii, ii)]).toarray()
-    assert np.allclose((Kc - K0).toarray(), c / consts.d_s * Mw, rtol=1e-12, atol=1e-15)
+    assert np.allclose(Kc - K0, c / consts.d_s * Mw, rtol=1e-12, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +280,20 @@ def test_load_accepts_trace_field():
     assert np.allclose(b1, b2, rtol=1e-13)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_trace_block_is_the_load_on_the_trace_layer(n):
+    # the optimizer loop assembles only the block; the padded load must carry it unchanged
+    mesh = small_mesh(n=n, N=5, M=4)
+    quad = fem.BaseQuadrature(mesh.base, 3)
+    rng = np.random.default_rng(3)
+    U = TraceField(mesh.base, rng.standard_normal(mesh.n_trace))
+    for r in (rng.standard_normal(mesh.base.n_cells), U, U.evaluate,
+              rng.standard_normal((mesh.base.n_cells, quad.n_points))):
+        b = assemble_trace_load(mesh, r, quad=quad)
+        assert np.array_equal(fem.assemble_trace_block(quad, r), b[: mesh.n_trace])
+        assert not b[mesh.n_trace:].any()
+
+
 # ---------------------------------------------------------------------------
 # solving
 # ---------------------------------------------------------------------------
@@ -303,8 +320,28 @@ def test_solver_residual_contract():
     op = assemble_stiffness(mesh, 0.5)
     b = assemble_trace_load(mesh, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
     V = solve_state(op, b)
-    r = np.linalg.norm(op.matrix @ V.free_values - b) / np.linalg.norm(b)
+    r = np.linalg.norm(op.apply(V.free_values) - b) / np.linalg.norm(b)
     assert r <= 1e-10
+
+
+def test_backward_error_clause_accepts_a_solve_on_a_sweep_mesh():
+    # n=1, s=0.1 on the finest mesh of a 16,384-cell sweep: the relative residual
+    # of the lowest-mode load stays above SOLVER_RTOL in double precision, and the
+    # solve meets its contract through the backward error
+    s = 0.1
+    M = balanced_resolution(16_384, 1)
+    Y = choose_truncation(s, first_eigenvalue(1), 16_384, 1)
+    mesh = TensorMesh(BasePartition(1, M), GradedPartition(M, default_grading(s), Y))
+    assert mesh.n_free == 16_256
+    op = assemble_stiffness(mesh, s)
+    ref = _kronecker_stiffness(mesh, s, 0.0)
+    norm1 = abs(ref).sum(axis=0).max()
+    assert abs(op.norm1 - norm1) <= 1e-15 * norm1
+    b = assemble_trace_load(mesh, lambda x: np.sin(np.pi * x))
+    x = op.solve(b)  # raises SolverError if the contract fails
+    r, bnorm = np.linalg.norm(b - ref @ x), np.linalg.norm(b)
+    assert r > fem.SOLVER_RTOL * bnorm
+    assert r <= fem.BACKWARD_ERROR_TOL * (norm1 * np.linalg.norm(x) + bnorm)
 
 
 @pytest.mark.parametrize("n, N, M", [(1, 12, 9), (2, 6, 5)])
@@ -318,7 +355,7 @@ def test_solve_matches_sparse_direct_reference(n, N, M, c, s, graded):
     # random cellwise load: excites every base mode, asymmetric in x1, x2
     b = assemble_trace_load(mesh, rng.uniform(-1.0, 1.0, mesh.base.n_cells))
     x = op.solve(b)
-    ref = spsolve(op.matrix.tocsc(), b)
+    ref = spsolve(sp.csc_matrix(dense(op)), b)
     nt = mesh.n_trace
     assert np.linalg.norm(x[:nt] - ref[:nt]) <= 1e-10 * np.linalg.norm(ref[:nt])
     # the profiles build every layer, not only the trace
@@ -385,6 +422,11 @@ def test_assembly_solves_unit_trace_load_or_rejects_grading(s, M):
     assert np.isfinite(x).all()
 
 
+def test_assembly_rejects_base_mesh_without_interior_nodes():
+    with pytest.raises(ConfigurationError, match="no interior node"):
+        assemble_stiffness(small_mesh(n=2, N=1), 0.5)
+
+
 def test_assembly_rejects_overflowing_weights():
     # s=0.015, gamma=100.1: the widths stay normal floats, their squares do not
     mesh = TensorMesh(BasePartition(1, 4), GradedPartition(128, default_grading(0.015), 6.0))
@@ -397,7 +439,7 @@ def test_galerkin_orthogonality():
     op = assemble_stiffness(mesh, 0.6)
     b = assemble_trace_load(mesh, lambda x: np.sin(2 * np.pi * x))
     V = solve_state(op, b)
-    residual = op.matrix @ V.free_values - b
+    residual = op.apply(V.free_values) - b
     assert np.max(np.abs(residual)) <= 1e-9 * np.linalg.norm(b)
 
 
@@ -410,7 +452,7 @@ def test_adjoint_pairing_symmetry():
     u2 = solve_state(op, b2)
     # a(u1, u2) both ways through the symmetric operator
     u, v = u1.free_values, u2.free_values
-    assert u @ (op.matrix @ v) == pytest.approx(v @ (op.matrix @ u), rel=1e-12)
+    assert u @ op.apply(v) == pytest.approx(v @ op.apply(u), rel=1e-12)
     # and <b1, u2> = a(u1, u2) = <b2, u1>
     assert float(b1 @ u2.free_values) == pytest.approx(float(b2 @ u1.free_values), rel=1e-9)
 

@@ -298,7 +298,7 @@ def test_cli_verbose_logs_assembly(tmp_path, caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "fracopt"]
     assert lines and all(r.levelno == logging.DEBUG for r in caplog.records
                          if r.name == "fracopt")
-    assert "free dofs" in lines[0] and "diagonals" in lines[0] and "|K|_1" in lines[0]
+    assert "free dofs" in lines[0] and "|K|_1" in lines[0]
     assert "profile backward error" in lines[0]
 
 
@@ -338,6 +338,35 @@ def test_aborted_single_target_sweep_fails_its_band(monkeypatch):
     cfg = StudyConfig(s_values=(0.5,), n=1, dof_targets=(64,), scheme="variational")
     rec = run_rate_study(cfg)[0]
     assert rec.extras["aborted_at_target"] == 64
+    assert rec.checks == {"variational_slope_band": False}
+
+
+def test_cli_aborted_n1_fully_discrete_sweep_exits_2(monkeypatch, tmp_path, capsys):
+    # n=1 fully discrete has no slope band; the abort fails a check of its own
+    capped = functools.partial(study.solve_fully_discrete, max_iterations=1)
+    monkeypatch.setattr(study, "solve_fully_discrete", capped)
+    out = str(tmp_path / "ab")
+    rc = main(["control-rates", "--s", "0.5", "--n", "1", "--dofs", "64,256", "--out", out])
+    assert rc == 2
+    assert "converged: FAIL" in capsys.readouterr().out
+    with open(out + ".json") as fh:
+        record = json.load(fh)["records"][0]
+    assert record["rows"] == [] and record["checks"] == {"converged": False}
+
+
+def test_sweep_aborted_after_two_rows_fails_its_band(monkeypatch):
+    # the two rows kept fit a slope, but the band of a sweep that stopped short fails
+    def capped_at_finest(problem, mesh, **kw):
+        if mesh.n_cells >= 1024:
+            kw["max_iterations"] = 1
+        return solve(problem, mesh, **kw)
+
+    solve = study.solve_variational
+    monkeypatch.setattr(study, "solve_variational", capped_at_finest)
+    cfg = StudyConfig(s_values=(0.5,), n=1, dof_targets=(64, 256, 1024), scheme="variational")
+    rec = run_rate_study(cfg)[0]
+    assert rec.extras["aborted_at_target"] == 1024 and len(rec.rows) == 2
+    assert math.isfinite(rec.slopes["err_control_L2"])
     assert rec.checks == {"variational_slope_band": False}
 
 

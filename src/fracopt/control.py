@@ -9,9 +9,11 @@ differ only in the restriction of the adjoint trace to their control space,
 the step of the fixed-point residual, and the step rule: Armijo backtracking
 along the projected arc (fully discrete) or the cost-minimizing point on the
 segment towards proj(-tr P / mu) (variational).  Every iterate is feasible,
-and no accepted step raises the cost.  The loop runs on trace vectors; the
-state and adjoint it returns, and the cost and fixed-point residual taken
-from them, are solved in full and certified against the stiffness operator.
+and no accepted step raises the cost.  The loop keeps its state, adjoint
+and trial increments in the sine modes of the base mesh, where the trace
+solve and the trace mass matrix are diagonal; the state and adjoint it
+returns, and the cost and fixed-point residual taken from them, are solved
+in full and certified against the stiffness operator.
 """
 
 from __future__ import annotations
@@ -57,8 +59,9 @@ __all__ = [
 ARMIJO_DECREASE = 1e-4
 MIN_STEP_FRACTION = 1e-12
 # Relative gap allowed between the state trace accumulated over the loop's
-# trace solves and the trace of the certified state; measured gaps stay below 1e-15.
+# modal solves and the trace of the certified state; measured gaps stay below 1e-15.
 TRACE_GAP_RTOL = 1e-10
+VI_SAMPLE_BLOCK = 1 << 20  # values drawn at once by optimality_residuals: 8 MiB
 _log = logging.getLogger("fracopt")
 
 
@@ -94,9 +97,6 @@ class ControlField:
     @classmethod
     def constant(cls, base: BasePartition, value: float) -> "ControlField":
         return cls(base, np.full(base.n_cells, float(value)))
-
-    def l2_norm(self) -> float:
-        return math.sqrt(self.base.cell_volume * float(self.cell_values @ self.cell_values))
 
     def project(self, bounds: BoxBounds) -> "ControlField":
         return ControlField(self.base, project_box(self.cell_values, bounds))
@@ -187,17 +187,19 @@ class ReducedProblem:
         self.quad = BaseQuadrature(mesh.base, 3)
         self.ud_q = self.quad.eval_callable(problem.u_d)
         self.f_q = self.quad.eval_callable(problem.forcing) if problem.forcing else None
+        self.ud_modes = self.load_modes(self.ud_q)  # Q B u_d
         self.n_state_solves = 0
 
     # -- loads ------------------------------------------------------------
     def cell_point_values(self, z: np.ndarray) -> np.ndarray:
         return np.broadcast_to(z[:, None], self.ud_q.shape)
 
+    def load(self, G: np.ndarray) -> np.ndarray:
+        """State load at the points for control values G there: G plus the forcing."""
+        return G + self.f_q if self.f_q is not None else G
+
     def control_point_values(self, Z: ControlField) -> np.ndarray:
-        vals = self.cell_point_values(Z.cell_values).copy()
-        if self.f_q is not None:
-            vals += self.f_q
-        return vals
+        return self.load(self.cell_point_values(Z.cell_values))
 
     # -- state / adjoint ---------------------------------------------------
     def state(self, point_values: np.ndarray) -> FeField:
@@ -205,10 +207,15 @@ class ReducedProblem:
         self.n_state_solves += 1
         return solve_state(self.op, assemble_trace_load(self.mesh, point_values, quad=self.quad))
 
-    def state_trace(self, point_values: np.ndarray) -> np.ndarray:
-        """Trace of the state of a load given at the points (unchecked; see _descend)."""
+    def load_modes(self, point_values: np.ndarray) -> np.ndarray:
+        """Sine modes Q B of the trace load of values given at the points."""
+        return self.op.to_modes(assemble_trace_block(self.quad, point_values))
+
+    def trace_solve(self, load_modes: np.ndarray) -> np.ndarray:
+        """Sine modes of the state trace of a trace load given in sine modes:
+        profiles[0] * load_modes (unchecked; see _descend)."""
         self.n_state_solves += 1
-        return self.op.solve_trace(assemble_trace_block(self.quad, point_values))
+        return self.op.profiles[0] * load_modes
 
     def adjoint(self, V: FeField) -> FeField:
         return self.state(self.mismatch(V.trace().values))
@@ -217,19 +224,17 @@ class ReducedProblem:
     def at_points(self, trace: np.ndarray) -> np.ndarray:
         return TraceField(self.mesh.base, trace).at_quadrature(self.quad)
 
+    def point_inner(self, u: np.ndarray, v: np.ndarray) -> float:
+        """Quadrature of u v for values at the points."""
+        return float(((u * v) @ self.quad.weights).sum())
+
     def mismatch(self, trace: np.ndarray) -> np.ndarray:
         """Trace minus desired state at the points, for trace values `trace`."""
         return self.at_points(trace) - self.ud_q
 
-    def misfit(self, V: FeField) -> float:
-        d = self.mismatch(V.trace().values)
-        return 0.5 * self.quad.integrate(d * d)
-
     def cost_fully_discrete(self, Z: ControlField, V: FeField) -> float:
-        reg = 0.5 * self.problem.mu * self.mesh.base.cell_volume * float(
-            Z.cell_values @ Z.cell_values
-        )
-        return self.misfit(V) + reg
+        r, z = self.mismatch(V.trace().values), Z.cell_values
+        return 0.5 * (self.point_inner(r, r) + self.problem.mu * self.control_inner(z, z))
 
     def gradient_fully_discrete(self, Z: ControlField, P: FeField) -> np.ndarray:
         # Riesz representative in the piecewise-constant L2 inner product
@@ -266,30 +271,33 @@ def _descend(rp: ReducedProblem, z0: Optional[ControlField], scheme: str, tol: f
              max_iterations: int) -> Tuple[np.ndarray, FeField, FeField, ReducedCostReport]:
     """Projected descent on the control values G at the load quadrature points.
 
-    A scheme fixes two facts.  Its restriction maps the adjoint trace into
-    the control space at the points: cell averages (fully discrete) or the
-    values themselves (variational).  Its fixed-point residual
-    ||G - proj(G - step g)||_L2, g = mu G + restrict(tr P), takes step 1
-    (fully discrete) or 1/mu (variational).  The step rule is also per
-    scheme (_arc_step, _segment_step).  The rest is shared: each trial solves
-    once for the state trace of its increment and is priced exactly
-    (_price), the loop stops unconverged rather than take a step that raises
-    the cost, and the gradient is reported as the cell averages of g.
-    Starts from z0, by default the box midpoint.
+    A scheme fixes its restriction of the adjoint trace into the control
+    space at the points (cell averages, fully discrete; the values,
+    variational), the step of its fixed-point residual
+    ||G - proj(G - step g)||_L2, g = mu G + restrict(tr P) (1 or 1/mu), and
+    its step rule (_arc_step, _segment_step).  Shared: each trial solves once
+    for the state of its increment and is priced exactly (_price), the loop
+    stops unconverged rather than take a step that raises the cost, and the
+    gradient is reported as the cell averages of g.  Starts from z0, by
+    default the box midpoint.
 
-    The loop runs on traces from CylinderOperator.solve_trace, unchecked;
-    these iterates only steer, choosing the final G.  Its outputs are
-    certified: the state V of the final G and the adjoint P of its mismatch
-    are solved in full by CylinderOperator.solve, which checks each against
-    CylinderOperator.apply (SOLVER_RTOL or the backward-error clause) or
-    raises SolverError, and the cost, fixed-point residual, gradient and
-    `converged` are taken from them.  The state is affine in G, so the
-    accumulated state trace (initial trace plus accepted increments) must
-    equal the trace of V up to rounding; a relative gap above TRACE_GAP_RTOL
-    raises SolverError, which covers every accepted intermediate solve.
+    The loop runs in sine modes, where the trace solve is the scaling by
+    profiles[0] (rp.trace_solve) and the trace mass matrix B A = M is
+    diag(mass_modes), B the load assembly and A the interpolation to the
+    points (their rule is exact on products of Q1 functions).  The state
+    trace is v = Q v_hat; the mismatch r = A v - u_d has the load
+    rho = Q B r = mass_modes v_hat - Q B u_d, and the adjoint trace is
+    Q (profiles[0] rho).  These iterates only steer, choosing the final G.
+    The state V of G and the adjoint P of its mismatch are solved in full by
+    CylinderOperator.solve, which checks each against `apply` or raises
+    SolverError; the cost, fixed-point residual, gradient and `converged` are
+    taken from them.  The state is affine in G, so Q v_hat (initial state
+    plus accepted increments) must equal tr V up to rounding; a relative gap
+    above TRACE_GAP_RTOL raises SolverError, which covers every accepted
+    intermediate solve.
     """
     t_start, solves_before = time.perf_counter(), rp.n_state_solves
-    problem, quad = rp.problem, rp.quad
+    problem, op, inner = rp.problem, rp.op, rp.point_inner
     bounds, mu = problem.bounds, problem.mu
     if scheme == "fully_discrete":
         # cell averages, exact for the multilinear trace, at every point of the cell
@@ -302,36 +310,33 @@ def _descend(rp: ReducedProblem, z0: Optional[ControlField], scheme: str, tol: f
         """Gradient, fixed-point target and residual at G for the adjoint trace p."""
         g = mu * G + restrict(p)
         target = project_box(G - step * g, bounds)
-        return g, target, math.sqrt(quad.integrate((G - target) ** 2))
-
-    def load(G):
-        return G + rp.f_q if rp.f_q is not None else G
+        return g, target, math.sqrt(inner(G - target, G - target))
 
     if z0 is None:
         z0 = ControlField.constant(rp.mesh.base, 0.5 * (bounds.a + bounds.b))
     G = rp.cell_point_values(z0.project(bounds).cell_values).copy()
-    v = rp.state_trace(load(G))
-    r = rp.mismatch(v)
-    j = 0.5 * quad.integrate(r * r + mu * G * G)
+    v_hat = rp.trace_solve(rp.load_modes(rp.load(G)))
+    r = rp.mismatch(op.to_modes(v_hat))
+    j = 0.5 * (inner(r, r) + mu * inner(G, G))
     history = [j]
     iterations = 0
     while True:
-        g, target, fp_res = optimality(G, rp.state_trace(r))  # adjoint trace
+        rho = op.mass_modes * v_hat - rp.ud_modes
+        g, target, fp_res = optimality(G, op.to_modes(rp.trace_solve(rho)))  # adjoint trace
         if fp_res <= tol or iterations == max_iterations:
             break
         iterations += 1
-        trial = search(rp, G, g, r, target)
+        trial = search(rp, G, g, rho, target)
         if trial is None:
             break  # no trial lowers the cost; keep the last iterate
-        G, d, dj = trial
-        v = v + d
-        r = rp.mismatch(v)
+        G, d_hat, dj = trial
+        v_hat = v_hat + d_hat
         j += dj
         history.append(j)
     loop_solves = rp.n_state_solves - solves_before
 
-    V = rp.state(load(G))  # checked exit solves; the report counts the loop's only
-    v_cert = V.trace().values
+    V = rp.state(rp.load(G))  # checked exit solves; the report counts the loop's only
+    v, v_cert = op.to_modes(v_hat), V.trace().values
     gap = float(np.linalg.norm(v - v_cert)) / max(float(np.linalg.norm(v_cert)),
                                                   np.finfo(float).tiny)
     if gap > TRACE_GAP_RTOL:
@@ -340,15 +345,15 @@ def _descend(rp: ReducedProblem, z0: Optional[ControlField], scheme: str, tol: f
     r = rp.mismatch(v_cert)
     P = rp.state(r)
     g, _, fp_res = optimality(G, P.trace().values)
-    state_res = _residual(rp, V.free_values, load(G))[1]
+    state_res = _residual(rp, V.free_values, rp.load(G))[1]
     adjoint_res = _residual(rp, P.free_values, r)[1]
     wall_time = time.perf_counter() - t_start
     _log.debug("%s: %d iterations, %d solves, certified residuals %.2e (state) %.2e "
                "(adjoint), trace gap %.2e, %.3f s", scheme, iterations, loop_solves,
                state_res, adjoint_res, gap, wall_time)
     report = ReducedCostReport(
-        j=0.5 * quad.integrate(r * r + mu * G * G),
-        gradient=ControlField(rp.mesh.base, g @ quad.weights / rp.mesh.base.cell_volume),
+        j=0.5 * (inner(r, r) + mu * inner(G, G)),
+        gradient=ControlField(rp.mesh.base, g @ rp.quad.weights / rp.mesh.base.cell_volume),
         vi_residual=fp_res,
         iterations=iterations,
         cost_history=history,
@@ -374,19 +379,19 @@ def _residual(rp: ReducedProblem, x: np.ndarray, point_values: np.ndarray):
     return r, r / nb if nb > 0 else r
 
 
-def _price(rp: ReducedProblem, r: np.ndarray, G: np.ndarray, dG: np.ndarray):
-    """Solve for the state trace d of the increment dG.  The cost of G + theta dG
-    is j + theta (slope + theta curvature): exact, and free of the
+def _price(rp: ReducedProblem, rho: np.ndarray, G: np.ndarray, dG: np.ndarray):
+    """Solve for the state trace of the increment dG, d_hat in sine modes.  The cost of
+    G + theta dG is j + theta (slope + theta curvature), slope = rho . d_hat + mu int G dG
+    and 2 curvature = mass_modes . d_hat^2 + mu int dG^2: exact, and free of the
     cancellation of differencing two costs near the optimum."""
-    d = rp.state_trace(dG)
-    dq = rp.at_points(d)
+    d_hat = rp.trace_solve(rp.load_modes(dG))
     mu = rp.problem.mu
-    slope = rp.quad.integrate(r * dq + mu * G * dG)
-    curvature = 0.5 * rp.quad.integrate(dq * dq + mu * dG * dG)
-    return d, slope, curvature
+    slope = float(rho @ d_hat) + mu * rp.point_inner(G, dG)
+    curvature = 0.5 * (float(rp.op.mass_modes @ (d_hat * d_hat)) + mu * rp.point_inner(dG, dG))
+    return d_hat, slope, curvature
 
 
-def _arc_step(rp, G, g, r, target):
+def _arc_step(rp, G, g, rho, target):
     """Armijo backtracking along the projected arc proj(G - t g), t = 1/mu,
     1/(2 mu), ...: the fully discrete step rule."""
     t0 = 1.0 / rp.problem.mu
@@ -394,19 +399,19 @@ def _arc_step(rp, G, g, r, target):
     while t >= MIN_STEP_FRACTION * t0:
         G_new = project_box(G - t * g, rp.problem.bounds)
         dG = G_new - G
-        D, slope, curvature = _price(rp, r, G, dG)
+        D, slope, curvature = _price(rp, rho, G, dG)
         dj = slope + curvature
-        if dj <= ARMIJO_DECREASE * rp.quad.integrate(g * dG):
+        if dj <= ARMIJO_DECREASE * rp.point_inner(g, dG):
             return G_new, D, dj
         t *= 0.5
     return None
 
 
-def _segment_step(rp, G, g, r, target):
+def _segment_step(rp, G, g, rho, target):
     """Cost-minimizing theta = min(1, -slope / (2 curvature)) on the segment
     from G to target = proj(-tr P / mu): the variational step rule."""
     dG = target - G
-    D, slope, curvature = _price(rp, r, G, dG)
+    D, slope, curvature = _price(rp, rho, G, dG)
     if not slope < 0.0:
         return None
     theta = min(1.0, -slope / (2.0 * curvature))
@@ -500,17 +505,21 @@ def optimality_residuals(
     smallest sampled value of (tr P + mu Z, Z_test - Z) over random feasible
     piecewise-constant controls; nonnegative up to tolerance at an optimum.
     """
+    if n_samples < 1:
+        raise ConfigurationError(f"the VI check needs n_samples >= 1, got {n_samples}")
     rp = rp if rp is not None else ReducedProblem(problem, mesh)
     r_state, rel_state = _residual(rp, V.free_values, rp.control_point_values(Z))
     r_adj, rel_adj = _residual(rp, P.free_values, rp.mismatch(V.trace().values))
 
     g = rp.gradient_fully_discrete(Z, P)
     rng = np.random.default_rng(seed)
-    samples = rng.uniform(problem.bounds.a, problem.bounds.b,
-                          size=(n_samples, mesh.base.n_cells))
-    vi = float(np.min((samples - Z.cell_values) @ g) * mesh.base.cell_volume)
-    # exact separable minimum over the box (equivalent to the projection test)
     a, b = problem.bounds.a, problem.bounds.b
+    rows, vi = max(1, VI_SAMPLE_BLOCK // len(g)), math.inf
+    for start in range(0, n_samples, rows):  # the stream of one draw, in row blocks
+        samples = rng.uniform(a, b, size=(min(rows, n_samples - start), len(g)))
+        vi = min(vi, float(np.min((samples - Z.cell_values) @ g)))
+    vi *= mesh.base.cell_volume
+    # exact separable minimum over the box (equivalent to the projection test)
     vi_exact = float(np.minimum(g * (a - Z.cell_values), g * (b - Z.cell_values)).sum()
                      * mesh.base.cell_volume)
     fp = rp.control_norm(Z.cell_values - project_box(Z.cell_values - g, problem.bounds))

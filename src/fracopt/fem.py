@@ -10,13 +10,14 @@ Assembly is exact: the y-direction factors are integrated in closed form
 standard uniform-mesh mass/stiffness matrices, and the global operator on the
 free unknowns is applied from the 1D factors' bands, never assembled.  The same
 tensor structure gives one exact solver: sine transforms in the base directions
-and tridiagonal solves in y.  Its trace at y=0 alone costs two transforms of one
-layer, which is all the optimizer loop needs; the fields that leave the loop are
-solved in full and checked.
+and tridiagonal solves in y.  Its trace at y=0 is diagonal in sine modes, which
+is all the optimizer loop needs; the fields that leave the loop are solved in
+full and checked.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -67,9 +68,13 @@ class InconsistencyError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
 def _gauss_01(npts: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre points and weights on [0, 1]; cached, so read-only."""
     x, w = np.polynomial.legendre.leggauss(npts)
-    return 0.5 * (x + 1.0), 0.5 * w
+    xi, w = 0.5 * (x + 1.0), 0.5 * w
+    xi.flags.writeable = w.flags.writeable = False
+    return xi, w
 
 
 class BaseQuadrature:
@@ -262,22 +267,6 @@ def _extended_bands(nodes: np.ndarray, alpha: float):
     return (np.r_[scoef, 0.0] + np.r_[0.0, scoef], -scoef), (np.r_[m00, 0.0] + np.r_[0.0, m11], m01)
 
 
-def extended_direction_matrices(nodes: np.ndarray, alpha: float):
-    """Weighted stiffness and mass matrices over all 1D nodes of [0, Y]."""
-    return tuple(_tridiag(*band).tocsr() for band in _extended_bands(nodes, alpha))
-
-
-def base_direction_matrices(N: int):
-    """Stiffness and mass for P1 hats on the uniform partition of [0,1]."""
-    h = 1.0 / N
-    sdiag = np.full(N + 1, 2.0 / h)
-    sdiag[0] = sdiag[-1] = 1.0 / h
-    mdiag = np.full(N + 1, 2.0 * h / 3.0)
-    mdiag[0] = mdiag[-1] = h / 3.0
-    return tuple(_tridiag(d, np.full(N, o)).tocsr()
-                 for d, o in ((sdiag, -1.0 / h), (mdiag, h / 6.0)))
-
-
 def _sine_matrix(m: int) -> np.ndarray:
     """Orthonormal symmetric DST-I matrix of order m: Q @ Q = I, and Q T Q is
     diagonal for every tridiagonal Toeplitz T, such as the interior base
@@ -302,15 +291,16 @@ class CylinderOperator:
     base factors are Toeplitz, S1 = (2I - E)/h and M1 = h(4I + E)/6 with E the neighbour
     sum, so K = sum_t T_t (x) N_t with N_0 = I, N_1 = E_1 (+ E_2), N_2 = E_1 E_2 and each
     T_t a y-tridiagonal: `apply` computes K x with one shift-sum per base direction, and
-    `norm1` is the exact ||K||_1.  The sine matrix diagonalizes the base factors (fast
-    diagonalization, Lynch-Rice-Thomas): each base mode j leaves one SPD tridiagonal
-    system (a_j My + b_j Sy) / d_s in y, solved at assembly for a unit load on the layer
-    y=0; `profiles[:, j]` is its y-profile, rejected if its backward error exceeds
-    BACKWARD_ERROR_TOL.  `solve` transforms the trace block, scales the profiles,
-    transforms all layers back and checks the result with `apply`, independent of both.
-    `solve_trace` returns only the trace, unchecked: the optimizer loop iterates on it
-    and certifies its outputs through `solve` (control._descend).  The graded
-    y-direction is never diagonalized; its mass matrix is too badly conditioned.
+    `norm1` is the exact ||K||_1.  The sine matrix Q diagonalizes the base factors (fast
+    diagonalization, Lynch-Rice-Thomas), Q M Q = diag(mass_modes) for the base mass M:
+    each base mode j leaves one SPD tridiagonal system (a_j My + b_j Sy) / d_s in y, solved
+    at assembly for a unit load on the layer y=0; `profiles[:, j]` is its y-profile,
+    rejected if its backward error exceeds BACKWARD_ERROR_TOL.  `solve` transforms the
+    trace block (`to_modes`), scales the profiles, transforms all layers back and checks
+    the result with `apply`, independent of both.  So the trace response is diagonal in
+    sine modes, profiles[0]: the optimizer loop iterates there and certifies its outputs
+    through `solve` (control._descend).  The graded y-direction is never diagonalized;
+    its mass matrix is too badly conditioned.
     """
 
     def __init__(self, mesh: TensorMesh, s: float, c: float, layer_ops: Tuple[sp.dia_matrix, ...],
@@ -321,7 +311,7 @@ class CylinderOperator:
         self.c = c
         self._layer_ops = layer_ops  # T_t, the y-factor of N_t
         self._sine = sine  # per base direction
-        self._mass_modes = mass_modes  # diagonal of the base mass matrix in sine modes
+        self.mass_modes = mass_modes  # diagonal of the base mass matrix in sine modes
         self.profiles = profiles
         # largest backward error of the profiles' tridiagonal solves, checked at assembly
         self.profile_backward_error = profile_backward_error
@@ -340,7 +330,7 @@ class CylinderOperator:
     def symbol(self) -> np.ndarray:
         """Discrete fractional symbol per base mode, lowest first: trace
         response to one normalized sine mode, approximating (lambda_j + c)^{-s}."""
-        return self._mass_modes * self.profiles[0]
+        return self.mass_modes * self.profiles[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """K x over the free unknowns (layer-major, x1 fastest), from the 1D bands."""
@@ -352,8 +342,8 @@ class CylinderOperator:
             fields[1] += _neighbour_sum(X, 1)  # (E_1 + E_2) X
         return sum(T @ F.reshape(len(X), -1) for T, F in zip(self._layer_ops, fields)).ravel()
 
-    def _to_modes(self, layers: np.ndarray) -> np.ndarray:
-        """Sine transform of each layer (row) in every base direction; an involution."""
+    def to_modes(self, layers: np.ndarray) -> np.ndarray:
+        """Sine transform of a layer, or of each row, in every base direction; an involution."""
         Q = self._sine
         if self.mesh.n == 1:
             return layers @ Q
@@ -380,17 +370,11 @@ class CylinderOperator:
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
             return np.zeros(self.n)
-        x = self._to_modes(self.profiles * self._to_modes(b[None, :nt])).ravel()
+        x = self.to_modes(self.profiles * self.to_modes(b[None, :nt])).ravel()
         met, rnorm = self._contract_met(x, b, bnorm)
         if not met:
             raise SolverError("solver residual contract violated", rnorm / bnorm)
         return x
-
-    def solve_trace(self, b_t: np.ndarray) -> np.ndarray:
-        """Trace block of K^{-1} b for the trace load whose trace block is b_t:
-        Q (profiles[0] * Q b_t), two transforms of one layer.  Not checked
-        against K; callers certify what they derive from it (control._descend)."""
-        return self._to_modes(self.profiles[0] * self._to_modes(b_t[None, :]))[0]
 
 
 def assemble_stiffness(mesh: TensorMesh, s: float, c: float = 0.0) -> CylinderOperator:
@@ -416,9 +400,10 @@ def assemble_stiffness(mesh: TensorMesh, s: float, c: float = 0.0) -> CylinderOp
                       for a, b in zip(stiff, mass))
     # free unknown (layer, node) -> layer*m^n + node; interior node (i, j) -> j*m + i,
     # x1 fastest; base mode (k, l) alike
-    S1, M1 = (_tridiag(np.full(m, d), np.full(m - 1, o)) for d, o in ((sd, so), (md, mo)))
-    Q = _sine_matrix(m)
-    sigma, tau = np.diag(Q @ (S1 @ Q)), np.diag(Q @ (M1 @ Q))
+    # eigenvalues of the Toeplitz S1, M1, k = 1..m: d + 2o cos(k pi/(m+1)), written as
+    # (d + 2o) - 4o sin^2(k pi/(2m+2)) so that sigma of the low modes does not cancel
+    sin2_k = np.sin(np.pi * np.arange(1, m + 1) / (2 * m + 2)) ** 2
+    sigma, tau = (sd + 2.0 * so) - 4.0 * so * sin2_k, (md + 2.0 * mo) - 4.0 * mo * sin2_k
     if mesh.n == 2:
         sigma = (np.outer(tau, sigma) + np.outer(sigma, tau)).ravel()
         tau = np.outer(tau, tau).ravel()
@@ -443,7 +428,8 @@ def assemble_stiffness(mesh: TensorMesh, s: float, c: float = 0.0) -> CylinderOp
     if not eta[worst] <= BACKWARD_ERROR_TOL:
         raise SolverError(f"the y-profile of base mode {worst} has backward error "
                           f"{eta[worst]:.3e} > {BACKWARD_ERROR_TOL:g}", float(rnorm[worst]))
-    op = CylinderOperator(mesh, s, c, layer_ops, Q, tau, profiles.T.copy(), float(eta[worst]))
+    op = CylinderOperator(mesh, s, c, layer_ops, _sine_matrix(m), tau, profiles.T.copy(),
+                          float(eta[worst]))
     _log.debug("assembled %d free dofs: |K|_1 = %.6g, profile backward error %.2e, %.3f s",
                mesh.n_free, op.norm1, eta[worst], time.perf_counter() - start)
     return op

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracopt import control
 from fracopt import (
     BasePartition,
     BoxBounds,
@@ -356,8 +357,8 @@ def test_corrupted_profiles_fail_at_exit():
 def test_inaccurate_trace_solves_fail_at_exit(monkeypatch):
     _, problem, mesh = manufactured_setup(n=1, s=0.5, N=16, M=16)
     rp = ReducedProblem(problem, mesh)
-    solve_trace = rp.op.solve_trace
-    monkeypatch.setattr(rp.op, "solve_trace", lambda b: solve_trace(b) * (1.0 + 1e-8))
+    trace_solve = rp.trace_solve  # the loop's modal solves, and only those
+    monkeypatch.setattr(rp, "trace_solve", lambda b: trace_solve(b) * (1.0 + 1e-8))
     with pytest.raises(SolverError, match="accumulated state trace"):
         solve_variational(problem, mesh, rp=rp)
 
@@ -383,3 +384,47 @@ def test_problem_config_validation():
         ProblemConfig(s=0.5, u_d=ud, bounds=BoxBounds(0, 1), mu=0.0)
     with pytest.raises(ConfigurationError):
         ProblemConfig(s=0.5, u_d=ud, bounds=BoxBounds(0, 1), c=-1.0)
+
+
+def test_sampled_vi_check_draws_in_blocks(monkeypatch):
+    # row blocks of the generator's stream give the one-shot minimum, bit for bit
+    _, problem, mesh = manufactured_setup(n=2, s=0.5, N=8, M=8, mu=1e-2)
+    rp = ReducedProblem(problem, mesh)
+    Z, V, P, _ = solve_fully_discrete(problem, mesh, rp=rp)
+    g = rp.gradient_fully_discrete(Z, P)
+    samples = np.random.default_rng(5).uniform(problem.bounds.a, problem.bounds.b,
+                                               size=(50, mesh.base.n_cells))
+    one_shot = float(np.min((samples - Z.cell_values) @ g) * mesh.base.cell_volume)
+    monkeypatch.setattr(control, "VI_SAMPLE_BLOCK", 7 * mesh.base.n_cells + 3)  # 7 rows
+    res = optimality_residuals(Z, V, P, problem, mesh, rp=rp, n_samples=50, seed=5)
+    assert res.vi_violation_min == one_shot
+
+
+@pytest.mark.parametrize("n, N", [(1, 16), (2, 6)])
+def test_modal_pricing_matches_point_space(n, N):
+    # B A = M (the 3-point rule is exact for products of Q1 functions) and Q M Q is
+    # diag(mass_modes), so the loop prices and forms its adjoint load in sine modes
+    _, problem, mesh = manufactured_setup(n=n, s=0.5, N=N, M=N, mu=1e-2)
+    rp = ReducedProblem(problem, mesh)
+    op, integrate, mu = rp.op, rp.quad.integrate, problem.mu
+    rng = np.random.default_rng(11)
+    G = rng.uniform(problem.bounds.a, problem.bounds.b, rp.ud_q.shape)
+    dG = rng.uniform(-1.0, 1.0, rp.ud_q.shape)
+    v_hat = rp.trace_solve(rp.load_modes(G))
+    r = rp.mismatch(op.to_modes(v_hat))
+    rho, rho_ref = op.mass_modes * v_hat - rp.ud_modes, rp.load_modes(r)  # Q B r
+    assert np.linalg.norm(rho - rho_ref) <= 1e-13 * np.linalg.norm(rho_ref)
+    d_hat, slope, curvature = control._price(rp, rho, G, dG)
+    Ad = rp.at_points(op.to_modes(d_hat))
+    for modal, points in ((rho @ d_hat, integrate(r * Ad)),
+                          (op.mass_modes @ d_hat**2, integrate(Ad * Ad)),
+                          (slope, integrate(r * Ad + mu * G * dG)),
+                          (curvature, 0.5 * integrate(Ad * Ad + mu * dG * dG))):
+        assert abs(modal - points) <= 1e-13 * abs(points)
+
+
+def test_sampled_vi_check_needs_a_sample():
+    _, problem, mesh = manufactured_setup(n=1, s=0.5, N=8, M=8)
+    Z, V, P, _ = solve_fully_discrete(problem, mesh)
+    with pytest.raises(ConfigurationError, match="n_samples"):
+        optimality_residuals(Z, V, P, problem, mesh, n_samples=0)

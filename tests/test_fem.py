@@ -38,11 +38,8 @@ from fracopt import (
     solve_state,
 )
 from fracopt import fem
-from fracopt.fem import (
-    base_direction_matrices,
-    extended_direction_matrices,
-    weighted_interval_integrals,
-)
+from fracopt.fem import weighted_interval_integrals
+from fem_reference import base_direction_matrices, extended_direction_matrices
 
 
 def small_mesh(n=1, N=4, M=3, gamma=2.0, Y=1.0):
@@ -294,6 +291,16 @@ def test_trace_block_is_the_load_on_the_trace_layer(n):
         assert not b[mesh.n_trace:].any()
 
 
+@pytest.mark.parametrize("npts", [3, 4])
+def test_gauss_rule_is_cached_and_read_only(npts):
+    xi, w = fem._gauss_01(npts)
+    assert fem._gauss_01(npts)[0] is xi
+    assert w.sum() == pytest.approx(1.0, rel=1e-15)
+    for a in (xi, w, fem.BaseQuadrature(small_mesh(n=1).base, npts).ref_points):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.5
+
+
 # ---------------------------------------------------------------------------
 # solving
 # ---------------------------------------------------------------------------
@@ -360,8 +367,8 @@ def test_solve_matches_sparse_direct_reference(n, N, M, c, s, graded):
     assert np.linalg.norm(x[:nt] - ref[:nt]) <= 1e-10 * np.linalg.norm(ref[:nt])
     # the profiles build every layer, not only the trace
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
-    # the trace-only solve is the trace of the full one
-    t = op.solve_trace(b[:nt])
+    # the trace is diagonal in sine modes: Q (p0 * Q b_t) is the trace of the full solve
+    t = op.to_modes(op.profiles[0] * op.to_modes(b[:nt]))
     assert np.linalg.norm(t - x[:nt]) <= 1e-13 * np.linalg.norm(x[:nt])
 
 

@@ -61,7 +61,6 @@ MIN_STEP_FRACTION = 1e-12
 # Relative gap allowed between the state trace accumulated over the loop's
 # modal solves and the trace of the certified state; measured gaps stay below 1e-15.
 TRACE_GAP_RTOL = 1e-10
-VI_SAMPLE_BLOCK = 1 << 20  # values drawn at once by optimality_residuals: 8 MiB
 _log = logging.getLogger("fracopt")
 
 
@@ -224,17 +223,13 @@ class ReducedProblem:
     def at_points(self, trace: np.ndarray) -> np.ndarray:
         return TraceField(self.mesh.base, trace).at_quadrature(self.quad)
 
-    def point_inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        """Quadrature of u v for values at the points."""
-        return float(((u * v) @ self.quad.weights).sum())
-
     def mismatch(self, trace: np.ndarray) -> np.ndarray:
         """Trace minus desired state at the points, for trace values `trace`."""
         return self.at_points(trace) - self.ud_q
 
     def cost_fully_discrete(self, Z: ControlField, V: FeField) -> float:
         r, z = self.mismatch(V.trace().values), Z.cell_values
-        return 0.5 * (self.point_inner(r, r) + self.problem.mu * self.control_inner(z, z))
+        return 0.5 * (self.quad.integrate(r * r) + self.problem.mu * self.control_inner(z, z))
 
     def gradient_fully_discrete(self, Z: ControlField, P: FeField) -> np.ndarray:
         # Riesz representative in the piecewise-constant L2 inner product
@@ -297,7 +292,7 @@ def _descend(rp: ReducedProblem, z0: Optional[ControlField], scheme: str, tol: f
     intermediate solve.
     """
     t_start, solves_before = time.perf_counter(), rp.n_state_solves
-    problem, op, inner = rp.problem, rp.op, rp.point_inner
+    problem, op, quad = rp.problem, rp.op, rp.quad
     bounds, mu = problem.bounds, problem.mu
     if scheme == "fully_discrete":
         # cell averages, exact for the multilinear trace, at every point of the cell
@@ -310,14 +305,14 @@ def _descend(rp: ReducedProblem, z0: Optional[ControlField], scheme: str, tol: f
         """Gradient, fixed-point target and residual at G for the adjoint trace p."""
         g = mu * G + restrict(p)
         target = project_box(G - step * g, bounds)
-        return g, target, math.sqrt(inner(G - target, G - target))
+        return g, target, math.sqrt(quad.integrate((G - target) ** 2))
 
     if z0 is None:
         z0 = ControlField.constant(rp.mesh.base, 0.5 * (bounds.a + bounds.b))
     G = rp.cell_point_values(z0.project(bounds).cell_values).copy()
     v_hat = rp.trace_solve(rp.load_modes(rp.load(G)))
     r = rp.mismatch(op.to_modes(v_hat))
-    j = 0.5 * (inner(r, r) + mu * inner(G, G))
+    j = 0.5 * quad.integrate(r * r + mu * G * G)
     history = [j]
     iterations = 0
     while True:
@@ -352,8 +347,8 @@ def _descend(rp: ReducedProblem, z0: Optional[ControlField], scheme: str, tol: f
                "(adjoint), trace gap %.2e, %.3f s", scheme, iterations, loop_solves,
                state_res, adjoint_res, gap, wall_time)
     report = ReducedCostReport(
-        j=0.5 * (inner(r, r) + mu * inner(G, G)),
-        gradient=ControlField(rp.mesh.base, g @ rp.quad.weights / rp.mesh.base.cell_volume),
+        j=0.5 * quad.integrate(r * r + mu * G * G),
+        gradient=ControlField(rp.mesh.base, g @ quad.weights / rp.mesh.base.cell_volume),
         vi_residual=fp_res,
         iterations=iterations,
         cost_history=history,
@@ -386,8 +381,8 @@ def _price(rp: ReducedProblem, rho: np.ndarray, G: np.ndarray, dG: np.ndarray):
     cancellation of differencing two costs near the optimum."""
     d_hat = rp.trace_solve(rp.load_modes(dG))
     mu = rp.problem.mu
-    slope = float(rho @ d_hat) + mu * rp.point_inner(G, dG)
-    curvature = 0.5 * (float(rp.op.mass_modes @ (d_hat * d_hat)) + mu * rp.point_inner(dG, dG))
+    slope = float(rho @ d_hat) + mu * rp.quad.integrate(G * dG)
+    curvature = 0.5 * (float(rp.op.mass_modes @ (d_hat * d_hat)) + mu * rp.quad.integrate(dG * dG))
     return d_hat, slope, curvature
 
 
@@ -401,7 +396,7 @@ def _arc_step(rp, G, g, rho, target):
         dG = G_new - G
         D, slope, curvature = _price(rp, rho, G, dG)
         dj = slope + curvature
-        if dj <= ARMIJO_DECREASE * rp.point_inner(g, dG):
+        if dj <= ARMIJO_DECREASE * rp.quad.integrate(g * dG):
             return G_new, D, dj
         t *= 0.5
     return None
@@ -505,21 +500,17 @@ def optimality_residuals(
     smallest sampled value of (tr P + mu Z, Z_test - Z) over random feasible
     piecewise-constant controls; nonnegative up to tolerance at an optimum.
     """
-    if n_samples < 1:
-        raise ConfigurationError(f"the VI check needs n_samples >= 1, got {n_samples}")
     rp = rp if rp is not None else ReducedProblem(problem, mesh)
     r_state, rel_state = _residual(rp, V.free_values, rp.control_point_values(Z))
     r_adj, rel_adj = _residual(rp, P.free_values, rp.mismatch(V.trace().values))
 
     g = rp.gradient_fully_discrete(Z, P)
     rng = np.random.default_rng(seed)
-    a, b = problem.bounds.a, problem.bounds.b
-    rows, vi = max(1, VI_SAMPLE_BLOCK // len(g)), math.inf
-    for start in range(0, n_samples, rows):  # the stream of one draw, in row blocks
-        samples = rng.uniform(a, b, size=(min(rows, n_samples - start), len(g)))
-        vi = min(vi, float(np.min((samples - Z.cell_values) @ g)))
-    vi *= mesh.base.cell_volume
+    samples = rng.uniform(problem.bounds.a, problem.bounds.b,
+                          size=(n_samples, mesh.base.n_cells))
+    vi = float(np.min((samples - Z.cell_values) @ g) * mesh.base.cell_volume)
     # exact separable minimum over the box (equivalent to the projection test)
+    a, b = problem.bounds.a, problem.bounds.b
     vi_exact = float(np.minimum(g * (a - Z.cell_values), g * (b - Z.cell_values)).sum()
                      * mesh.base.cell_volume)
     fp = rp.control_norm(Z.cell_values - project_box(Z.cell_values - g, problem.bounds))

@@ -116,7 +116,7 @@ class BaseQuadrature:
         return np.broadcast_to(vals, self.points.shape[:2])
 
     def integrate(self, values: np.ndarray) -> float:
-        return float((values * self.weights).sum())
+        return float((values @ self.weights).sum())
 
     def cell_averages(self, fn: Callable) -> np.ndarray:
         return self.eval_callable(fn) @ self.weights / self.base.cell_volume
@@ -267,6 +267,22 @@ def _extended_bands(nodes: np.ndarray, alpha: float):
     return (np.r_[scoef, 0.0] + np.r_[0.0, scoef], -scoef), (np.r_[m00, 0.0] + np.r_[0.0, m11], m01)
 
 
+def extended_direction_matrices(nodes: np.ndarray, alpha: float):
+    """Weighted stiffness and mass matrices over all 1D nodes of [0, Y]."""
+    return tuple(_tridiag(*band).tocsr() for band in _extended_bands(nodes, alpha))
+
+
+def base_direction_matrices(N: int):
+    """Stiffness and mass for P1 hats on the uniform partition of [0,1]."""
+    h = 1.0 / N
+    sdiag = np.full(N + 1, 2.0 / h)
+    sdiag[0] = sdiag[-1] = 1.0 / h
+    mdiag = np.full(N + 1, 2.0 * h / 3.0)
+    mdiag[0] = mdiag[-1] = h / 3.0
+    return tuple(_tridiag(d, np.full(N, o)).tocsr()
+                 for d, o in ((sdiag, -1.0 / h), (mdiag, h / 6.0)))
+
+
 def _sine_matrix(m: int) -> np.ndarray:
     """Orthonormal symmetric DST-I matrix of order m: Q @ Q = I, and Q T Q is
     diagonal for every tridiagonal Toeplitz T, such as the interior base
@@ -400,10 +416,9 @@ def assemble_stiffness(mesh: TensorMesh, s: float, c: float = 0.0) -> CylinderOp
                       for a, b in zip(stiff, mass))
     # free unknown (layer, node) -> layer*m^n + node; interior node (i, j) -> j*m + i,
     # x1 fastest; base mode (k, l) alike
-    # eigenvalues of the Toeplitz S1, M1, k = 1..m: d + 2o cos(k pi/(m+1)), written as
-    # (d + 2o) - 4o sin^2(k pi/(2m+2)) so that sigma of the low modes does not cancel
-    sin2_k = np.sin(np.pi * np.arange(1, m + 1) / (2 * m + 2)) ** 2
-    sigma, tau = (sd + 2.0 * so) - 4.0 * so * sin2_k, (md + 2.0 * mo) - 4.0 * mo * sin2_k
+    S1, M1 = (_tridiag(np.full(m, d), np.full(m - 1, o)) for d, o in ((sd, so), (md, mo)))
+    Q = _sine_matrix(m)
+    sigma, tau = np.diag(Q @ (S1 @ Q)), np.diag(Q @ (M1 @ Q))
     if mesh.n == 2:
         sigma = (np.outer(tau, sigma) + np.outer(sigma, tau)).ravel()
         tau = np.outer(tau, tau).ravel()
@@ -428,8 +443,7 @@ def assemble_stiffness(mesh: TensorMesh, s: float, c: float = 0.0) -> CylinderOp
     if not eta[worst] <= BACKWARD_ERROR_TOL:
         raise SolverError(f"the y-profile of base mode {worst} has backward error "
                           f"{eta[worst]:.3e} > {BACKWARD_ERROR_TOL:g}", float(rnorm[worst]))
-    op = CylinderOperator(mesh, s, c, layer_ops, _sine_matrix(m), tau, profiles.T.copy(),
-                          float(eta[worst]))
+    op = CylinderOperator(mesh, s, c, layer_ops, Q, tau, profiles.T.copy(), float(eta[worst]))
     _log.debug("assembled %d free dofs: |K|_1 = %.6g, profile backward error %.2e, %.3f s",
                mesh.n_free, op.norm1, eta[worst], time.perf_counter() - start)
     return op

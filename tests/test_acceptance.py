@@ -37,7 +37,7 @@ from fracopt import (
     run_truncation_study,
     solve_fully_discrete,
 )
-from fem_reference import base_direction_matrices
+from fracopt.fem import base_direction_matrices
 
 
 def dense(op):

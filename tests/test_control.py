@@ -386,20 +386,6 @@ def test_problem_config_validation():
         ProblemConfig(s=0.5, u_d=ud, bounds=BoxBounds(0, 1), c=-1.0)
 
 
-def test_sampled_vi_check_draws_in_blocks(monkeypatch):
-    # row blocks of the generator's stream give the one-shot minimum, bit for bit
-    _, problem, mesh = manufactured_setup(n=2, s=0.5, N=8, M=8, mu=1e-2)
-    rp = ReducedProblem(problem, mesh)
-    Z, V, P, _ = solve_fully_discrete(problem, mesh, rp=rp)
-    g = rp.gradient_fully_discrete(Z, P)
-    samples = np.random.default_rng(5).uniform(problem.bounds.a, problem.bounds.b,
-                                               size=(50, mesh.base.n_cells))
-    one_shot = float(np.min((samples - Z.cell_values) @ g) * mesh.base.cell_volume)
-    monkeypatch.setattr(control, "VI_SAMPLE_BLOCK", 7 * mesh.base.n_cells + 3)  # 7 rows
-    res = optimality_residuals(Z, V, P, problem, mesh, rp=rp, n_samples=50, seed=5)
-    assert res.vi_violation_min == one_shot
-
-
 @pytest.mark.parametrize("n, N", [(1, 16), (2, 6)])
 def test_modal_pricing_matches_point_space(n, N):
     # B A = M (the 3-point rule is exact for products of Q1 functions) and Q M Q is
@@ -421,10 +407,3 @@ def test_modal_pricing_matches_point_space(n, N):
                           (slope, integrate(r * Ad + mu * G * dG)),
                           (curvature, 0.5 * integrate(Ad * Ad + mu * dG * dG))):
         assert abs(modal - points) <= 1e-13 * abs(points)
-
-
-def test_sampled_vi_check_needs_a_sample():
-    _, problem, mesh = manufactured_setup(n=1, s=0.5, N=8, M=8)
-    Z, V, P, _ = solve_fully_discrete(problem, mesh)
-    with pytest.raises(ConfigurationError, match="n_samples"):
-        optimality_residuals(Z, V, P, problem, mesh, n_samples=0)

@@ -38,8 +38,11 @@ from fracopt import (
     solve_state,
 )
 from fracopt import fem
-from fracopt.fem import weighted_interval_integrals
-from fem_reference import base_direction_matrices, extended_direction_matrices
+from fracopt.fem import (
+    base_direction_matrices,
+    extended_direction_matrices,
+    weighted_interval_integrals,
+)
 
 
 def small_mesh(n=1, N=4, M=3, gamma=2.0, Y=1.0):

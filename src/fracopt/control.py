@@ -284,12 +284,12 @@ def _descend(rp: ReducedProblem, z0: Optional[ControlField], scheme: str, tol: f
     rho = Q B r = mass_modes v_hat - Q B u_d, and the adjoint trace is
     Q (profiles[0] rho).  These iterates only steer, choosing the final G.
     The state V of G and the adjoint P of its mismatch are solved in full by
-    CylinderOperator.solve, which checks each against `apply` or raises
-    SolverError; the cost, fixed-point residual, gradient and `converged` are
-    taken from them.  The state is affine in G, so Q v_hat (initial state
-    plus accepted increments) must equal tr V up to rounding; a relative gap
-    above TRACE_GAP_RTOL raises SolverError, which covers every accepted
-    intermediate solve.
+    CylinderOperator.solve, which checks each against `apply` (the certificate
+    reports those residuals) or raises SolverError; the cost, fixed-point
+    residual, gradient and `converged` are taken from them.  The state is
+    affine in G, so Q v_hat (initial state plus accepted increments) must
+    equal tr V up to rounding; a relative gap above TRACE_GAP_RTOL raises
+    SolverError, which covers every accepted intermediate solve.
     """
     t_start, solves_before = time.perf_counter(), rp.n_state_solves
     problem, op, quad = rp.problem, rp.op, rp.quad
@@ -331,6 +331,7 @@ def _descend(rp: ReducedProblem, z0: Optional[ControlField], scheme: str, tol: f
     loop_solves = rp.n_state_solves - solves_before
 
     V = rp.state(rp.load(G))  # checked exit solves; the report counts the loop's only
+    state_res = op.last_residual
     v, v_cert = op.to_modes(v_hat), V.trace().values
     gap = float(np.linalg.norm(v - v_cert)) / max(float(np.linalg.norm(v_cert)),
                                                   np.finfo(float).tiny)
@@ -339,9 +340,8 @@ def _descend(rp: ReducedProblem, z0: Optional[ControlField], scheme: str, tol: f
                           gap)
     r = rp.mismatch(v_cert)
     P = rp.state(r)
+    adjoint_res = op.last_residual
     g, _, fp_res = optimality(G, P.trace().values)
-    state_res = _residual(rp, V.free_values, rp.load(G))[1]
-    adjoint_res = _residual(rp, P.free_values, r)[1]
     wall_time = time.perf_counter() - t_start
     _log.debug("%s: %d iterations, %d solves, certified residuals %.2e (state) %.2e "
                "(adjoint), trace gap %.2e, %.3f s", scheme, iterations, loop_solves,

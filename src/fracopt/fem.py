@@ -26,7 +26,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .meshes import BasePartition, TensorMesh
 from .spectral import ConfigurationError, FractionalConstants
@@ -261,34 +261,30 @@ def _tridiag(diag: np.ndarray, off: np.ndarray) -> sp.dia_matrix:
     return sp.dia_matrix((data, [-1, 0, 1]), shape=(len(diag),) * 2)
 
 
-def _extended_bands(nodes: np.ndarray, alpha: float):
-    """(diagonal, off-diagonal) of the weighted stiffness and mass over all 1D nodes of [0, Y]."""
-    scoef, m00, m01, m11 = weighted_interval_integrals(nodes, alpha)
-    return (np.r_[scoef, 0.0] + np.r_[0.0, scoef], -scoef), (np.r_[m00, 0.0] + np.r_[0.0, m11], m01)
-
-
-def extended_direction_matrices(nodes: np.ndarray, alpha: float):
-    """Weighted stiffness and mass matrices over all 1D nodes of [0, Y]."""
-    return tuple(_tridiag(*band).tocsr() for band in _extended_bands(nodes, alpha))
-
-
-def base_direction_matrices(N: int):
-    """Stiffness and mass for P1 hats on the uniform partition of [0,1]."""
-    h = 1.0 / N
-    sdiag = np.full(N + 1, 2.0 / h)
-    sdiag[0] = sdiag[-1] = 1.0 / h
-    mdiag = np.full(N + 1, 2.0 * h / 3.0)
-    mdiag[0] = mdiag[-1] = h / 3.0
-    return tuple(_tridiag(d, np.full(N, o)).tocsr()
-                 for d, o in ((sdiag, -1.0 / h), (mdiag, h / 6.0)))
-
-
-def _sine_matrix(m: int) -> np.ndarray:
-    """Orthonormal symmetric DST-I matrix of order m: Q @ Q = I, and Q T Q is
-    diagonal for every tridiagonal Toeplitz T, such as the interior base
-    factors on a uniform partition into m + 1 cells."""
+@functools.lru_cache(maxsize=8)
+def _base_symbols(n: int, m: int, stiff: Tuple[float, float], mass: Tuple[float, float]):
+    """Sine modes of the uniform base mesh with m interior nodes per direction and interior
+    factors S1, M1 of Toeplitz bands `stiff`, `mass`; cached, so read-only.  Returns the
+    orthonormal DST-I matrix Q (Q @ Q = I; Q S1 Q, Q M1 Q diagonal), mass_modes, and the Sx,
+    Mx symbols sigma, tau of the distinct y-systems: at n=2, sigma_kl = tau_k sigma_l +
+    sigma_k tau_l and tau_kl = tau_k tau_l are symmetric in (k, l) bit for bit, so only k <= l
+    is listed; `first` is the base mode k m + l of each system, `system` the reverse map."""
     k = np.arange(1, m + 1)
-    return math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+    Q = math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+    S1, M1 = (_tridiag(np.full(m, d), np.full(m - 1, o)) for d, o in (stiff, mass))
+    # strided diagonal views: a contiguous tau rounds the loop's dot products with
+    # mass_modes (control._price) differently, and moves the variational iterates' last bits
+    sigma, tau = np.diag(Q @ (S1 @ Q)), np.diag(Q @ (M1 @ Q))
+    mass_modes, first, system = tau, np.arange(m), np.arange(m)
+    if n == 2:
+        k, l = np.triu_indices(m)
+        first, system = k * m + l, np.empty((m, m), dtype=np.intp)
+        system[k, l] = system[l, k] = np.arange(len(k))
+        mass_modes, system = np.outer(tau, tau).ravel(), system.ravel()
+        sigma, tau = tau[k] * sigma[l] + sigma[k] * tau[l], tau[k] * tau[l]
+    for a in (Q, mass_modes, sigma, tau, first, system):
+        a.flags.writeable = False
+    return Q, mass_modes, sigma, tau, first, system
 
 
 def _neighbour_sum(X: np.ndarray, axis: int) -> np.ndarray:
@@ -309,11 +305,12 @@ class CylinderOperator:
     T_t a y-tridiagonal: `apply` computes K x with one shift-sum per base direction, and
     `norm1` is the exact ||K||_1.  The sine matrix Q diagonalizes the base factors (fast
     diagonalization, Lynch-Rice-Thomas), Q M Q = diag(mass_modes) for the base mass M:
-    each base mode j leaves one SPD tridiagonal system (a_j My + b_j Sy) / d_s in y, solved
-    at assembly for a unit load on the layer y=0; `profiles[:, j]` is its y-profile,
-    rejected if its backward error exceeds BACKWARD_ERROR_TOL.  `solve` transforms the
-    trace block (`to_modes`), scales the profiles, transforms all layers back and checks
-    the result with `apply`, independent of both.  So the trace response is diagonal in
+    each base mode j leaves one SPD tridiagonal system (a_j My + b_j Sy) / d_s in y (the
+    modes (k, l), (l, k) share one), all solved at assembly in one tridiagonal sweep for a
+    unit load on the layer y=0; `profiles[:, j]` is the y-profile of mode j, rejected if
+    its backward error exceeds BACKWARD_ERROR_TOL.  `solve` transforms the trace block
+    (`to_modes`), scales the profiles, transforms all layers back and checks the result
+    with `apply`, independent of both.  So the trace response is diagonal in
     sine modes, profiles[0]: the optimizer loop iterates there and certifies its outputs
     through `solve` (control._descend).  The graded y-direction is never diagonalized;
     its mass matrix is too badly conditioned.
@@ -329,6 +326,7 @@ class CylinderOperator:
         self._sine = sine  # per base direction
         self.mass_modes = mass_modes  # diagonal of the base mass matrix in sine modes
         self.profiles = profiles
+        self.last_residual = 0.0  # relative residual |b - K x| / |b| of the last solve
         # largest backward error of the profiles' tridiagonal solves, checked at assembly
         self.profile_backward_error = profile_backward_error
         # |K|_1: a column adds |T_t| over the N_t-neighbours of its node, disjoint for
@@ -385,16 +383,19 @@ class CylinderOperator:
                                      "off the layer y=0")
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
+            self.last_residual = 0.0
             return np.zeros(self.n)
         x = self.to_modes(self.profiles * self.to_modes(b[None, :nt])).ravel()
         met, rnorm = self._contract_met(x, b, bnorm)
+        self.last_residual = float(rnorm / bnorm)
         if not met:
-            raise SolverError("solver residual contract violated", rnorm / bnorm)
+            raise SolverError("solver residual contract violated", self.last_residual)
         return x
 
 
 def assemble_stiffness(mesh: TensorMesh, s: float, c: float = 0.0) -> CylinderOperator:
-    """Assemble (1/d_s) int y^alpha (grad w . grad phi + c w phi) on free DOFs."""
+    """Assemble (1/d_s) int y^alpha (grad w . grad phi + c w phi) on free DOFs; the y-profiles
+    come from one LAPACK tridiagonal sweep over the distinct base-mode systems."""
     if c < 0.0:
         raise ConfigurationError(f"coefficient c must be >= 0, got {c}")
     if mesh.n_free == 0:
@@ -402,7 +403,9 @@ def assemble_stiffness(mesh: TensorMesh, s: float, c: float = 0.0) -> CylinderOp
     start = time.perf_counter()
     consts = FractionalConstants.from_order(s)
     with np.errstate(all="ignore"):  # non-finite integrals are rejected below
-        y_bands = _extended_bands(mesh.extended.nodes, consts.alpha)
+        scoef, m00, m01, m11 = weighted_interval_integrals(mesh.extended.nodes, consts.alpha)
+        y_bands = ((np.r_[scoef, 0.0] + np.r_[0.0, scoef], -scoef),
+                   (np.r_[m00, 0.0] + np.r_[0.0, m11], m01))  # (diagonal, off) of Sy, My
     if not all(np.isfinite(band).all() for pair in y_bands for band in pair):
         raise ConfigurationError("the weighted y-integrals overflow on this graded partition; "
                                  "use fewer layers or a weaker grading")
@@ -416,34 +419,30 @@ def assemble_stiffness(mesh: TensorMesh, s: float, c: float = 0.0) -> CylinderOp
                       for a, b in zip(stiff, mass))
     # free unknown (layer, node) -> layer*m^n + node; interior node (i, j) -> j*m + i,
     # x1 fastest; base mode (k, l) alike
-    S1, M1 = (_tridiag(np.full(m, d), np.full(m - 1, o)) for d, o in ((sd, so), (md, mo)))
-    Q = _sine_matrix(m)
-    sigma, tau = np.diag(Q @ (S1 @ Q)), np.diag(Q @ (M1 @ Q))
-    if mesh.n == 2:
-        sigma = (np.outer(tau, sigma) + np.outer(sigma, tau)).ravel()
-        tau = np.outer(tau, tau).ravel()
-    a = (sigma + c * tau)[:, None] / consts.d_s  # My coefficient per base mode
-    b = tau[:, None] / consts.d_s  # Sy coefficient
-    diag = a * my + b * sy
-    upper = np.pad(a * my_up + b * sy_up, ((0, 0), (0, 1)))  # no coupling across modes
-    # solve_banded layout: upper, diagonal, lower; upper's last entry is zero
-    banded = np.stack([np.roll(upper.ravel(), 1), diag.ravel(), upper.ravel()])
-    unit = np.zeros_like(diag)
-    unit[:, 0] = 1.0  # unit load on the trace layer of every base mode
-    p = solve_banded((1, 1), banded, unit.ravel(), check_finite=False)
-    if not np.isfinite(p).all():
-        raise ConfigurationError("the y-profiles of the trace load are not finite on this "
-                                 "graded partition; use fewer layers or a weaker grading")
-    # per mode j: |T_j p_j - e_0| / (|T_j|_1 |p_j| + 1), T p from the banded rows (zero-padded)
-    Tp = banded[1] * p + np.roll(banded[0] * p, -1) + np.roll(banded[2] * p, 1) - unit.ravel()
-    rnorm, profiles = np.linalg.norm(Tp.reshape(diag.shape), axis=1), p.reshape(diag.shape)
-    norm1_T = np.abs(banded).sum(axis=0).reshape(diag.shape).max(axis=1)
-    eta = rnorm / (norm1_T * np.linalg.norm(profiles, axis=1) + 1.0)
+    Q, mass_modes, sigma, tau, first, system = _base_symbols(mesh.n, m, (sd, so), (md, mo))
+    a = ((sigma + c * tau) / consts.d_s)[:, None]  # My coefficient per system
+    b = (tau / consts.d_s)[:, None]  # Sy coefficient
+    # all systems in one tridiagonal, M layers each; off[:, -1] = 0 decouples them
+    diag, off = (a * my + b * sy).ravel(), np.zeros((len(a), M))
+    off[:, :-1] = a * my_up + b * sy_up
+    band, p = off.ravel()[:-1], np.zeros(diag.size)
+    p[::M] = 1.0  # unit load on the trace layer of every system
+    *_, p, info = dgtsv(band, diag, band, p, overwrite_b=True)
+    if info or not np.isfinite(p).all():
+        raise ConfigurationError(f"the y-profiles are singular (LAPACK info {info}) or not finite "
+                                 "on this graded partition; use fewer layers or a weaker grading")
+    # per system j: |T_j p_j - e_0| / (|T_j|_1 |p_j| + 1), from the same bands
+    Tp = diag * p + np.r_[band * p[1:], 0.0] + np.r_[0.0, band * p[:-1]]
+    Tp[::M] -= 1.0
+    norm1_T = np.abs(np.r_[0.0, band]) + np.abs(diag) + np.abs(off.ravel())  # per column
+    rnorm, p = np.linalg.norm(Tp.reshape(off.shape), axis=1), p.reshape(off.shape)
+    eta = rnorm / (norm1_T.reshape(off.shape).max(axis=1) * np.linalg.norm(p, axis=1) + 1.0)
     worst = int(eta.argmax())
     if not eta[worst] <= BACKWARD_ERROR_TOL:
-        raise SolverError(f"the y-profile of base mode {worst} has backward error "
+        raise SolverError(f"the y-profile of base mode {first[worst]} has backward error "
                           f"{eta[worst]:.3e} > {BACKWARD_ERROR_TOL:g}", float(rnorm[worst]))
-    op = CylinderOperator(mesh, s, c, layer_ops, Q, tau, profiles.T.copy(), float(eta[worst]))
+    profiles = np.take(p.T, system, axis=1)  # (layer, base mode), C order
+    op = CylinderOperator(mesh, s, c, layer_ops, Q, mass_modes, profiles, float(eta[worst]))
     _log.debug("assembled %d free dofs: |K|_1 = %.6g, profile backward error %.2e, %.3f s",
                mesh.n_free, op.norm1, eta[worst], time.perf_counter() - start)
     return op

@@ -37,7 +37,8 @@ from fracopt import (
     run_truncation_study,
     solve_fully_discrete,
 )
-from fracopt.fem import base_direction_matrices
+
+from direction_matrices import base_direction_matrices
 
 
 def dense(op):

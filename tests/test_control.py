@@ -330,15 +330,24 @@ def test_both_schemes_converge_for_small_mu(scheme, mu):
 @pytest.mark.parametrize("scheme", ["fully_discrete", "variational"])
 def test_only_exit_fields_are_solved_in_full(scheme, monkeypatch):
     # the loop runs on trace solves; the state and adjoint it returns are the
-    # two solves checked against K, and the report certifies them
+    # two solves checked against K, and the report certifies them with the
+    # residuals of those checks, applying K once per solve
     _, problem, mesh = manufactured_setup(n=1, s=0.5, N=16, M=16, mu=1e-2)
-    calls = []
-    solve = CylinderOperator.solve
+    calls, applies = [], []
+    solve, apply = CylinderOperator.solve, CylinderOperator.apply
     monkeypatch.setattr(CylinderOperator, "solve",
                         lambda op, b: calls.append(b) or solve(op, b))
-    rep = (solve_fully_discrete if scheme == "fully_discrete" else solve_variational)(
-        problem, mesh)[-1]
-    assert len(calls) == 2
+    monkeypatch.setattr(CylinderOperator, "apply",
+                        lambda op, x: applies.append(x) or apply(op, x))
+    rp = ReducedProblem(problem, mesh)
+    out = (solve_fully_discrete if scheme == "fully_discrete" else solve_variational)(
+        problem, mesh, rp=rp)
+    rep = out[-1]
+    assert len(calls) == len(applies) == 2
+    if scheme == "fully_discrete":  # the same residuals as recomputed from the fields
+        res = optimality_residuals(*out[:3], problem, mesh, rp=rp)
+        assert rep.certificate["state_residual_rel"] == res.state_residual_rel
+        assert rep.certificate["adjoint_residual_rel"] == res.adjoint_residual_rel
     assert rep.iterations > 1 and rep.converged
     cert = rep.to_dict()["certificate"]
     assert cert["state_residual_rel"] <= 1e-10 and cert["adjoint_residual_rel"] <= 1e-10

@@ -15,6 +15,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 from scipy.sparse.linalg import spsolve
 
 from fracopt import (
@@ -38,11 +39,9 @@ from fracopt import (
     solve_state,
 )
 from fracopt import fem
-from fracopt.fem import (
-    base_direction_matrices,
-    extended_direction_matrices,
-    weighted_interval_integrals,
-)
+from fracopt.fem import weighted_interval_integrals
+
+from direction_matrices import base_direction_matrices, extended_direction_matrices
 
 
 def small_mesh(n=1, N=4, M=3, gamma=2.0, Y=1.0):
@@ -375,6 +374,72 @@ def test_solve_matches_sparse_direct_reference(n, N, M, c, s, graded):
     assert np.linalg.norm(t - x[:nt]) <= 1e-13 * np.linalg.norm(x[:nt])
 
 
+def _per_mode_reference(mesh, s, c):
+    """The operator assembled mode by mode: y-bands from weighted_interval_integrals,
+    textbook base factors and their symbols diag(Q S1 Q), diag(Q M1 Q), and one
+    solve_banded per base mode, mirrored pairs included."""
+    consts = FractionalConstants.from_order(s)
+    M, N = mesh.extended.M, mesh.base.cells_per_side
+    m, h = N - 1, 1.0 / N
+    Sy, My = extended_direction_matrices(mesh.extended.nodes, consts.alpha)
+    (sy, sy_up), (my, my_up) = ((A.diagonal()[:M], A.diagonal(1)[:M - 1]) for A in (Sy, My))
+    sd, so, md, mo = 2.0 / h, -1.0 / h, 2.0 * h / 3.0, h / 6.0
+    stiff, mass = ((sd, so), (md, mo)) if mesh.n == 1 else (
+        (2.0 * sd * md, sd * mo + so * md, 2.0 * so * mo), (md * md, md * mo, mo * mo))
+    layer_ops = [sp.diags([up, d, up], [-1, 0, 1]) for d, up in (
+        (((a + c * b) * my + b * sy) / consts.d_s, ((a + c * b) * my_up + b * sy_up) / consts.d_s)
+        for a, b in zip(stiff, mass))]
+    k = np.arange(1, m + 1)
+    Q = math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+    S1, M1 = (sp.diags([np.full(m - 1, o), np.full(m, d), np.full(m - 1, o)], [-1, 0, 1])
+              for d, o in ((sd, so), (md, mo)))
+    sigma, tau = np.diag(Q @ (S1 @ Q)), np.diag(Q @ (M1 @ Q))
+    if mesh.n == 2:  # base mode (k, l) -> k m + l
+        sigma = (np.outer(tau, sigma) + np.outer(sigma, tau)).ravel()
+        tau = np.outer(tau, tau).ravel()
+    profiles = np.empty((M, len(tau)))
+    for j, (sigma_j, tau_j) in enumerate(zip(sigma, tau)):
+        a, b = (sigma_j + c * tau_j) / consts.d_s, tau_j / consts.d_s
+        up = a * my_up + b * sy_up
+        banded = np.stack([np.r_[0.0, up], a * my + b * sy, np.r_[up, 0.0]])
+        profiles[:, j] = solve_banded((1, 1), banded, np.eye(M)[0])
+    return fem.CylinderOperator(mesh, s, c, layer_ops, Q, tau, profiles, 0.0)
+
+
+@pytest.mark.parametrize("n, N, M", [(1, 12, 9), (2, 7, 6)])
+@pytest.mark.parametrize("c", [0.0, 1.0])
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_assembly_is_bit_identical_to_per_mode_reference(n, N, M, s, c):
+    # one tridiagonal sweep over the distinct systems changes no bit of the operator
+    mesh = small_mesh(n=n, N=N, M=M, gamma=default_grading(s), Y=2.0)
+    op, ref = assemble_stiffness(mesh, s, c), _per_mode_reference(mesh, s, c)
+    for name in ("profiles", "mass_modes", "norm1"):
+        np.testing.assert_array_equal(getattr(op, name), getattr(ref, name))
+    # the optimizer's dot products with mass_modes round by its layout
+    assert op.mass_modes.strides == ref.mass_modes.strides
+    b = assemble_trace_load(mesh, np.random.default_rng(7).uniform(-1.0, 1.0,
+                                                                  mesh.base.n_cells))
+    x = op.solve(b)
+    np.testing.assert_array_equal(x, ref.solve(b))
+    np.testing.assert_array_equal(op.apply(x), ref.apply(x))
+    if n == 2:  # the modes (k, l) and (l, k) share one system
+        P = op.profiles.reshape(M, N - 1, N - 1)
+        np.testing.assert_array_equal(P, P.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_base_symbols_are_cached_and_read_only(n):
+    # they depend on the base mesh only, so assemblies on it share them
+    op = assemble_stiffness(small_mesh(n=n, N=6), 0.5)
+    h = 1.0 / 6
+    symbols = fem._base_symbols(n, 5, (2.0 / h, -1.0 / h), (2.0 * h / 3.0, h / 6.0))
+    assert symbols[1] is op.mass_modes
+    assert assemble_stiffness(small_mesh(n=n, N=6, M=5), 0.3, 1.0).mass_modes is op.mass_modes
+    for a in symbols:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
 def test_solve_rejects_load_off_trace_layer():
     mesh = small_mesh(n=1, N=4, M=3)
     op = assemble_stiffness(mesh, 0.5)
@@ -400,20 +465,54 @@ def test_symbol_of_lowest_mode_approaches_fractional_eigenvalue(s):
 
 
 def test_assembly_rejects_nonfinite_profiles(monkeypatch):
-    # no partition with finite y-integrals is known to get here; a band
+    # no partition with finite y-integrals is known to get here; a tridiagonal
     # solve that breaks down must still be reported, not solved with
-    monkeypatch.setattr(fem, "solve_banded", lambda lu, ab, rhs, **kw: np.full_like(rhs, np.nan))
+    monkeypatch.setattr(fem, "dgtsv", lambda dl, d, du, b, **kw: (dl, d, du, b * np.nan, 0))
     with pytest.raises(ConfigurationError, match="profiles"):
         assemble_stiffness(small_mesh(), 0.5)
 
 
+def test_assembly_rejects_singular_profile_systems(monkeypatch):
+    # LAPACK reports an exactly zero pivot through info and leaves the load finite;
+    # that is a configuration error, not a profile to check or a bare LinAlgError
+    solve = fem.dgtsv
+
+    def zeroed(dl, d, du, b, **kw):
+        return solve(0 * dl, 0 * d, 0 * du, b, **kw)
+
+    monkeypatch.setattr(fem, "dgtsv", zeroed)
+    with pytest.raises(ConfigurationError, match=r"singular \(LAPACK info 1\)"):
+        assemble_stiffness(small_mesh(), 0.5)
+
+
+def _scale_profiles(monkeypatch, M, system=slice(None)):
+    """Scale the profiles the tridiagonal sweep returns by 1 + 1e-12: those of one
+    system, or of all (M layers each)."""
+    solve = fem.dgtsv
+
+    def scaled(*args, **kw):
+        *bands, p, info = solve(*args, **kw)
+        p.reshape(-1, M)[system] *= 1.0 + 1e-12
+        return (*bands, p, info)
+
+    monkeypatch.setattr(fem, "dgtsv", scaled)
+
+
 def test_assembly_rejects_inaccurate_profiles(monkeypatch):
     # profiles off by 1e-12 relative have a backward error far above 5e-15
-    solve = fem.solve_banded
-    monkeypatch.setattr(fem, "solve_banded",
-                        lambda lu, ab, rhs, **kw: solve(lu, ab, rhs, **kw) * (1.0 + 1e-12))
+    mesh = small_mesh()
+    _scale_profiles(monkeypatch, mesh.extended.M)
     with pytest.raises(fem.SolverError, match="backward error"):
-        assemble_stiffness(small_mesh(), 0.5)
+        assemble_stiffness(mesh, 0.5)
+
+
+def test_inaccurate_profile_error_names_the_base_mode(monkeypatch):
+    # n=2, 5 x 5 base modes: the 15 systems are the modes (k, l), k <= l, row by row,
+    # so system 7 is mode (1, 3), base mode 1 * 5 + 3 = 8 (and its mirror (3, 1))
+    mesh = small_mesh(n=2, N=6, M=4)
+    _scale_profiles(monkeypatch, mesh.extended.M, system=7)
+    with pytest.raises(fem.SolverError, match="the y-profile of base mode 8 has backward error"):
+        assemble_stiffness(mesh, 0.5)
 
 
 @given(s=st.floats(0.005, 0.995), M=st.integers(2, 160))

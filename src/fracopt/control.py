@@ -50,7 +50,6 @@ __all__ = [
     "VariationalControl",
     "optimality_residuals",
     "project_box",
-    "project_piecewise_constant",
     "reduced_cost_and_gradient",
     "solve_fully_discrete",
     "solve_variational",
@@ -99,18 +98,6 @@ class ControlField:
 
     def project(self, bounds: BoxBounds) -> "ControlField":
         return ControlField(self.base, project_box(self.cell_values, bounds))
-
-    def to_csv(self, path) -> None:
-        centers = self.base.cell_origins + 0.5 * self.base.h
-        header = ",".join(f"x{d+1}" for d in range(self.base.n)) + ",value"
-        np.savetxt(path, np.column_stack([centers, self.cell_values]),
-                   delimiter=",", header=header, comments="", fmt="%.16e")
-
-
-def project_piecewise_constant(r: Callable, base: BasePartition, npts: int = 3) -> ControlField:
-    """L2-orthogonal projection onto cellwise constants: per-cell averages."""
-    quad = BaseQuadrature(base, npts)
-    return ControlField(base, quad.cell_averages(r))
 
 
 @dataclass(frozen=True)
@@ -171,7 +158,9 @@ class ReducedCostReport:
 
 
 class ReducedProblem:
-    """Shared machinery: assembled operator, quadrature data, misfit terms.
+    """Shared machinery: assembled operator, quadrature data, and the only definitions
+    of the cost (`cost`), the gradient and fixed-point residual (`optimality`) and the
+    certified evaluation at a control (`evaluate`).
 
     The misfit integral, the adjoint load and the per-cell gradient all use
     the same degree-4-exact rule, which makes the discrete gradient exact
@@ -197,10 +186,7 @@ class ReducedProblem:
         """State load at the points for control values G there: G plus the forcing."""
         return G + self.f_q if self.f_q is not None else G
 
-    def control_point_values(self, Z: ControlField) -> np.ndarray:
-        return self.load(self.cell_point_values(Z.cell_values))
-
-    # -- state / adjoint ---------------------------------------------------
+    # -- state -----------------------------------------------------------
     def state(self, point_values: np.ndarray) -> FeField:
         """Full state of a load given at the points, through the checked solve."""
         self.n_state_solves += 1
@@ -216,10 +202,7 @@ class ReducedProblem:
         self.n_state_solves += 1
         return self.op.profiles[0] * load_modes
 
-    def adjoint(self, V: FeField) -> FeField:
-        return self.state(self.mismatch(V.trace().values))
-
-    # -- cost pieces --------------------------------------------------------
+    # -- cost, gradient, optimality --------------------------------------
     def at_points(self, trace: np.ndarray) -> np.ndarray:
         return TraceField(self.mesh.base, trace).at_quadrature(self.quad)
 
@@ -227,54 +210,83 @@ class ReducedProblem:
         """Trace minus desired state at the points, for trace values `trace`."""
         return self.at_points(trace) - self.ud_q
 
-    def cost_fully_discrete(self, Z: ControlField, V: FeField) -> float:
-        r, z = self.mismatch(V.trace().values), Z.cell_values
-        return 0.5 * (self.quad.integrate(r * r) + self.problem.mu * self.control_inner(z, z))
+    def cost(self, G: np.ndarray, r: np.ndarray) -> float:
+        """J = (||r||^2 + mu ||G||^2) / 2 for control values G and mismatch r at the points."""
+        return 0.5 * self.quad.integrate(r * r + self.problem.mu * G * G)
 
-    def gradient_fully_discrete(self, Z: ControlField, P: FeField) -> np.ndarray:
-        # Riesz representative in the piecewise-constant L2 inner product
-        return self.problem.mu * Z.cell_values + P.trace().cell_averages()
+    def optimality(self, G: np.ndarray, p: np.ndarray, scheme: str):
+        """Gradient g = mu G + restrict(p) at the points for control values G there and
+        adjoint trace p, the fixed-point target proj(G - step g) and the residual
+        ||G - target||_L2.  The scheme fixes restrict and step: cell averages (exact for
+        the multilinear trace, at every point of the cell) and 1, fully discrete; the
+        values at the points and 1/mu, variational."""
+        mu = self.problem.mu
+        if scheme == "fully_discrete":
+            restricted, step = self.cell_point_values(
+                TraceField(self.mesh.base, p).cell_averages()), 1.0
+        elif scheme == "variational":
+            restricted, step = self.at_points(p), 1.0 / mu
+        else:
+            raise ConfigurationError(f"unknown scheme {scheme!r}")
+        g = mu * G + restricted
+        target = project_box(G - step * g, self.problem.bounds)
+        return g, target, math.sqrt(self.quad.integrate((G - target) ** 2))
 
-    def control_inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        return self.mesh.base.cell_volume * float(u @ v)
-
-    def control_norm(self, u: np.ndarray) -> float:
-        return math.sqrt(max(self.control_inner(u, u), 0.0))
+    def evaluate(self, G: np.ndarray, scheme: str, v_hat: Optional[np.ndarray] = None
+                 ) -> Tuple[FeField, FeField, ReducedCostReport]:
+        """The state V of control values G at the points and the adjoint P of its mismatch,
+        each solved in full and checked against the operator (SolverError otherwise), with
+        a report of the cost, the cell averages of the gradient, the fixed-point residual
+        and the certificate of both solves.  The state is affine in G, so `v_hat`, the
+        state trace in sine modes that the optimizer loop accumulated for G, must equal
+        tr V up to rounding; a relative gap above TRACE_GAP_RTOL raises SolverError."""
+        op, quad = self.op, self.quad
+        V = self.state(self.load(G))
+        state_res = op.last_residual
+        v_cert = V.trace().values
+        if v_hat is not None:
+            gap = float(np.linalg.norm(op.to_modes(v_hat) - v_cert)) / max(
+                float(np.linalg.norm(v_cert)), np.finfo(float).tiny)
+            if gap > TRACE_GAP_RTOL:
+                raise SolverError("the accumulated state trace departs from the certified "
+                                  "state's", gap)
+        r = self.mismatch(v_cert)
+        P = self.state(r)
+        certificate = {"state_residual_rel": state_res, "adjoint_residual_rel": op.last_residual}
+        if v_hat is not None:
+            certificate["trace_gap"] = gap
+        certificate["profile_backward_error"] = op.profile_backward_error
+        g, _, fp_res = self.optimality(G, P.trace().values, scheme)
+        return V, P, ReducedCostReport(
+            j=self.cost(G, r),
+            gradient=ControlField(self.mesh.base, g @ quad.weights / self.mesh.base.cell_volume),
+            vi_residual=fp_res,
+            scheme=scheme,
+            certificate=certificate,
+        )
 
 
 def reduced_cost_and_gradient(Z: ControlField, problem: ProblemConfig, mesh: TensorMesh,
                               rp: Optional[ReducedProblem] = None) -> ReducedCostReport:
-    """Evaluate J(Z) and its cellwise gradient (one state + one adjoint solve)."""
+    """J(Z), its cellwise gradient, the fixed-point residual and the certificate of the
+    state and adjoint solves: the optimizer's exit evaluation (ReducedProblem.evaluate)."""
     rp = rp if rp is not None else ReducedProblem(problem, mesh)
     t0 = time.perf_counter()
-    V = rp.state(rp.control_point_values(Z))
-    P = rp.adjoint(V)
-    j = rp.cost_fully_discrete(Z, V)
-    g = rp.gradient_fully_discrete(Z, P)
-    fp = rp.control_norm(Z.cell_values - project_box(Z.cell_values - g, problem.bounds))
-    return ReducedCostReport(
-        j=j,
-        gradient=ControlField(mesh.base, g),
-        vi_residual=fp,
-        cost_history=[j],
-        n_state_solves=2,
-        wall_time=time.perf_counter() - t0,
-    )
+    _, _, report = rp.evaluate(rp.cell_point_values(Z.cell_values), "fully_discrete")
+    report.cost_history, report.n_state_solves = [report.j], 2
+    report.wall_time = time.perf_counter() - t0
+    return report
 
 
 def _descend(rp: ReducedProblem, z0: Optional[ControlField], scheme: str, tol: float,
              max_iterations: int) -> Tuple[np.ndarray, FeField, FeField, ReducedCostReport]:
     """Projected descent on the control values G at the load quadrature points.
 
-    A scheme fixes its restriction of the adjoint trace into the control
-    space at the points (cell averages, fully discrete; the values,
-    variational), the step of its fixed-point residual
-    ||G - proj(G - step g)||_L2, g = mu G + restrict(tr P) (1 or 1/mu), and
+    A scheme fixes its gradient and fixed-point residual (rp.optimality) and
     its step rule (_arc_step, _segment_step).  Shared: each trial solves once
-    for the state of its increment and is priced exactly (_price), the loop
-    stops unconverged rather than take a step that raises the cost, and the
-    gradient is reported as the cell averages of g.  Starts from z0, by
-    default the box midpoint.
+    for the state of its increment and is priced exactly (_price), and the
+    loop stops unconverged rather than take a step that raises the cost.
+    Starts from z0, by default the box midpoint.
 
     The loop runs in sine modes, where the trace solve is the scaling by
     profiles[0] (rp.trace_solve) and the trace mass matrix B A = M is
@@ -283,41 +295,26 @@ def _descend(rp: ReducedProblem, z0: Optional[ControlField], scheme: str, tol: f
     trace is v = Q v_hat; the mismatch r = A v - u_d has the load
     rho = Q B r = mass_modes v_hat - Q B u_d, and the adjoint trace is
     Q (profiles[0] rho).  These iterates only steer, choosing the final G.
-    The state V of G and the adjoint P of its mismatch are solved in full by
-    CylinderOperator.solve, which checks each against `apply` (the certificate
-    reports those residuals) or raises SolverError; the cost, fixed-point
-    residual, gradient and `converged` are taken from them.  The state is
-    affine in G, so Q v_hat (initial state plus accepted increments) must
-    equal tr V up to rounding; a relative gap above TRACE_GAP_RTOL raises
-    SolverError, which covers every accepted intermediate solve.
+    The report, the state and the adjoint come from the checked exit solves
+    of rp.evaluate, given Q v_hat (initial state plus accepted increments) to
+    match against the certified state; so the trace gap check covers every
+    accepted intermediate solve.
     """
     t_start, solves_before = time.perf_counter(), rp.n_state_solves
-    problem, op, quad = rp.problem, rp.op, rp.quad
-    bounds, mu = problem.bounds, problem.mu
-    if scheme == "fully_discrete":
-        # cell averages, exact for the multilinear trace, at every point of the cell
-        restrict, step, search = (lambda p: rp.cell_point_values(
-            TraceField(rp.mesh.base, p).cell_averages()), 1.0, _arc_step)
-    else:
-        restrict, step, search = rp.at_points, 1.0 / mu, _segment_step
-
-    def optimality(G, p):
-        """Gradient, fixed-point target and residual at G for the adjoint trace p."""
-        g = mu * G + restrict(p)
-        target = project_box(G - step * g, bounds)
-        return g, target, math.sqrt(quad.integrate((G - target) ** 2))
-
+    op, bounds = rp.op, rp.problem.bounds
+    search = _arc_step if scheme == "fully_discrete" else _segment_step
     if z0 is None:
         z0 = ControlField.constant(rp.mesh.base, 0.5 * (bounds.a + bounds.b))
     G = rp.cell_point_values(z0.project(bounds).cell_values).copy()
     v_hat = rp.trace_solve(rp.load_modes(rp.load(G)))
     r = rp.mismatch(op.to_modes(v_hat))
-    j = 0.5 * quad.integrate(r * r + mu * G * G)
+    j = rp.cost(G, r)
     history = [j]
     iterations = 0
     while True:
         rho = op.mass_modes * v_hat - rp.ud_modes
-        g, target, fp_res = optimality(G, op.to_modes(rp.trace_solve(rho)))  # adjoint trace
+        adjoint_trace = op.to_modes(rp.trace_solve(rho))
+        g, target, fp_res = rp.optimality(G, adjoint_trace, scheme)
         if fp_res <= tol or iterations == max_iterations:
             break
         iterations += 1
@@ -330,39 +327,16 @@ def _descend(rp: ReducedProblem, z0: Optional[ControlField], scheme: str, tol: f
         history.append(j)
     loop_solves = rp.n_state_solves - solves_before
 
-    V = rp.state(rp.load(G))  # checked exit solves; the report counts the loop's only
-    state_res = op.last_residual
-    v, v_cert = op.to_modes(v_hat), V.trace().values
-    gap = float(np.linalg.norm(v - v_cert)) / max(float(np.linalg.norm(v_cert)),
-                                                  np.finfo(float).tiny)
-    if gap > TRACE_GAP_RTOL:
-        raise SolverError("the accumulated state trace departs from the certified state's",
-                          gap)
-    r = rp.mismatch(v_cert)
-    P = rp.state(r)
-    adjoint_res = op.last_residual
-    g, _, fp_res = optimality(G, P.trace().values)
-    wall_time = time.perf_counter() - t_start
+    V, P, report = rp.evaluate(G, scheme, v_hat)  # the report counts the loop's solves only
+    report.iterations, report.cost_history, report.n_state_solves = (
+        iterations, history, loop_solves)
+    report.converged = report.vi_residual <= tol
+    report.wall_time = time.perf_counter() - t_start
+    cert = report.certificate
     _log.debug("%s: %d iterations, %d solves, certified residuals %.2e (state) %.2e "
                "(adjoint), trace gap %.2e, %.3f s", scheme, iterations, loop_solves,
-               state_res, adjoint_res, gap, wall_time)
-    report = ReducedCostReport(
-        j=0.5 * quad.integrate(r * r + mu * G * G),
-        gradient=ControlField(rp.mesh.base, g @ quad.weights / rp.mesh.base.cell_volume),
-        vi_residual=fp_res,
-        iterations=iterations,
-        cost_history=history,
-        converged=fp_res <= tol,
-        n_state_solves=loop_solves,
-        wall_time=wall_time,
-        scheme=scheme,
-        certificate={
-            "state_residual_rel": state_res,
-            "adjoint_residual_rel": adjoint_res,
-            "trace_gap": gap,
-            "profile_backward_error": rp.op.profile_backward_error,
-        },
-    )
+               cert["state_residual_rel"], cert["adjoint_residual_rel"], cert["trace_gap"],
+               report.wall_time)
     return G, V, P, report
 
 
@@ -370,7 +344,7 @@ def _residual(rp: ReducedProblem, x: np.ndarray, point_values: np.ndarray):
     """|b - K x| and its relative value (absolute for b = 0), b the load of
     the values at the points."""
     b = assemble_trace_load(rp.mesh, point_values, quad=rp.quad)
-    r, nb = float(np.linalg.norm(b - rp.op.apply(x))), float(np.linalg.norm(b))
+    r, nb = rp.op.residual(x, b), float(np.linalg.norm(b))
     return r, r / nb if nb > 0 else r
 
 
@@ -501,10 +475,11 @@ def optimality_residuals(
     piecewise-constant controls; nonnegative up to tolerance at an optimum.
     """
     rp = rp if rp is not None else ReducedProblem(problem, mesh)
-    r_state, rel_state = _residual(rp, V.free_values, rp.control_point_values(Z))
+    G = rp.cell_point_values(Z.cell_values)
+    r_state, rel_state = _residual(rp, V.free_values, rp.load(G))
     r_adj, rel_adj = _residual(rp, P.free_values, rp.mismatch(V.trace().values))
-
-    g = rp.gradient_fully_discrete(Z, P)
+    g_points, _, fp = rp.optimality(G, P.trace().values, "fully_discrete")
+    g = g_points[:, 0]  # one value per cell
     rng = np.random.default_rng(seed)
     samples = rng.uniform(problem.bounds.a, problem.bounds.b,
                           size=(n_samples, mesh.base.n_cells))
@@ -513,7 +488,6 @@ def optimality_residuals(
     a, b = problem.bounds.a, problem.bounds.b
     vi_exact = float(np.minimum(g * (a - Z.cell_values), g * (b - Z.cell_values)).sum()
                      * mesh.base.cell_volume)
-    fp = rp.control_norm(Z.cell_values - project_box(Z.cell_values - g, problem.bounds))
 
     return OptimalityResiduals(
         state_residual=r_state,

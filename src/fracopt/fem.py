@@ -118,9 +118,6 @@ class BaseQuadrature:
     def integrate(self, values: np.ndarray) -> float:
         return float((values @ self.weights).sum())
 
-    def cell_averages(self, fn: Callable) -> np.ndarray:
-        return self.eval_callable(fn) @ self.weights / self.base.cell_volume
-
 
 # ---------------------------------------------------------------------------
 # Fields.
@@ -175,13 +172,6 @@ class TraceField:
             + xi * eta * full[sw + N + 2]
         )
 
-    def to_csv(self, path) -> None:
-        coords = self.base.node_coords
-        vals = self.full_values()
-        header = ",".join(f"x{d+1}" for d in range(self.base.n)) + ",value"
-        data = np.column_stack([coords, vals])
-        np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.16e")
-
 
 @dataclass
 class FeField:
@@ -197,19 +187,8 @@ class FeField:
                 f"field needs {self.mesh.n_free} free values, got {self.free_values.shape}"
             )
 
-    def node_values(self) -> np.ndarray:
-        out = np.zeros(self.mesh.n_nodes)
-        out[self.mesh.free_nodes] = self.free_values
-        return out
-
     def trace(self) -> TraceField:
         return TraceField(self.mesh.base, self.free_values[: self.mesh.n_trace].copy())
-
-    def to_csv(self, path) -> None:
-        coords = self.mesh.node_coordinates()
-        header = ",".join(f"x{d+1}" for d in range(self.mesh.n)) + ",y,value"
-        data = np.column_stack([coords, self.node_values()])
-        np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.16e")
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +343,15 @@ class CylinderOperator:
         m = len(Q)
         return (Q @ layers.reshape(-1, m, m) @ Q).reshape(layers.shape)
 
+    def residual(self, x: np.ndarray, b: np.ndarray) -> float:
+        """|b - K x|, the Euclidean norm of the residual of x for the load b."""
+        return float(np.linalg.norm(b - self.apply(x)))
+
     def _contract_met(self, x: np.ndarray, b: np.ndarray, bnorm: float) -> Tuple[bool, float]:
         """Residual contract and residual norm: relative residual below tolerance,
         or the solution exact to machine backward error (the relative residual
         cannot be evaluated below eps*|K||x|/|b| in double precision)."""
-        rnorm = float(np.linalg.norm(b - self.apply(x)))
+        rnorm = self.residual(x, b)
         if rnorm <= SOLVER_RTOL * bnorm:
             return True, rnorm
         eta = rnorm / (self.norm1 * float(np.linalg.norm(x)) + bnorm)

@@ -149,13 +149,6 @@ class TensorMesh:
     def n(self) -> int:
         return self.base.n
 
-    def node_coordinates(self) -> np.ndarray:
-        """(n_nodes, n+1) array of (x', y) per global node."""
-        nb = self.base.n_nodes
-        xs = np.tile(self.base.node_coords, (self.extended.M + 1, 1))
-        ys = np.repeat(self.extended.nodes, nb)
-        return np.column_stack([xs, ys])
-
 
 def balanced_resolution(target_dofs: int, n: int) -> int:
     """Cells per base side and layer count M, one number: M^(n+1) ~ target."""

@@ -26,7 +26,6 @@ __all__ = [
     "extension_profile",
     "fractional_apply",
     "fractional_solve",
-    "gamma",
     "hs_norm",
     "spectral_extension",
 ]
@@ -34,11 +33,6 @@ __all__ = [
 
 class ConfigurationError(ValueError):
     """Raised for unsupported domains, orders or mesh parameters."""
-
-
-def gamma(z: float) -> float:
-    """Gamma function; raises ValueError at the poles 0, -1, -2, ..."""
-    return math.gamma(z)
 
 
 @dataclass(frozen=True)
@@ -55,8 +49,8 @@ class FractionalConstants:
         if not 0.0 < s < 1.0:
             raise ConfigurationError(f"fractional order s must be in (0,1), got {s}")
         alpha = 1.0 - 2.0 * s
-        d_s = 2.0**alpha * gamma(1.0 - s) / gamma(s)
-        c_s = 2.0 ** (1.0 - s) / gamma(s)
+        d_s = 2.0**alpha * math.gamma(1.0 - s) / math.gamma(s)
+        c_s = 2.0 ** (1.0 - s) / math.gamma(s)
         return cls(s=s, alpha=alpha, d_s=d_s, c_s=c_s)
 
 
@@ -120,9 +114,6 @@ class SpectralFunction:
     def single_mode(cls, modes: Mode, n: int, amplitude: float = 1.0) -> "SpectralFunction":
         return cls(n=n, coefficients={tuple(modes): float(amplitude)})
 
-    def l2_norm(self) -> float:
-        return math.sqrt(sum(w * w for w in self.coefficients.values()))
-
     def __call__(self, *coords):
         out = 0.0
         for modes, w in self.coefficients.items():
@@ -178,7 +169,7 @@ _BESSEL_MAXIT = 400
 def _bessel_i_series(nu: float, x: float) -> float:
     """Ascending series for I_nu(x), x <= ~2, nu in (-1,1)."""
     q = 0.25 * x * x
-    term = (0.5 * x) ** nu / gamma(1.0 + nu)
+    term = (0.5 * x) ** nu / math.gamma(1.0 + nu)
     acc = term
     for m in range(1, _BESSEL_MAXIT):
         term *= q / (m * (m + nu))

@@ -192,19 +192,17 @@ def run_rate_study(cfg: StudyConfig) -> List[ConvergenceRecord]:
             t0 = time.perf_counter()
             if cfg.scheme == "fully_discrete":
                 Z, V, P, rep = solve_fully_discrete(problem, mesh, tol=cfg.tol, rp=rp)
-                if not rep.converged:
-                    rec.extras["aborted_at_target"] = target
-                    rec.extras["abort_residual"] = rep.vi_residual
-                    break
+            else:
+                g, V, rep = solve_variational(problem, mesh, tol=cfg.tol, rp=rp)
+            if not rep.converged:
+                rec.extras["aborted_at_target"] = target
+                rec.extras["abort_residual"] = rep.vi_residual
+                break
+            if cfg.scheme == "fully_discrete":
                 err_control = _control_error_fully_discrete(Z, mp.z_exact, mesh.base)
                 cert = optimality_residuals(Z, V, P, problem, mesh, rp=rp, seed=cfg.seed)
                 cert_dict = cert.to_dict()
             else:
-                g, V, rep = solve_variational(problem, mesh, tol=cfg.tol, rp=rp)
-                if not rep.converged:
-                    rec.extras["aborted_at_target"] = target
-                    rec.extras["abort_residual"] = rep.vi_residual
-                    break
                 err_control = _control_error_evaluator(g, mp.z_exact, mesh.base)
                 cert_dict = None
             err_hs = energy_error_galerkin(V, exact_data, mp.u_exact, consts.d_s)

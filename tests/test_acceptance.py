@@ -250,11 +250,11 @@ def test_criterion_7_property_suite():
     h = 1e-4
 
     def j_of(vals):
-        Zt = ControlField(cmesh.base, vals)
-        return rp.cost_fully_discrete(Zt, rp.state(rp.control_point_values(Zt)))
+        return reduced_cost_and_gradient(ControlField(cmesh.base, vals), problem, cmesh,
+                                         rp=rp).j
 
     fd = (j_of(Z.cell_values + h * delta) - j_of(Z.cell_values - h * delta)) / (2 * h)
-    assert abs(fd - rp.control_inner(rep.gradient.cell_values, delta)) <= 1e-8
+    assert abs(fd - cmesh.base.cell_volume * rep.gradient.cell_values @ delta) <= 1e-8
 
     # projection idempotence and Lipschitz continuity
     b = BoxBounds(-1.0, 2.0)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracopt import control
+from fracopt.fem import BaseQuadrature
 from fracopt import (
     BasePartition,
     BoxBounds,
@@ -29,7 +30,6 @@ from fracopt import (
     first_eigenvalue,
     optimality_residuals,
     project_box,
-    project_piecewise_constant,
     reduced_cost_and_gradient,
     solve_fully_discrete,
     solve_variational,
@@ -70,53 +70,6 @@ def test_bounds_must_be_ordered():
         BoxBounds(1.0, 0.0)
 
 
-def test_projection_preserves_constants():
-    base = BasePartition(2, 4)
-    Z = project_piecewise_constant(lambda x1, x2: 3.7 + 0.0 * x1, base)
-    assert np.allclose(Z.cell_values, 3.7, rtol=1e-14)
-
-
-def test_projection_cell_averages_linear():
-    base = BasePartition(1, 2)
-    Z = project_piecewise_constant(lambda x: x, base)
-    assert np.allclose(Z.cell_values, [0.25, 0.75], rtol=1e-13)
-
-
-def test_projection_idempotent_on_piecewise_constants():
-    base = BasePartition(1, 5)
-    Z = ControlField(base, np.array([1.0, -2.0, 0.5, 3.0, 0.0]))
-    Z2 = project_piecewise_constant(lambda x: Z.cell_values[
-        np.clip((np.asarray(x) * 5).astype(int), 0, 4)], base)
-    assert np.allclose(Z2.cell_values, Z.cell_values, atol=1e-13)
-
-
-def test_projection_preserves_integral():
-    base = BasePartition(2, 6)
-    f = lambda x1, x2: np.exp(x1) * np.cos(2 * x2)
-    Z = project_piecewise_constant(f, base)
-    from fracopt.fem import BaseQuadrature
-
-    quad = BaseQuadrature(base, 4)
-    total_f = quad.integrate(quad.eval_callable(f))
-    assert base.cell_volume * Z.cell_values.sum() == pytest.approx(total_f, rel=1e-9)
-
-
-def test_projection_rate_is_first_order():
-    f = lambda x1, x2: np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * x2)
-    errs, sizes = [], []
-    from fracopt.fem import BaseQuadrature
-
-    for N in (4, 8, 16, 32):
-        base = BasePartition(2, N)
-        Z = project_piecewise_constant(f, base)
-        quad = BaseQuadrature(base, 4)
-        diff = quad.eval_callable(f) - Z.cell_values[:, None]
-        errs.append(math.sqrt(quad.integrate(diff * diff)))
-        sizes.append(base.n_cells)
-    slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
-    assert slope == pytest.approx(-0.5, abs=0.05)  # h ~ cells^{-1/n} with n=2
-
-
 # ---------------------------------------------------------------------------
 # reduced cost and gradient
 # ---------------------------------------------------------------------------
@@ -141,12 +94,10 @@ def test_gradient_matches_central_differences():
     h = 1e-4
 
     def j_of(vals):
-        Zt = ControlField(mesh.base, vals)
-        V = rp.state(rp.control_point_values(Zt))
-        return rp.cost_fully_discrete(Zt, V)
+        return reduced_cost_and_gradient(ControlField(mesh.base, vals), problem, mesh, rp=rp).j
 
     fd = (j_of(Z.cell_values + h * delta) - j_of(Z.cell_values - h * delta)) / (2 * h)
-    directional = rp.control_inner(rep.gradient.cell_values, delta)
+    directional = mesh.base.cell_volume * rep.gradient.cell_values @ delta
     assert fd == pytest.approx(directional, abs=1e-8)
 
 
@@ -186,8 +137,9 @@ def test_unique_optimum_across_starts():
 def test_control_tracks_exact_solution_on_fine_mesh():
     mp, problem, mesh = manufactured_setup(n=1, s=0.5, N=32, M=32)
     Z, _, _, rep = solve_fully_discrete(problem, mesh)
-    exact = project_piecewise_constant(mp.z_exact, mesh.base)
-    err = np.max(np.abs(Z.cell_values - exact.cell_values))
+    quad = BaseQuadrature(mesh.base, 3)  # cell averages of the exact control
+    exact = quad.eval_callable(mp.z_exact) @ quad.weights / mesh.base.cell_volume
+    err = np.max(np.abs(Z.cell_values - exact))
     assert err <= 0.02
 
 
@@ -228,8 +180,7 @@ def test_vi_detects_perturbed_control():
     vals = Z.cell_values.copy()
     vals[interior[0]] += 0.1
     Zp = ControlField(mesh.base, vals)
-    Vp = rp.state(rp.control_point_values(Zp))
-    Pp = rp.adjoint(Vp)
+    Vp, Pp, _ = rp.evaluate(rp.cell_point_values(vals), "fully_discrete")
     res = optimality_residuals(Zp, Vp, Pp, problem, mesh, rp=rp, seed=2)
     # the exact separable minimum flags the perturbation; random sampling
     # cannot isolate a single cell once other cells sit on active bounds
@@ -383,6 +334,14 @@ def test_variational_close_to_fully_discrete():
 # ---------------------------------------------------------------------------
 # configuration validation
 # ---------------------------------------------------------------------------
+
+
+def test_optimality_rejects_an_unknown_scheme():
+    _, problem, mesh = manufactured_setup()
+    rp = ReducedProblem(problem, mesh)
+    G = rp.cell_point_values(np.zeros(mesh.base.n_cells))
+    with pytest.raises(ConfigurationError, match="unknown scheme"):
+        rp.optimality(G, np.zeros(mesh.base.n_interior), "fully-discrete")
 
 
 def test_problem_config_validation():

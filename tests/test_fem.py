@@ -613,19 +613,6 @@ def test_trace_field_evaluation_matches_nodes():
     assert np.allclose(got, full, atol=1e-14)
 
 
-def test_field_csv_exports(tmp_path):
-    mesh = small_mesh(n=1, N=4, M=3)
-    op = assemble_stiffness(mesh, 0.5)
-    b = assemble_trace_load(mesh, lambda x: np.sin(np.pi * x))
-    V = solve_state(op, b)
-    f1 = tmp_path / "field.csv"
-    f2 = tmp_path / "trace.csv"
-    V.to_csv(f1)
-    V.trace().to_csv(f2)
-    data = np.loadtxt(f1, delimiter=",", skiprows=1)
-    assert data.shape == (mesh.n_nodes, 3)
-
-
 # ---------------------------------------------------------------------------
 # error functionals
 # ---------------------------------------------------------------------------

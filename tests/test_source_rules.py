@@ -1,0 +1,29 @@
+"""Contracts on the library source, checked on its syntax tree.
+
+Library code reports through the `fracopt` logger, so only the CLI may call
+`print`; and it raises ConfigurationError or SolverError with a message rather
+than a bare `assert`, which `python -O` strips.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SOURCES = sorted((pathlib.Path(__file__).parents[1] / "src" / "fracopt").glob("*.py"))
+
+
+def test_the_library_sources_are_found():
+    assert {path.name for path in SOURCES} >= {"cli.py", "control.py", "fem.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_print_outside_the_cli_and_no_assert(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"line {node.lineno}: assert" for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)]
+    if path.name != "cli.py":
+        found += [f"line {node.lineno}: print" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "print"]
+    assert not found, f"{path.name}: {found}"

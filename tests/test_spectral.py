@@ -1,6 +1,6 @@
 """Spectral machinery against independent oracles.
 
-Oracles used here: math.gamma (stdlib) and known values for gamma, the integral
+Oracles used here: math.gamma (stdlib), the integral
 representation K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt evaluated by
 adaptive quadrature, a shooting solve of the profile ODE, and closed forms
 at s = 1/2.
@@ -25,23 +25,11 @@ from fracopt import (
     hs_norm,
     spectral_extension,
 )
-from fracopt.spectral import gamma
 
 
 # ---------------------------------------------------------------------------
-# gamma and the constants
+# constants
 # ---------------------------------------------------------------------------
-
-
-def test_gamma_matches_stdlib_on_unit_range():
-    for z in np.linspace(0.02, 2.0, 397):
-        assert gamma(float(z)) == pytest.approx(math.gamma(z), rel=1e-12)
-
-
-def test_gamma_reference_values():
-    assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-    assert gamma(1.0) == pytest.approx(1.0, rel=1e-13)
-    assert gamma(5.0) == pytest.approx(24.0, rel=1e-13)
 
 
 def test_constants_at_half():

@@ -12,6 +12,7 @@ import pytest
 from fracopt import (
     BasePartition,
     ConfigurationError,
+    ControlField,
     GradedPartition,
     SolverError,
     StudyConfig,
@@ -21,7 +22,6 @@ from fracopt import (
     emit_report,
     first_eigenvalue,
     fit_loglog_slope,
-    project_piecewise_constant,
     reduced_cost_and_gradient,
     run_compare_refinement,
     run_oracle_check,
@@ -30,6 +30,7 @@ from fracopt import (
 )
 from fracopt import study
 from fracopt.cli import main, read_config_file
+from fracopt.fem import BaseQuadrature
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +93,9 @@ def test_manufactured_vi_residual_shrinks_under_refinement():
     for N in (8, 16, 32):
         Y = choose_truncation(0.5, first_eigenvalue(1), N * N, 1)
         mesh = TensorMesh(BasePartition(1, N), GradedPartition(N, 3.1, Y))
-        Z = project_piecewise_constant(mp.z_exact, mesh.base)
+        quad = BaseQuadrature(mesh.base, 3)  # cell averages of the exact control
+        Z = ControlField(mesh.base, quad.eval_callable(mp.z_exact) @ quad.weights
+                         / mesh.base.cell_volume)
         rep = reduced_cost_and_gradient(Z, problem, mesh)
         res.append(rep.vi_residual)
     assert res[0] > res[1] > res[2]

@@ -135,7 +135,7 @@ class ReducedCostReport:
     vi_residual: float
     iterations: int = 0
     cost_history: List[float] = field(default_factory=list)
-    converged: bool = True
+    converged: Optional[bool] = None  # set by an optimizer run only: its fixed-point test
     n_state_solves: int = 1
     wall_time: float = 0.0
     scheme: str = "fully_discrete"
@@ -257,13 +257,11 @@ class ReducedProblem:
             certificate["trace_gap"] = gap
         certificate["profile_backward_error"] = op.profile_backward_error
         g, _, fp_res = self.optimality(G, P.trace().values, scheme)
+        cells = (g[:, 0] if scheme == "fully_discrete"  # constant per cell: averaging rounds it
+                 else g @ quad.weights / self.mesh.base.cell_volume)
         return V, P, ReducedCostReport(
-            j=self.cost(G, r),
-            gradient=ControlField(self.mesh.base, g @ quad.weights / self.mesh.base.cell_volume),
-            vi_residual=fp_res,
-            scheme=scheme,
-            certificate=certificate,
-        )
+            j=self.cost(G, r), gradient=ControlField(self.mesh.base, cells), vi_residual=fp_res,
+            scheme=scheme, certificate=certificate)
 
 
 def reduced_cost_and_gradient(Z: ControlField, problem: ProblemConfig, mesh: TensorMesh,

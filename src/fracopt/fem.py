@@ -8,11 +8,13 @@ computed trace converges to the solution of the fractional problem itself.
 Assembly is exact: the y-direction factors are integrated in closed form
 (valid down to the singular first interval), the base factors are the
 standard uniform-mesh mass/stiffness matrices, and the global operator on the
-free unknowns is applied from the 1D factors' bands, never assembled.  The same
-tensor structure gives one exact solver: sine transforms in the base directions
-and tridiagonal solves in y.  Its trace at y=0 is diagonal in sine modes, which
-is all the optimizer loop needs; the fields that leave the loop are solved in
-full and checked.
+free unknowns is applied from the 1D factors' bands, never assembled.  Each 1D
+factor is a symmetric tridiagonal held as its two bands in plain arrays, with
+one product (_band_apply) and one column norm (_column_norm1); scipy supplies
+only LAPACK's tridiagonal solver dgtsv.  The same tensor structure gives one
+exact solver: sine transforms in the base directions and tridiagonal solves in
+y.  Its trace at y=0 is diagonal in sine modes, which is all the optimizer loop
+needs; the fields that leave the loop are solved in full and checked.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dgtsv
 
 from .meshes import BasePartition, TensorMesh
@@ -234,10 +235,19 @@ def weighted_interval_integrals(nodes: np.ndarray, alpha: float):
     return q0 / h2, m00, m01, m11
 
 
-def _tridiag(diag: np.ndarray, off: np.ndarray) -> sp.dia_matrix:
-    """Symmetric tridiagonal matrix; `.data[:, j]` holds column j, zero-padded."""
-    data = np.stack([np.r_[off, 0.0], diag, np.r_[0.0, off]])
-    return sp.dia_matrix((data, [-1, 0, 1]), shape=(len(diag),) * 2)
+def _band_apply(diag: np.ndarray, off: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """T X along the first axis of X, T the symmetric tridiagonal with bands (diag, off);
+    each row sums (diagonal + lower) + upper."""
+    d, o = (band.reshape((-1,) + (1,) * (X.ndim - 1)) for band in (diag, off))
+    TX = d * X
+    TX[1:] += o * X[:-1]
+    TX[:-1] += o * X[1:]
+    return TX
+
+
+def _column_norm1(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Per-column 1-norm of the same T, summed (lower + diagonal) + upper."""
+    return np.abs(diag) + np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off])
 
 
 @functools.lru_cache(maxsize=8)
@@ -250,10 +260,10 @@ def _base_symbols(n: int, m: int, stiff: Tuple[float, float], mass: Tuple[float,
     is listed; `first` is the base mode k m + l of each system, `system` the reverse map."""
     k = np.arange(1, m + 1)
     Q = math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
-    S1, M1 = (_tridiag(np.full(m, d), np.full(m - 1, o)) for d, o in (stiff, mass))
+    S1Q, M1Q = (_band_apply(np.full(m, d), np.full(m - 1, o), Q) for d, o in (stiff, mass))
     # strided diagonal views: a contiguous tau rounds the loop's dot products with
     # mass_modes (control._price) differently, and moves the variational iterates' last bits
-    sigma, tau = np.diag(Q @ (S1 @ Q)), np.diag(Q @ (M1 @ Q))
+    sigma, tau = np.diag(Q @ S1Q), np.diag(Q @ M1Q)
     mass_modes, first, system = tau, np.arange(m), np.arange(m)
     if n == 2:
         k, l = np.triu_indices(m)
@@ -295,13 +305,13 @@ class CylinderOperator:
     its mass matrix is too badly conditioned.
     """
 
-    def __init__(self, mesh: TensorMesh, s: float, c: float, layer_ops: Tuple[sp.dia_matrix, ...],
-                 sine: np.ndarray, mass_modes: np.ndarray, profiles: np.ndarray,
-                 profile_backward_error: float):
+    def __init__(self, mesh: TensorMesh, s: float, c: float,
+                 layer_bands: Tuple[Tuple[np.ndarray, np.ndarray], ...], sine: np.ndarray,
+                 mass_modes: np.ndarray, profiles: np.ndarray, profile_backward_error: float):
         self.mesh = mesh
         self.s = s
         self.c = c
-        self._layer_ops = layer_ops  # T_t, the y-factor of N_t
+        self._layer_bands = layer_bands  # (diagonal, off) of T_t, the y-factor of N_t
         self._sine = sine  # per base direction
         self.mass_modes = mass_modes  # diagonal of the base mass matrix in sine modes
         self.profiles = profiles
@@ -312,8 +322,8 @@ class CylinderOperator:
         # distinct t; a node with k = min(m - 1, 2) neighbours per direction has most
         k = min(len(sine) - 1, 2)
         counts = (1, k) if mesh.n == 1 else (1, 2 * k, k * k)
-        self.norm1 = float(sum(n_t * np.abs(T.data).sum(axis=0)
-                               for n_t, T in zip(counts, layer_ops)).max())
+        self.norm1 = float(sum(n_t * _column_norm1(*T)
+                               for n_t, T in zip(counts, layer_bands)).max())
 
     @property
     def n(self) -> int:
@@ -333,7 +343,7 @@ class CylinderOperator:
         if n == 2:
             fields.append(_neighbour_sum(fields[1], 1))  # E_2 E_1 X
             fields[1] += _neighbour_sum(X, 1)  # (E_1 + E_2) X
-        return sum(T @ F.reshape(len(X), -1) for T, F in zip(self._layer_ops, fields)).ravel()
+        return sum(_band_apply(*T, F) for T, F in zip(self._layer_bands, fields)).ravel()
 
     def to_modes(self, layers: np.ndarray) -> np.ndarray:
         """Sine transform of a layer, or of each row, in every base direction; an involution."""
@@ -397,9 +407,9 @@ def assemble_stiffness(mesh: TensorMesh, s: float, c: float = 0.0) -> CylinderOp
     sd, so, md, mo = 2.0 / h, -1.0 / h, 2.0 * h / 3.0, h / 6.0  # interior S1, M1 (Toeplitz)
     stiff, mass = ((sd, so), (md, mo)) if mesh.n == 1 else (  # coefficients of N_t in Sx, Mx
         (2.0 * sd * md, sd * mo + so * md, 2.0 * so * mo), (md * md, md * mo, mo * mo))
-    layer_ops = tuple(_tridiag(((a + c * b) * my + b * sy) / consts.d_s,
-                               ((a + c * b) * my_up + b * sy_up) / consts.d_s)
-                      for a, b in zip(stiff, mass))
+    layer_bands = tuple((((a + c * b) * my + b * sy) / consts.d_s,
+                         ((a + c * b) * my_up + b * sy_up) / consts.d_s)
+                        for a, b in zip(stiff, mass))
     # free unknown (layer, node) -> layer*m^n + node; interior node (i, j) -> j*m + i,
     # x1 fastest; base mode (k, l) alike
     Q, mass_modes, sigma, tau, first, system = _base_symbols(mesh.n, m, (sd, so), (md, mo))
@@ -415,17 +425,17 @@ def assemble_stiffness(mesh: TensorMesh, s: float, c: float = 0.0) -> CylinderOp
         raise ConfigurationError(f"the y-profiles are singular (LAPACK info {info}) or not finite "
                                  "on this graded partition; use fewer layers or a weaker grading")
     # per system j: |T_j p_j - e_0| / (|T_j|_1 |p_j| + 1), from the same bands
-    Tp = diag * p + np.r_[band * p[1:], 0.0] + np.r_[0.0, band * p[:-1]]
+    Tp = _band_apply(diag, band, p)
     Tp[::M] -= 1.0
-    norm1_T = np.abs(np.r_[0.0, band]) + np.abs(diag) + np.abs(off.ravel())  # per column
     rnorm, p = np.linalg.norm(Tp.reshape(off.shape), axis=1), p.reshape(off.shape)
-    eta = rnorm / (norm1_T.reshape(off.shape).max(axis=1) * np.linalg.norm(p, axis=1) + 1.0)
+    norm1_T = _column_norm1(diag, band).reshape(off.shape).max(axis=1)
+    eta = rnorm / (norm1_T * np.linalg.norm(p, axis=1) + 1.0)
     worst = int(eta.argmax())
     if not eta[worst] <= BACKWARD_ERROR_TOL:
         raise SolverError(f"the y-profile of base mode {first[worst]} has backward error "
                           f"{eta[worst]:.3e} > {BACKWARD_ERROR_TOL:g}", float(rnorm[worst]))
     profiles = np.take(p.T, system, axis=1)  # (layer, base mode), C order
-    op = CylinderOperator(mesh, s, c, layer_ops, Q, mass_modes, profiles, float(eta[worst]))
+    op = CylinderOperator(mesh, s, c, layer_bands, Q, mass_modes, profiles, float(eta[worst]))
     _log.debug("assembled %d free dofs: |K|_1 = %.6g, profile backward error %.2e, %.3f s",
                mesh.n_free, op.norm1, eta[worst], time.perf_counter() - start)
     return op

@@ -71,7 +71,6 @@ class BasePartition:
             # corner order (00, 10, 01, 11) matches the bilinear shape functions
             self.cells = np.stack([sw, sw + 1, sw + (N + 1), sw + (N + 2)], axis=1)
             self.cell_origins = np.stack([ci / N, cj / N], axis=1)
-        self.interior_mask = interior
         self.interior_nodes = np.flatnonzero(interior)
         self.n_nodes = len(self.node_coords)
         self.n_interior = len(self.interior_nodes)
@@ -124,25 +123,17 @@ def make_graded_partition(M: int, gamma: float, Y: float, s: float | None = None
 class TensorMesh:
     """Tensor product of a base partition and a graded interval partition.
 
-    Global node index = layer * (#base nodes) + base index (layer-major).
     Dirichlet nodes: lateral boundary (boundary base nodes, every layer) and
-    the full top layer y = Y.  Free nodes are therefore the interior base
-    nodes on layers 0..M-1, and the trace unknowns at y=0 occupy the slice
-    [0 : n_trace] of the free vector.
+    the full top layer y = Y.  The free unknowns are therefore the interior
+    base nodes on layers 0..M-1, numbered layer-major, so the trace unknowns
+    at y=0 occupy the slice [0 : n_trace] of the free vector.
     """
 
     def __init__(self, base: BasePartition, extended: GradedPartition):
         self.base = base
         self.extended = extended
-        nb, M = base.n_nodes, extended.M
-        self.n_nodes = nb * (M + 1)
-        self.n_cells = base.n_cells * M
-
-        layer_dirichlet = np.tile(~base.interior_mask, M + 1)
-        layer_dirichlet[M * nb :] = True  # top layer y = Y
-        self.dirichlet_mask = layer_dirichlet
-        self.free_nodes = np.flatnonzero(~layer_dirichlet)
-        self.n_free = len(self.free_nodes)
+        self.n_cells = base.n_cells * extended.M
+        self.n_free = base.n_interior * extended.M
         self.n_trace = base.n_interior
 
     @property

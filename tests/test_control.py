@@ -84,6 +84,24 @@ def test_zero_problem_zero_cost():
     assert np.allclose(rep.gradient.cell_values, 0.0)
 
 
+def test_a_plain_evaluation_claims_no_convergence():
+    # no optimizer ran, so no fixed-point test was met, whatever the residual
+    _, problem, mesh = manufactured_setup(n=1, N=16, M=16)
+    rep = reduced_cost_and_gradient(ControlField.constant(mesh.base, 0.0), problem, mesh)
+    assert rep.vi_residual > 0.3
+    assert rep.converged is None and rep.to_dict()["converged"] is None
+
+
+def test_fully_discrete_gradient_is_exact_per_cell():
+    # mu z + cell averages of tr P, with no re-averaging of values equal across a cell
+    _, problem, mesh = manufactured_setup(n=1, N=16, M=16)
+    rp = ReducedProblem(problem, mesh)
+    z = np.random.default_rng(5).uniform(0.0, 0.5, mesh.base.n_cells)
+    _, P, rep = rp.evaluate(rp.cell_point_values(z), "fully_discrete")
+    np.testing.assert_array_equal(rep.gradient.cell_values,
+                                  problem.mu * z + P.trace().cell_averages())
+
+
 def test_gradient_matches_central_differences():
     mp, problem, mesh = manufactured_setup(n=1, N=10, M=10)
     rp = ReducedProblem(problem, mesh)

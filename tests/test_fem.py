@@ -377,7 +377,8 @@ def test_solve_matches_sparse_direct_reference(n, N, M, c, s, graded):
 def _per_mode_reference(mesh, s, c):
     """The operator assembled mode by mode: y-bands from weighted_interval_integrals,
     textbook base factors and their symbols diag(Q S1 Q), diag(Q M1 Q), and one
-    solve_banded per base mode, mirrored pairs included."""
+    solve_banded per base mode, mirrored pairs included.  Returns it with its y-factors
+    T_t as sp.diags matrices."""
     consts = FractionalConstants.from_order(s)
     M, N = mesh.extended.M, mesh.base.cells_per_side
     m, h = N - 1, 1.0 / N
@@ -386,9 +387,8 @@ def _per_mode_reference(mesh, s, c):
     sd, so, md, mo = 2.0 / h, -1.0 / h, 2.0 * h / 3.0, h / 6.0
     stiff, mass = ((sd, so), (md, mo)) if mesh.n == 1 else (
         (2.0 * sd * md, sd * mo + so * md, 2.0 * so * mo), (md * md, md * mo, mo * mo))
-    layer_ops = [sp.diags([up, d, up], [-1, 0, 1]) for d, up in (
-        (((a + c * b) * my + b * sy) / consts.d_s, ((a + c * b) * my_up + b * sy_up) / consts.d_s)
-        for a, b in zip(stiff, mass))]
+    layer_bands = [(((a + c * b) * my + b * sy) / consts.d_s,
+                    ((a + c * b) * my_up + b * sy_up) / consts.d_s) for a, b in zip(stiff, mass)]
     k = np.arange(1, m + 1)
     Q = math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
     S1, M1 = (sp.diags([np.full(m - 1, o), np.full(m, d), np.full(m - 1, o)], [-1, 0, 1])
@@ -403,7 +403,23 @@ def _per_mode_reference(mesh, s, c):
         up = a * my_up + b * sy_up
         banded = np.stack([np.r_[0.0, up], a * my + b * sy, np.r_[up, 0.0]])
         profiles[:, j] = solve_banded((1, 1), banded, np.eye(M)[0])
-    return fem.CylinderOperator(mesh, s, c, layer_ops, Q, tau, profiles, 0.0)
+    op = fem.CylinderOperator(mesh, s, c, layer_bands, Q, tau, profiles, 0.0)
+    return op, [sp.diags([up, d, up], [-1, 0, 1]) for d, up in layer_bands]
+
+
+def _sparse_factor_product(mesh, layer_ops, x):
+    """K x = sum_t T_t X N_t by scipy.sparse products, X the layers of x (one per row) and
+    N_t the base factors I, E_1 (+ E_2), E_2 E_1, with E_i the neighbour sum along x_i."""
+    m = mesh.base.cells_per_side - 1
+    E = sp.diags([np.ones(m - 1)] * 2, [-1, 1])
+    X = x.reshape(mesh.extended.M, -1)
+    if mesh.n == 1:
+        fields = [X, (E @ X.T).T]
+    else:
+        E1, E2 = sp.kron(sp.eye(m), E), sp.kron(E, sp.eye(m))  # node j m + i, x1 fastest
+        E1X = (E1 @ X.T).T
+        fields = [X, E1X + (E2 @ X.T).T, (E2 @ E1X.T).T]
+    return sum(T @ F for T, F in zip(layer_ops, fields)).ravel()
 
 
 @pytest.mark.parametrize("n, N, M", [(1, 12, 9), (2, 7, 6)])
@@ -412,7 +428,7 @@ def _per_mode_reference(mesh, s, c):
 def test_assembly_is_bit_identical_to_per_mode_reference(n, N, M, s, c):
     # one tridiagonal sweep over the distinct systems changes no bit of the operator
     mesh = small_mesh(n=n, N=N, M=M, gamma=default_grading(s), Y=2.0)
-    op, ref = assemble_stiffness(mesh, s, c), _per_mode_reference(mesh, s, c)
+    op, (ref, layer_ops) = assemble_stiffness(mesh, s, c), _per_mode_reference(mesh, s, c)
     for name in ("profiles", "mass_modes", "norm1"):
         np.testing.assert_array_equal(getattr(op, name), getattr(ref, name))
     # the optimizer's dot products with mass_modes round by its layout
@@ -421,7 +437,8 @@ def test_assembly_is_bit_identical_to_per_mode_reference(n, N, M, s, c):
                                                                   mesh.base.n_cells))
     x = op.solve(b)
     np.testing.assert_array_equal(x, ref.solve(b))
-    np.testing.assert_array_equal(op.apply(x), ref.apply(x))
+    # the band products round as scipy.sparse's
+    np.testing.assert_array_equal(op.apply(x), _sparse_factor_product(mesh, layer_ops, x))
     if n == 2:  # the modes (k, l) and (l, k) share one system
         P = op.profiles.reshape(M, N - 1, N - 1)
         np.testing.assert_array_equal(P, P.transpose(0, 2, 1))

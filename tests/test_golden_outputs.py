@@ -1,4 +1,13 @@
-"""The numbers a change must keep, on the nine benchmark problems.
+"""The numbers a change must keep: the standing slopes, and the outputs of the nine
+benchmark problems.
+
+The standing numbers are those the acceptance criteria fit, from the same
+sweeps (tests/test_acceptance.py, whose bands are wider): the trace-L2 slopes
+of criterion 1, the control and state slopes of criteria 2 and 3, the
+variational control slope of criterion 4, the error ratio of criterion 5, the
+truncation decay slope of criterion 6 and the largest fixed-point residual of
+criterion 8.  Slopes and the ratio must hold to 3 decimals, the residual to 3
+significant digits (half a unit of the last digit either way).
 
 The problems are those of the benchmark workloads state-n2 (the n=2 oracle
 state solve at 25,000 dofs, s in {0.2, 0.5, 0.8}) and control-n1-mu (the n=1
@@ -31,6 +40,7 @@ from fracopt import (
     BasePartition,
     GradedPartition,
     ReducedProblem,
+    StudyConfig,
     TensorMesh,
     TraceField,
     assemble_stiffness,
@@ -41,6 +51,10 @@ from fracopt import (
     default_grading,
     eigenpair,
     first_eigenvalue,
+    run_compare_refinement,
+    run_oracle_check,
+    run_rate_study,
+    run_truncation_study,
     solve_fully_discrete,
     solve_state,
     solve_variational,
@@ -52,6 +66,7 @@ TOL, MAX_ITERATIONS = 1e-8, 200
 STATE_PROBLEMS = {f"oracle-n2-s{s}": s for s in (0.2, 0.5, 0.8)}
 CONTROL_PROBLEMS = {f"{scheme}-n1-mu{mu:g}": (scheme, mu)
                     for mu in (1e-1, 1e-2, 1e-3) for scheme in ("fully_discrete", "variational")}
+N1_TARGETS, N2_TARGETS = (256, 1024, 4096, 16384), (3_000, 10_000, 25_000, 50_000)
 
 
 def benchmark_mesh(n, s, target, target_max):
@@ -89,10 +104,33 @@ def solve_control_problem(scheme, mu):
                 "control": control}
 
 
+def standing_numbers():
+    """The numbers the acceptance criteria fit, from their sweeps."""
+    oracle = lambda s, n, targets: run_oracle_check(
+        StudyConfig(s_values=(s,), n=n, dof_targets=targets))[0].slopes["err_state_L2"]
+    out = {f"criterion1-n1-s{s}": oracle(s, 1, N1_TARGETS) for s in (0.3, 0.5, 0.8)}
+    out["criterion1-n2-s0.5"] = oracle(0.5, 2, N2_TARGETS)
+    sweep = run_rate_study(StudyConfig(s_values=(0.2, 0.5, 0.8), n=2, dof_targets=N2_TARGETS))
+    for rec in sweep:
+        out[f"criterion2-s{rec.s}"] = rec.slopes["err_control_L2"]
+        out[f"criterion3-s{rec.s}"] = rec.slopes["err_state_L2"]
+    variational = StudyConfig(s_values=(0.5,), n=1, scheme="variational", dof_targets=N1_TARGETS)
+    out["criterion4"] = run_rate_study(variational)[0].slopes["err_control_L2"]
+    anisotropic = run_compare_refinement(StudyConfig(s_values=(0.05,), n=2,
+                                                     dof_targets=(25_000,)))
+    out["criterion5"] = anisotropic.extras["control_error_ratio_an_over_un"]
+    truncation = run_truncation_study(StudyConfig(s_values=(0.5,), n=1, dof_targets=(4096,)),
+                                      (1.0, 1.1, 1.2, 1.3, 1.4, 1.5), reference_Y=8.0)
+    out["criterion6"] = truncation.slopes["log_err_control_vs_Y"]
+    out["criterion8"] = max(row["fixed_point_residual"] for rec in sweep for row in rec.rows)
+    return out
+
+
 def record():
     outputs = {name: solve_state_problem(s) for name, s in STATE_PROBLEMS.items()}
     outputs.update((name, solve_control_problem(*args)[1])
                    for name, args in CONTROL_PROBLEMS.items())
+    outputs["standing"] = standing_numbers()
     return {f"{name}/{key}": [float(f"{v:.13g}") for v in np.ravel(value)]
             for name, values in outputs.items() for key, value in values.items()}
 
@@ -124,6 +162,16 @@ def control_distance_bound(scheme, mu, sigma_max):
     """
     iterates = 2.0 * (1.0 + mu + sigma_max**2) / mu * TOL
     return iterates, iterates + (2.0 * TOL if scheme == "variational" else 0.0)
+
+
+def test_standing_numbers_keep_three_digits(golden):
+    numbers = standing_numbers()
+    recorded = {key for key in golden if key.startswith("standing/")}
+    assert {f"standing/{key}" for key in numbers} == recorded
+    for key, got in numbers.items():
+        (want,) = golden[f"standing/{key}"]
+        tol = 5e-3 * abs(want) if key == "criterion8" else 5e-4
+        assert abs(got - want) <= tol, f"{key}: {got:.6g} against the recorded {want:.6g}"
 
 
 @pytest.mark.parametrize("name", list(STATE_PROBLEMS))

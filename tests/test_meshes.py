@@ -10,6 +10,8 @@ from fracopt import (
     ConfigurationError,
     GradedPartition,
     TensorMesh,
+    assemble_stiffness,
+    assemble_trace_load,
     balanced_resolution,
     choose_truncation,
     default_grading,
@@ -63,33 +65,36 @@ def test_graded_rejects_bad_input():
 def test_tensor_mesh_counts_n1():
     mesh = TensorMesh(BasePartition(1, 4), GradedPartition(3, 2.0, 1.0))
     assert mesh.n_cells == 12
-    assert mesh.n_nodes == 20
+    assert mesh.n_free == 3 * 3  # the top layer y=Y is Dirichlet
     assert mesh.n_trace == 3  # interior base nodes at y=0
 
 
 def test_tensor_mesh_counts_n2():
     mesh = TensorMesh(BasePartition(2, 8), GradedPartition(8, 3.1, 1.0))
     assert mesh.n_cells == 512
-    assert mesh.n_nodes == 81 * 9
     assert mesh.n_free == 49 * 8
     assert mesh.n_trace == 49
 
 
-def test_mask_partition_is_exact():
+def test_free_unknowns_are_layer_major():
+    # the interior base nodes of the layers below the Dirichlet top y=Y, layer after
+    # layer: the operator couples each block of n_trace unknowns to its neighbours only
     mesh = TensorMesh(BasePartition(2, 5), GradedPartition(4, 2.0, 1.0))
-    free = set(mesh.free_nodes.tolist())
-    dirichlet = set(np.flatnonzero(mesh.dirichlet_mask).tolist())
-    assert free.isdisjoint(dirichlet)
-    assert free | dirichlet == set(range(mesh.n_nodes))
-    # top layer fully Dirichlet
-    top = set(range(4 * mesh.base.n_nodes, 5 * mesh.base.n_nodes))
-    assert top <= dirichlet
+    assert mesh.n_trace == 16 and mesh.n_free == 4 * 16
+    op = assemble_stiffness(mesh, 0.5)
+    K = np.column_stack([op.apply(e) for e in np.eye(mesh.n_free)]).reshape(4, 16, 4, 16)
+    for i in range(4):
+        for j in range(4):
+            assert np.any(K[i, :, j]) == (abs(i - j) <= 1), (i, j)
 
 
 def test_trace_dofs_lead_the_free_block():
     mesh = TensorMesh(BasePartition(1, 4), GradedPartition(3, 2.0, 1.0))
-    # first n_trace free nodes are the interior base nodes on layer 0
-    assert mesh.free_nodes[: mesh.n_trace].tolist() == [1, 2, 3]
+    # first n_trace free unknowns are the interior base nodes x = 1/4, 1/2, 3/4 on layer 0:
+    # the load of 1 + x there is h (1 + x), and zero on the other layers
+    load = assemble_trace_load(mesh, lambda x: 1.0 + x)
+    assert load[: mesh.n_trace] == pytest.approx(0.25 * np.array([1.25, 1.5, 1.75]), rel=1e-14)
+    assert not np.any(load[mesh.n_trace:])
 
 
 def test_trace_count_independent_of_layers():

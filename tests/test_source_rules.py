@@ -2,7 +2,9 @@
 
 Library code reports through the `fracopt` logger, so only the CLI may call
 `print`; and it raises ConfigurationError or SolverError with a message rather
-than a bare `assert`, which `python -O` strips.
+than a bare `assert`, which `python -O` strips.  Its tridiagonals are held as
+their bands, so it imports nothing from scipy.sparse (the tests use it as their
+oracle).
 """
 
 import ast
@@ -26,4 +28,16 @@ def test_no_print_outside_the_cli_and_no_assert(path):
         found += [f"line {node.lineno}: print" for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                   and node.func.id == "print"]
+    assert not found, f"{path.name}: {found}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_scipy_sparse_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = [(node.lineno, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names]
+    modules += [(node.lineno, f"{node.module}.{alias.name}") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module for alias in node.names]
+    found = [f"line {line}: {name}" for line, name in modules
+             if (name + ".").startswith("scipy.sparse.")]
     assert not found, f"{path.name}: {found}"

@@ -6,14 +6,15 @@ meshed but represented through the clamped adjoint trace.  Both solve the
 same first-order system z = proj(-tr P / mu) with one projected descent
 loop on the control values at the load quadrature points.  The schemes
 differ only in the restriction of the adjoint trace to their control space,
-the step of the fixed-point residual, and the step rule: Armijo backtracking
-along the projected arc (fully discrete) or the cost-minimizing point on the
-segment towards proj(-tr P / mu) (variational).  Every iterate is feasible,
-and no accepted step raises the cost.  The loop keeps its state, adjoint
-and trial increments in the sine modes of the base mesh, where the trace
-solve and the trace mass matrix are diagonal; the state and adjoint it
-returns, and the cost and fixed-point residual taken from them, are solved
-in full and certified against the stiffness operator.
+the step of the fixed-point residual, and the step length t of the search:
+each iteration moves to the cost-minimizing point on the segment towards
+proj(G - t g), with t = 1/mu (variational, the target proj(-tr P / mu)) or
+the adaptive Barzilai-Borwein step (fully discrete).  Every iterate is
+feasible, and no accepted step raises the cost.  The loop keeps its state,
+adjoint and trial increments in the sine modes of the base mesh, where the
+trace solve and the trace mass matrix are diagonal; the state and adjoint
+it returns, and the cost and fixed-point residual taken from them, are
+solved in full and certified against the stiffness operator.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ __all__ = [
     "solve_variational",
 ]
 
-ARMIJO_DECREASE = 1e-4
-MIN_STEP_FRACTION = 1e-12
+# The fully discrete search takes the short Barzilai-Borwein step where it is
+# below this fraction of the long one (the adaptive rule of Zhou, Gao and Dai, 2006).
+BB_SHORT_STEP_RATIO = 0.5
 # Relative gap allowed between the state trace accumulated over the loop's
 # modal solves and the trace of the certified state; measured gaps stay below 1e-15.
 TRACE_GAP_RTOL = 1e-10
@@ -281,10 +283,14 @@ def _descend(rp: ReducedProblem, z0: Optional[ControlField], scheme: str, tol: f
     """Projected descent on the control values G at the load quadrature points.
 
     A scheme fixes its gradient and fixed-point residual (rp.optimality) and
-    its step rule (_arc_step, _segment_step).  Shared: each trial solves once
-    for the state of its increment and is priced exactly (_price), and the
-    loop stops unconverged rather than take a step that raises the cost.
-    Starts from z0, by default the box midpoint.
+    the step length t of the search: 1/mu, variational (the target is then
+    proj(-tr P / mu)); the adaptive Barzilai-Borwein step, fully discrete
+    (_bb_step).  Shared: each iteration solves once for the state of the
+    increment towards target = proj(G - t g), prices the segment exactly
+    (_price) and moves to its cost-minimizing point theta = min(1, -slope /
+    (2 curvature)).  The loop stops unconverged rather than take a step that
+    does not lower the cost (slope >= 0).  Starts from z0, by default the
+    box midpoint.
 
     The loop runs in sine modes, where the trace solve is the scaling by
     profiles[0] (rp.trace_solve) and the trace mass matrix B A = M is
@@ -300,7 +306,6 @@ def _descend(rp: ReducedProblem, z0: Optional[ControlField], scheme: str, tol: f
     """
     t_start, solves_before = time.perf_counter(), rp.n_state_solves
     op, bounds = rp.op, rp.problem.bounds
-    search = _arc_step if scheme == "fully_discrete" else _segment_step
     if z0 is None:
         z0 = ControlField.constant(rp.mesh.base, 0.5 * (bounds.a + bounds.b))
     G = rp.cell_point_values(z0.project(bounds).cell_values).copy()
@@ -308,7 +313,7 @@ def _descend(rp: ReducedProblem, z0: Optional[ControlField], scheme: str, tol: f
     r = rp.mismatch(op.to_modes(v_hat))
     j = rp.cost(G, r)
     history = [j]
-    iterations = 0
+    iterations, previous = 0, None
     while True:
         rho = op.mass_modes * v_hat - rp.ud_modes
         adjoint_trace = op.to_modes(rp.trace_solve(rho))
@@ -316,12 +321,17 @@ def _descend(rp: ReducedProblem, z0: Optional[ControlField], scheme: str, tol: f
         if fp_res <= tol or iterations == max_iterations:
             break
         iterations += 1
-        trial = search(rp, G, g, rho, target)
-        if trial is None:
-            break  # no trial lowers the cost; keep the last iterate
-        G, d_hat, dj = trial
-        v_hat = v_hat + d_hat
-        j += dj
+        if scheme == "fully_discrete":
+            target = project_box(G - _bb_step(rp, G, g, previous) * g, bounds)
+        dG = target - G
+        d_hat, slope, curvature = _price(rp, rho, G, dG)
+        if not slope < 0.0:
+            break  # no point of the segment lowers the cost; keep the last iterate
+        theta = min(1.0, -slope / (2.0 * curvature))
+        previous = G, g
+        G = G + theta * dG
+        v_hat = v_hat + theta * d_hat
+        j += theta * (slope + theta * curvature)
         history.append(j)
     loop_solves = rp.n_state_solves - solves_before
 
@@ -350,7 +360,8 @@ def _price(rp: ReducedProblem, rho: np.ndarray, G: np.ndarray, dG: np.ndarray):
     """Solve for the state trace of the increment dG, d_hat in sine modes.  The cost of
     G + theta dG is j + theta (slope + theta curvature), slope = rho . d_hat + mu int G dG
     and 2 curvature = mass_modes . d_hat^2 + mu int dG^2: exact, and free of the
-    cancellation of differencing two costs near the optimum."""
+    cancellation of differencing two costs near the optimum, so the search needs no
+    further trial."""
     d_hat = rp.trace_solve(rp.load_modes(dG))
     mu = rp.problem.mu
     slope = float(rho @ d_hat) + mu * rp.quad.integrate(G * dG)
@@ -358,31 +369,18 @@ def _price(rp: ReducedProblem, rho: np.ndarray, G: np.ndarray, dG: np.ndarray):
     return d_hat, slope, curvature
 
 
-def _arc_step(rp, G, g, rho, target):
-    """Armijo backtracking along the projected arc proj(G - t g), t = 1/mu,
-    1/(2 mu), ...: the fully discrete step rule."""
-    t0 = 1.0 / rp.problem.mu
-    t = t0
-    while t >= MIN_STEP_FRACTION * t0:
-        G_new = project_box(G - t * g, rp.problem.bounds)
-        dG = G_new - G
-        D, slope, curvature = _price(rp, rho, G, dG)
-        dj = slope + curvature
-        if dj <= ARMIJO_DECREASE * rp.quad.integrate(g * dG):
-            return G_new, D, dj
-        t *= 0.5
-    return None
-
-
-def _segment_step(rp, G, g, rho, target):
-    """Cost-minimizing theta = min(1, -slope / (2 curvature)) on the segment
-    from G to target = proj(-tr P / mu): the variational step rule."""
-    dG = target - G
-    D, slope, curvature = _price(rp, rho, G, dG)
-    if not slope < 0.0:
-        return None
-    theta = min(1.0, -slope / (2.0 * curvature))
-    return G + theta * dG, theta * D, theta * (slope + theta * curvature)
+def _bb_step(rp: ReducedProblem, G: np.ndarray, g: np.ndarray, previous) -> float:
+    """Adaptive Barzilai-Borwein step from the last move, previous = (G, g) before it:
+    with s, y the changes of G and g, BB1 = <s,s>/<s,y> and BB2 = <s,y>/<y,y> in the
+    L2 product at the points, BB2 where it is below BB_SHORT_STEP_RATIO BB1, else BB1.
+    1/mu at the first iteration and where <s,y> <= 0."""
+    if previous is not None:
+        s, y = G - previous[0], g - previous[1]
+        sy = rp.quad.integrate(s * y)
+        if sy > 0.0:
+            bb1, bb2 = rp.quad.integrate(s * s) / sy, sy / rp.quad.integrate(y * y)
+            return bb2 if bb2 < BB_SHORT_STEP_RATIO * bb1 else bb1
+    return 1.0 / rp.problem.mu
 
 
 def solve_fully_discrete(
@@ -396,8 +394,9 @@ def solve_fully_discrete(
     """Projected gradient for piecewise-constant controls, on the shared loop.
 
     Stops when the unit-step fixed-point residual ||Z - proj(Z - g)||_L2
-    drops below `tol`.  Step rule: Armijo backtracking along the projected
-    arc proj(Z - t g), t = 1/mu halving; no accepted step raises the cost.
+    drops below `tol`.  Step rule: the cost-minimizing point on the segment
+    towards proj(Z - t g), t the adaptive Barzilai-Borwein step (1/mu at the
+    first iteration); no accepted step raises the cost.
     """
     rp = rp if rp is not None else ReducedProblem(problem, mesh)
     G, V, P, report = _descend(rp, z0, "fully_discrete", tol, max_iterations)

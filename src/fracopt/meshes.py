@@ -100,13 +100,6 @@ class GradedPartition:
                 "or a weaker grading"
             )
 
-    def sigma(self) -> float:
-        """Largest ratio of widths of neighboring intervals."""
-        if self.M == 1:
-            return 1.0
-        r = self.widths[1:] / self.widths[:-1]
-        return float(max(r.max(), (1.0 / r).max()))
-
 
 def make_graded_partition(M: int, gamma: float, Y: float, s: float | None = None) -> GradedPartition:
     """Build the graded partition; warns if gamma is too weak for the given s."""

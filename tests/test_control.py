@@ -218,14 +218,16 @@ def test_fully_discrete_converges_below_cost_rounding():
 
 
 def test_report_counts_only_its_own_solves():
-    # a ReducedProblem shared by several solves keeps one running count
-    mp, problem, mesh = manufactured_setup(n=1, s=0.5, N=12, M=12)
+    # a ReducedProblem shared by several solves keeps one running count; at this mu a
+    # step rule that backtracks would spend more than one trial per iteration
+    mp, problem, mesh = manufactured_setup(n=1, s=0.5, N=12, M=12, mu=1e-2)
     rp = ReducedProblem(problem, mesh)
     first = solve_fully_discrete(problem, mesh, rp=rp)[-1]
     again = solve_fully_discrete(problem, mesh, rp=rp)[-1]
     variational = solve_variational(problem, mesh, rp=rp)[-1]
     assert again.n_state_solves == first.n_state_solves
     # state and adjoint at the start, then one trial and one adjoint per step
+    assert first.n_state_solves == 2 * first.iterations + 2
     assert variational.n_state_solves == 2 * variational.iterations + 2
 
 
@@ -268,9 +270,11 @@ def test_variational_cost_history_monotone():
 
 
 @pytest.mark.parametrize("mu", [1e-1, 1e-2, 1e-3])
-def test_variational_accepts_no_cost_increase_for_small_mu(mu):
+@pytest.mark.parametrize("scheme", ["fully_discrete", "variational"])
+def test_no_scheme_accepts_a_cost_increase_for_small_mu(scheme, mu):
     mp, problem, mesh = manufactured_setup(n=1, s=0.5, N=64, M=64, mu=mu)
-    _, _, rep = solve_variational(problem, mesh)
+    solve = solve_fully_discrete if scheme == "fully_discrete" else solve_variational
+    rep = solve(problem, mesh)[-1]
     hist = rep.cost_history
     slack = 4.0 * np.finfo(float).eps * abs(hist[0])
     assert all(b <= a + slack for a, b in zip(hist, hist[1:]))
@@ -278,8 +282,8 @@ def test_variational_accepts_no_cost_increase_for_small_mu(mu):
 
 # (iterations, solves) of the loop on the n=1 mesh of 16,384 cells
 SMALL_MU_COUNTS = {
-    ("fully_discrete", 1e-1): (9, 20), ("fully_discrete", 1e-2): (21, 64),
-    ("fully_discrete", 1e-3): (76, 419), ("variational", 1e-1): (7, 16),
+    ("fully_discrete", 1e-1): (6, 14), ("fully_discrete", 1e-2): (15, 32),
+    ("fully_discrete", 1e-3): (48, 98), ("variational", 1e-1): (7, 16),
     ("variational", 1e-2): (12, 26), ("variational", 1e-3): (45, 92),
 }
 

@@ -20,6 +20,12 @@ from fracopt import (
 )
 
 
+def width_ratio(part):
+    """Largest ratio of widths of neighboring intervals."""
+    r = part.widths[1:] / part.widths[:-1]
+    return float(max(r.max(), (1.0 / r).max()))
+
+
 def test_graded_nodes_example():
     part = make_graded_partition(2, 2.0, 1.0)
     assert np.allclose(part.nodes, [0.0, 0.25, 1.0])
@@ -28,7 +34,7 @@ def test_graded_nodes_example():
 def test_gamma_one_is_uniform():
     part = make_graded_partition(4, 1.0, 2.0)
     assert np.allclose(part.nodes, [0.0, 0.5, 1.0, 1.5, 2.0])
-    assert part.sigma() == pytest.approx(1.0)
+    assert width_ratio(part) == pytest.approx(1.0)
 
 
 def test_default_grading_offset():
@@ -112,7 +118,7 @@ def test_balanced_resolution_examples():
 def test_sigma_exact_enumeration():
     part = GradedPartition(4, 2.0, 1.0)
     ratios = [((k + 1) ** 2 - k**2) / (k**2 - (k - 1) ** 2) for k in (1, 2, 3)]
-    assert part.sigma() == pytest.approx(max(ratios))
+    assert width_ratio(part) == pytest.approx(max(ratios))
 
 
 def test_choose_truncation_formula():

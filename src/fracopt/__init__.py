@@ -48,14 +48,9 @@ from .meshes import (
 from .spectral import (
     ConfigurationError,
     FractionalConstants,
-    SpectralFunction,
     bessel_K,
     eigenpair,
     extension_profile,
-    fractional_apply,
-    fractional_solve,
-    hs_norm,
-    spectral_extension,
 )
 from .study import (
     ConvergenceRecord,

@@ -117,7 +117,6 @@ class ProblemConfig:
     mu: float = 1.0
     c: float = 0.0
     forcing: Optional[Callable] = None
-    truncation_Y: Optional[float] = None
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:

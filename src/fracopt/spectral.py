@@ -1,18 +1,19 @@
 """Spectral reference machinery on the unit interval / unit square.
 
 Everything here is exact up to floating point: Dirichlet eigenpairs of
--Delta (+ constant shift c) on (0,1)^n, fractional powers acting on finite
-eigenexpansions, the Bessel-K profiles that describe the harmonic extension
-in the added coordinate, and the normalization constants tying the extension
-to the fractional operator.  The finite element code is tested against this
-module, never the other way around.
+-Delta (+ constant shift c) on (0,1)^n, the Bessel-K profiles that describe
+the harmonic extension of one eigenmode in the added coordinate, and the
+normalization constants tying the extension to the fractional operator.
+The oracle check builds its exact trace and extension from these; the
+finite element code is tested against this module, never the other way
+around.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -20,14 +21,9 @@ Mode = Tuple[int, ...]
 
 __all__ = [
     "FractionalConstants",
-    "SpectralFunction",
     "bessel_K",
     "eigenpair",
     "extension_profile",
-    "fractional_apply",
-    "fractional_solve",
-    "hs_norm",
-    "spectral_extension",
 ]
 
 
@@ -55,12 +51,10 @@ class FractionalConstants:
 
 
 # ---------------------------------------------------------------------------
-# Eigenpairs and finite eigenexpansions.
+# Eigenpairs.
 #
 # Basis convention: the eigenfunctions returned here are L2-orthonormal,
-# i.e. 2^(n/2) times the plain sine products.  Coefficient vectors of a
-# SpectralFunction always refer to this normalized basis, so Parseval holds
-# verbatim for every norm computed below.
+# i.e. 2^(n/2) times the plain sine products.
 # ---------------------------------------------------------------------------
 
 
@@ -97,60 +91,6 @@ def eigenpair(modes: Mode, n: int, c: float = 0.0) -> Tuple[float, Callable[...,
             return scale * np.sin(k * math.pi * np.asarray(x1)) * np.sin(l * math.pi * np.asarray(x2))
 
     return lam, phi
-
-
-@dataclass(frozen=True)
-class SpectralFunction:
-    """Finite expansion sum_k w_k phi_k in the orthonormal Dirichlet basis."""
-
-    n: int
-    coefficients: Mapping[Mode, float]
-
-    def __post_init__(self):
-        for modes in self.coefficients:
-            _check_mode(tuple(modes), self.n)
-
-    @classmethod
-    def single_mode(cls, modes: Mode, n: int, amplitude: float = 1.0) -> "SpectralFunction":
-        return cls(n=n, coefficients={tuple(modes): float(amplitude)})
-
-    def __call__(self, *coords):
-        out = 0.0
-        for modes, w in self.coefficients.items():
-            _, phi = eigenpair(modes, self.n)
-            out = out + w * phi(*coords)
-        return out
-
-
-def _scaled(w: SpectralFunction, s: float, c: float, power_sign: int) -> SpectralFunction:
-    if not 0.0 < s <= 1.0:
-        raise ConfigurationError(f"s must be in (0,1] for spectral powers, got {s}")
-    new: Dict[Mode, float] = {}
-    for modes, amp in w.coefficients.items():
-        lam, _ = eigenpair(modes, w.n, c)
-        new[modes] = amp * lam ** (power_sign * s)
-    return SpectralFunction(n=w.n, coefficients=new)
-
-
-def fractional_apply(w: SpectralFunction, s: float, c: float = 0.0) -> SpectralFunction:
-    """Apply the fractional operator: scale each coefficient by lambda_k^s."""
-    return _scaled(w, s, c, +1)
-
-
-def fractional_solve(f: SpectralFunction, s: float, c: float = 0.0) -> SpectralFunction:
-    """Invert the fractional operator: scale each coefficient by lambda_k^-s."""
-    return _scaled(f, s, c, -1)
-
-
-def hs_norm(w: SpectralFunction, s: float, c: float = 0.0) -> float:
-    """Spectral H^s norm (sum lambda_k^s w_k^2)^(1/2); s=0 gives the L2 norm."""
-    if not 0.0 <= s <= 1.0:
-        raise ConfigurationError(f"s must be in [0,1] for the H^s norm, got {s}")
-    acc = 0.0
-    for modes, amp in w.coefficients.items():
-        lam, _ = eigenpair(modes, w.n, c)
-        acc += lam**s * amp * amp
-    return math.sqrt(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +171,7 @@ def bessel_K(nu: float, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Extension profiles and the exact extension itself.
+# Extension profiles.
 # ---------------------------------------------------------------------------
 
 
@@ -255,25 +195,3 @@ def extension_profile(s: float, lam: float, y: float) -> float:
     if z > 700.0:
         return 0.0
     return consts.c_s * z**s * bessel_K(s, z)
-
-
-def spectral_extension(w: SpectralFunction, s: float, x, y):
-    """Evaluate the exact extension sum_k w_k phi_k(x') psi_k(y) at (x', y).
-
-    `x` is the base coordinate (scalar/array for n=1, pair of arrays for n=2);
-    broadcasting follows numpy rules.  Used as the reference solution when
-    testing the cylinder discretization.
-    """
-    coords = x if isinstance(x, (tuple, list)) else (x,)
-    if len(coords) != w.n:
-        raise ConfigurationError(f"expected {w.n} base coordinates, got {len(coords)}")
-    yarr = np.asarray(y, dtype=float)
-    out = None
-    for modes, amp in w.coefficients.items():
-        lam, phi = eigenpair(modes, w.n)
-        psi = np.vectorize(lambda t, _lam=lam: extension_profile(s, _lam, float(t)))(yarr)
-        contrib = amp * phi(*coords) * psi
-        out = contrib if out is None else out + contrib
-    if out is None:
-        out = np.zeros(np.broadcast(*(np.asarray(cc) for cc in coords), yarr).shape)
-    return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -114,8 +114,8 @@ class ConvergenceRecord:
     checks: Dict[str, bool] = field(default_factory=dict)
     extras: Dict[str, object] = field(default_factory=dict)
 
-    def fit(self, key: str, x_key: str = "cells", skip_first: int = 0) -> Tuple[float, float]:
-        xs = [row[x_key] for row in self.rows[skip_first:] if row.get(key) is not None]
+    def fit(self, key: str, skip_first: int = 0) -> Tuple[float, float]:
+        xs = [row["cells"] for row in self.rows[skip_first:] if row.get(key) is not None]
         ys = [row[key] for row in self.rows[skip_first:] if row.get(key) is not None]
         return fit_loglog_slope(xs, ys)
 
@@ -336,8 +336,13 @@ def run_truncation_study(cfg: StudyConfig, Y_values: Sequence[float],
     truncation error until the discretization floor is reached.  The
     desired state is the first eigenmode: truncation error scales with
     exp(-c sqrt(lambda_1) Y), so lowest-mode data keeps the decay visible
-    above the floor for the longest stretch of heights.
+    above the floor for the longest stretch of heights.  Fully discrete
+    scheme only; the first solve that does not converge (the reference
+    solve included) ends the study and fails its check.
     """
+    if cfg.scheme != "fully_discrete":
+        raise ConfigurationError(f"truncation study runs the fully discrete scheme only, "
+                                 f"got {cfg.scheme!r}")
     Y_values = sorted(float(Y) for Y in Y_values)
     if Y_values[0] < 1.0:
         raise ConfigurationError("truncation study requires Y >= 1")
@@ -353,17 +358,21 @@ def run_truncation_study(cfg: StudyConfig, Y_values: Sequence[float],
     # template, not from running out of y-resolution
     base = BasePartition(cfg.n, N)
     ref_Y = reference_Y if reference_Y is not None else 2.0 * Y_values[-1] + 2.0
+    rec = ConvergenceRecord("truncation", s, cfg.n, cfg.mode, cfg.scheme, gamma, ref_Y)
 
-    def solve_at(Y: float):
+    reference = None
+    for Y in [ref_Y] + Y_values:
         mesh = TensorMesh(base, make_graded_partition(M, gamma, Y, s=s))
         Z, V, _, rep = solve_fully_discrete(problem, mesh, tol=cfg.tol)
-        return Z, V, rep
-
-    Z_ref, V_ref, _ = solve_at(ref_Y)
-    rec = ConvergenceRecord("truncation", s, cfg.n, cfg.mode, cfg.scheme, gamma, ref_Y)
-    tr_ref = V_ref.trace()
-    for Y in Y_values:
-        Z, V, rep = solve_at(Y)
+        if not rep.converged:
+            rec.extras["aborted_at_Y"] = Y
+            rec.extras["abort_residual"] = rep.vi_residual
+            rec.checks["truncation_decay"] = False
+            return rec
+        if reference is None:
+            reference = Z, V.trace()
+            continue
+        Z_ref, tr_ref = reference
         err_control = math.sqrt(base.cell_volume * float(
             np.sum((Z.cell_values - Z_ref.cell_values) ** 2)))
         err_state = l2_trace_error(V.trace(), tr_ref.evaluate)
@@ -407,36 +416,27 @@ def _truncation_slope(Ys: Sequence[float], errs: Sequence[float]) -> Tuple[float
 def run_compare_refinement(cfg: StudyConfig) -> ConvergenceRecord:
     """Uniform vs anisotropic refinement at one matched resolution.
 
-    Same base mesh, layer count and height; only the grading differs.  The
-    contract is the error ratio, not absolute values.
+    Two single-target rate sweeps at the finest target: same base mesh,
+    layer count and height; only the grading differs.  The contract is the
+    error ratio, not absolute values.  A sweep that aborts ends the study
+    and fails its check.
     """
     s = cfg.s_values[0]
     target = cfg.dof_targets[-1]
-    mp = build_manufactured(s, cfg.n)
-    problem = mp.problem()
-    consts = FractionalConstants.from_order(s)
-    Y = cfg.truncation_Y if cfg.truncation_Y is not None else choose_truncation(
-        s, first_eigenvalue(cfg.n), target, cfg.n
-    )
     gamma_an = cfg.gamma if cfg.gamma is not None else default_grading(s)
-    rec = ConvergenceRecord("compare", s, cfg.n, "both", cfg.scheme, gamma_an, Y)
-
-    def exact_data(*x):
-        return mp.lam_s * mp.u_exact(*x)
-
+    sweeps = []
     for mode, gamma in (("uniform", 1.0), ("anisotropic", gamma_an)):
-        mesh = _build_mesh(cfg.n, target, gamma, Y, s, mode == "anisotropic")
-        Z, V, P, rep = solve_fully_discrete(problem, mesh, tol=cfg.tol)
-        rec.rows.append({
-            "mode": mode,
-            "gamma": gamma,
-            "cells": mesh.n_cells,
-            "dofs": mesh.n_free,
-            "err_control_L2": _control_error_fully_discrete(Z, mp.z_exact, mesh.base),
-            "err_state_Hs": energy_error_galerkin(V, exact_data, mp.u_exact, consts.d_s),
-            "err_state_L2": l2_trace_error(V.trace(), mp.u_exact),
-            "iterations": rep.iterations,
-        })
+        sweeps += run_rate_study(replace(cfg, s_values=(s,), dof_targets=(target,),
+                                         mode=mode, gamma=gamma))
+        if "aborted_at_target" in sweeps[-1].extras:
+            break
+    rec = ConvergenceRecord("compare", s, cfg.n, "both", cfg.scheme, gamma_an, sweeps[0].Y)
+    for sweep in sweeps:
+        rec.rows += [dict(row, mode=sweep.mode, gamma=sweep.gamma) for row in sweep.rows]
+        rec.extras.update(sweep.extras)
+    if "aborted_at_target" in rec.extras:
+        rec.checks["anisotropic_superiority"] = False
+        return rec
     ratio = rec.rows[1]["err_control_L2"] / rec.rows[0]["err_control_L2"]
     rec.extras["control_error_ratio_an_over_un"] = ratio
     rec.checks["anisotropic_superiority"] = ratio <= 1.0 / 3.0

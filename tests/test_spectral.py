@@ -16,14 +16,9 @@ from scipy.optimize import brentq
 from fracopt import (
     ConfigurationError,
     FractionalConstants,
-    SpectralFunction,
     bessel_K,
     eigenpair,
     extension_profile,
-    fractional_apply,
-    fractional_solve,
-    hs_norm,
-    spectral_extension,
 )
 
 
@@ -98,77 +93,6 @@ def test_eigenpair_rejects_bad_input():
         eigenpair((1, 1), 1)
     with pytest.raises(ConfigurationError):
         eigenpair((1, 1, 1), 3)
-
-
-# ---------------------------------------------------------------------------
-# fractional apply / solve
-# ---------------------------------------------------------------------------
-
-
-def test_apply_single_mode():
-    w = SpectralFunction.single_mode((2, 2), 2)
-    s = 0.37
-    out = fractional_apply(w, s)
-    lam, _ = eigenpair((2, 2), 2)
-    assert out.coefficients[(2, 2)] == pytest.approx(lam**s, rel=1e-14)
-
-
-def test_apply_s_one_is_plain_operator():
-    w = SpectralFunction.single_mode((1, 1), 2)
-    out = fractional_apply(w, 1.0)
-    assert out.coefficients[(1, 1)] == pytest.approx(2.0 * math.pi**2, rel=1e-14)
-
-
-@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
-def test_solve_then_apply_roundtrip(s):
-    w = SpectralFunction(n=2, coefficients={(1, 1): 0.3, (2, 5): -1.7, (4, 4): 2.2})
-    back = fractional_solve(fractional_apply(w, s), s)
-    for mode, amp in w.coefficients.items():
-        assert back.coefficients[mode] == pytest.approx(amp, rel=1e-13)
-
-
-def test_solve_single_mode_half():
-    f = SpectralFunction.single_mode((1, 1), 2)
-    u = fractional_solve(f, 0.5)
-    assert u.coefficients[(1, 1)] == pytest.approx((2.0 * math.pi**2) ** -0.5, rel=1e-14)
-
-
-def test_solve_manufactured_mode():
-    # datum lam_{2,2}^s phi_{2,2} inverts to phi_{2,2}
-    s = 0.3
-    lam, _ = eigenpair((2, 2), 2)
-    f = SpectralFunction.single_mode((2, 2), 2, amplitude=lam**s)
-    u = fractional_solve(f, s)
-    assert u.coefficients[(2, 2)] == pytest.approx(1.0, rel=1e-14)
-
-
-def test_solve_zero_is_zero():
-    z = SpectralFunction(n=1, coefficients={})
-    assert fractional_solve(z, 0.5).coefficients == {}
-
-
-# ---------------------------------------------------------------------------
-# hs_norm
-# ---------------------------------------------------------------------------
-
-
-def test_hs_norm_s0_is_l2():
-    w = SpectralFunction.single_mode((1, 1), 2)
-    assert hs_norm(w, 0.0) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_hs_norm_s1():
-    w = SpectralFunction.single_mode((1, 1), 2)
-    assert hs_norm(w, 1.0) == pytest.approx(math.sqrt(2.0 * math.pi**2), rel=1e-14)
-
-
-def test_hs_norm_pythagoras():
-    w = SpectralFunction(n=1, coefficients={(1,): 3.0, (4,): 4.0})
-    assert hs_norm(w, 0.0) == pytest.approx(5.0, rel=1e-14)
-    lam1, _ = eigenpair((1,), 1)
-    lam4, _ = eigenpair((4,), 1)
-    s = 0.6
-    assert hs_norm(w, s) == pytest.approx(math.sqrt(lam1**s * 9 + lam4**s * 16), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -289,32 +213,3 @@ def test_profile_ode_residual_finite_differences(s):
         d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
         residual = d2 + (alpha / y) * d1 - lam * f[2]
         assert abs(residual) <= 1e-6
-
-
-# ---------------------------------------------------------------------------
-# spectral extension
-# ---------------------------------------------------------------------------
-
-
-def test_extension_restores_trace_at_zero():
-    w = SpectralFunction(n=2, coefficients={(1, 1): 0.7, (3, 2): -0.4})
-    pts = [(0.21, 0.55), (0.8, 0.35)]
-    for x1, x2 in pts:
-        assert spectral_extension(w, 0.42, (x1, x2), 0.0) == pytest.approx(
-            w(x1, x2), rel=1e-13
-        )
-
-
-def test_extension_single_mode_half_closed_form():
-    w = SpectralFunction.single_mode((1,), 1)
-    lam, phi = eigenpair((1,), 1)
-    x, y = 0.3, 0.7
-    assert spectral_extension(w, 0.5, x, y) == pytest.approx(
-        float(phi(x)) * math.exp(-math.sqrt(lam) * y), rel=1e-12
-    )
-
-
-def test_extension_decays_far_out():
-    w = SpectralFunction.single_mode((1, 1), 2)
-    val = spectral_extension(w, 0.5, (0.5, 0.5), 10.0)
-    assert abs(float(val)) <= 1e-8

@@ -167,6 +167,12 @@ def test_truncation_requires_unit_height():
         run_truncation_study(cfg, (0.5, 1.0))
 
 
+def test_truncation_refuses_the_variational_scheme():
+    cfg = StudyConfig(s_values=(0.5,), n=1, dof_targets=(256,), scheme="variational")
+    with pytest.raises(ConfigurationError, match="fully discrete"):
+        run_truncation_study(cfg, (1.0, 1.2), reference_Y=4.0)
+
+
 def test_compare_refinement_structure():
     cfg = StudyConfig(s_values=(0.2,), n=1, dof_targets=(1024,))
     rec = run_compare_refinement(cfg)
@@ -176,6 +182,21 @@ def test_compare_refinement_structure():
     assert ratio == pytest.approx(
         rec.rows[1]["err_control_L2"] / rec.rows[0]["err_control_L2"]
     )
+
+
+def test_compare_refinement_runs_the_variational_scheme(monkeypatch):
+    meshes = []
+
+    def counted(problem, mesh, **kw):
+        meshes.append(mesh.n_cells)
+        return solve(problem, mesh, **kw)
+
+    solve = study.solve_variational
+    monkeypatch.setattr(study, "solve_variational", counted)
+    cfg = StudyConfig(s_values=(0.5,), n=1, dof_targets=(256,), scheme="variational")
+    rec = run_compare_refinement(cfg)
+    assert rec.scheme == "variational" and len(meshes) == 2
+    assert [row["cells"] for row in rec.rows] == meshes
 
 
 def test_adjoint_trace_converges_to_closed_form():
@@ -357,6 +378,24 @@ def test_cli_aborted_n1_fully_discrete_sweep_exits_2(monkeypatch, tmp_path, caps
     assert record["rows"] == [] and record["checks"] == {"converged": False}
 
 
+@pytest.mark.parametrize("argv, abort_key, check", [
+    (["compare-refinement"], "aborted_at_target", "anisotropic_superiority"),
+    (["truncation", "--truncation-Y", "1.0,1.2"], "aborted_at_Y", "truncation_decay"),
+], ids=["compare", "truncation"])
+def test_cli_aborted_study_fails_its_check_and_exits_2(argv, abort_key, check, monkeypatch,
+                                                       tmp_path, capsys):
+    capped = functools.partial(study.solve_fully_discrete, max_iterations=1)
+    monkeypatch.setattr(study, "solve_fully_discrete", capped)
+    out = str(tmp_path / "ab")
+    rc = main(argv + ["--s", "0.5", "--n", "1", "--dofs", "256", "--out", out])
+    assert rc == 2
+    assert f"{check}: FAIL" in capsys.readouterr().out
+    with open(out + ".json") as fh:
+        record = json.load(fh)["records"][0]
+    assert abort_key in record["extras"] and record["extras"]["abort_residual"] > 0.0
+    assert record["checks"] == {check: False} and len(record["rows"]) < 2
+
+
 def test_sweep_aborted_after_two_rows_fails_its_band(monkeypatch):
     # the two rows kept fit a slope, but the band of a sweep that stopped short fails
     def capped_at_finest(problem, mesh, **kw):
@@ -373,14 +412,22 @@ def test_sweep_aborted_after_two_rows_fails_its_band(monkeypatch):
     assert rec.checks == {"variational_slope_band": False}
 
 
-@pytest.mark.parametrize("scheme", ["fully_discrete", "variational"])
-def test_rate_rows_carry_the_exit_certificate(scheme):
+@pytest.mark.parametrize("run, scheme", [
+    pytest.param(lambda cfg: run_rate_study(cfg)[0], scheme, id=scheme)
+    for scheme in ("fully_discrete", "variational")
+] + [
+    pytest.param(run_compare_refinement, scheme, id=f"compare-{scheme}")
+    for scheme in ("fully_discrete", "variational")
+])
+def test_rate_rows_carry_the_exit_certificate(run, scheme):
     cfg = StudyConfig(s_values=(0.5,), n=1, dof_targets=(64,), scheme=scheme)
-    row = run_rate_study(cfg)[0].rows[0]
-    cert = row["certificate"]
-    assert set(cert) == {"state_residual_rel", "adjoint_residual_rel", "trace_gap",
-                         "profile_backward_error"}
-    assert cert["state_residual_rel"] <= 1e-10 and cert["adjoint_residual_rel"] <= 1e-10
+    rows = run(cfg).rows
+    assert rows
+    for row in rows:
+        cert = row["certificate"]
+        assert set(cert) == {"state_residual_rel", "adjoint_residual_rel", "trace_gap",
+                             "profile_backward_error"}
+        assert cert["state_residual_rel"] <= 1e-10 and cert["adjoint_residual_rel"] <= 1e-10
 
 
 def test_cli_truncation_smoke(tmp_path):

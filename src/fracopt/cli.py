@@ -12,6 +12,7 @@ import logging
 import sys
 from typing import Dict, Optional, Sequence
 
+from .spectral import ConfigurationError
 from .study import (
     StudyConfig,
     emit_report,
@@ -87,7 +88,8 @@ def _default_dofs(command: str, n: int) -> tuple:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     file_cfg = read_config_file(args.config) if args.config else {}
     if args.verbose:
         logging.basicConfig(format="%(name)s: %(message)s")
@@ -108,28 +110,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     gamma = _pick(args.gamma, file_cfg, "gamma", float, None)
     out = _pick(args.out, file_cfg, "out", str, f"fracopt_{args.command.replace('-', '_')}")
 
-    single_Y = trunc[0] if (trunc is not None and len(trunc) == 1) else None
-    cfg = StudyConfig(
-        s_values=tuple(s_values),
-        n=n,
-        mode=mode,
-        dof_targets=tuple(dofs),
-        gamma=gamma,
-        truncation_Y=single_Y if args.command != "truncation" else None,
-        tol=tol,
-        scheme=scheme,
-        seed=seed,
-    )
-
-    if args.command in ("state-rates", "control-rates"):
-        records = run_rate_study(cfg)
-    elif args.command == "oracle-check":
-        records = run_oracle_check(cfg)
-    elif args.command == "compare-refinement":
-        records = [run_compare_refinement(cfg)]
-    else:
-        Y_default = (1.0, 1.5, 2.0, 2.5, 3.0, 4.0) if n == 2 else (1.0, 2.0, 3.0, 4.0, 5.0)
-        records = [run_truncation_study(cfg, trunc if trunc is not None else Y_default)]
+    try:  # invalid input is reported in one line, with argparse's exit status 2
+        if trunc and len(trunc) > 1 and args.command != "truncation":
+            raise ConfigurationError(f"{args.command} runs at one height, got "
+                                     f"{len(trunc)} in --truncation-Y")
+        cfg = StudyConfig(s_values=tuple(s_values), n=n, mode=mode, dof_targets=tuple(dofs),
+                          gamma=gamma, tol=tol, scheme=scheme, seed=seed,
+                          truncation_Y=trunc[0] if trunc and args.command != "truncation" else None)
+        if args.command in ("state-rates", "control-rates"):
+            records = run_rate_study(cfg)
+        elif args.command == "oracle-check":
+            records = run_oracle_check(cfg)
+        elif args.command == "compare-refinement":
+            records = [run_compare_refinement(cfg)]
+        else:
+            Y_default = (1.0, 1.5, 2.0, 2.5, 3.0, 4.0) if n == 2 else (1.0, 2.0, 3.0, 4.0, 5.0)
+            records = [run_truncation_study(cfg, trunc if trunc is not None else Y_default)]
+    except ConfigurationError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
     csv_path, json_path = emit_report(records, out, cfg)
 

@@ -90,18 +90,13 @@ class BaseQuadrature:
         self.base = base
         xi, w = _gauss_01(npts)
         h = base.h
-        if base.n == 1:
-            self.ref_points = xi[:, None]
-            self.weights = w * h
-            self.shapes = np.stack([1.0 - xi, xi])  # (2, nq)
-        else:
-            X, Y = np.meshgrid(xi, xi, indexing="ij")
-            self.ref_points = np.stack([X.ravel(), Y.ravel()], axis=1)
-            self.weights = np.outer(w, w).ravel() * h * h
-            gx, gy = self.ref_points[:, 0], self.ref_points[:, 1]
-            self.shapes = np.stack(
-                [(1 - gx) * (1 - gy), gx * (1 - gy), (1 - gx) * gy, gx * gy]
-            )  # (4, nq) in corner order (00, 10, 01, 11)
+        idx = np.indices((npts,) * base.n).reshape(base.n, -1).T  # points x1 slowest
+        self.ref_points = xi[idx]
+        self.ref_points.flags.writeable = False
+        self.weights = w[idx].prod(axis=1)
+        for _ in range(base.n):
+            self.weights *= h  # h per axis, not h**n, which rounds differently
+        self.shapes = np.array(base.corner_shapes(self.ref_points))  # (2^n, nq)
         # physical points, shape (#cells, nq, n)
         self.points = base.cell_origins[:, None, :] + h * self.ref_points[None, :, :]
 
@@ -155,23 +150,12 @@ class TraceField:
         return self.corner_values().mean(axis=1)
 
     def evaluate(self, *coords) -> np.ndarray:
-        N = self.base.cells_per_side
-        full = self.full_values()
-        xs = [np.asarray(c, dtype=float) for c in coords]
-        idx = [np.clip(np.floor(x * N).astype(int), 0, N - 1) for x in xs]
-        loc = [x * N - i for x, i in zip(xs, idx)]
-        if self.base.n == 1:
-            i = idx[0]
-            return (1 - loc[0]) * full[i] + loc[0] * full[i + 1]
-        i, j = idx
-        xi, eta = loc
-        sw = j * (N + 1) + i
-        return (
-            (1 - xi) * (1 - eta) * full[sw]
-            + xi * (1 - eta) * full[sw + 1]
-            + (1 - xi) * eta * full[sw + N + 1]
-            + xi * eta * full[sw + N + 2]
-        )
+        base, N = self.base, self.base.cells_per_side
+        x = np.stack(coords, axis=-1) * N
+        cell = np.clip(np.floor(x).astype(int), 0, N - 1)  # lattice point of the cell origin
+        full, origin = self.full_values(), base.node_numbers(cell)
+        return sum(shape * full[origin + offset] for shape, offset in  # in corner order
+                   zip(base.corner_shapes(x - cell), base.node_numbers(base.corner_offsets)))
 
 
 @dataclass
@@ -319,11 +303,11 @@ class CylinderOperator:
         # largest backward error of the profiles' tridiagonal solves, checked at assembly
         self.profile_backward_error = profile_backward_error
         # |K|_1: a column adds |T_t| over the N_t-neighbours of its node, disjoint for
-        # distinct t; a node with k = min(m - 1, 2) neighbours per direction has most
+        # distinct t; a node with k = min(m - 1, 2) neighbours per direction has most,
+        # C(n, t) k^t of them
         k = min(len(sine) - 1, 2)
-        counts = (1, k) if mesh.n == 1 else (1, 2 * k, k * k)
-        self.norm1 = float(sum(n_t * _column_norm1(*T)
-                               for n_t, T in zip(counts, layer_bands)).max())
+        self.norm1 = float(sum(math.comb(mesh.n, t) * k**t * _column_norm1(*T)
+                               for t, T in enumerate(layer_bands)).max())
 
     @property
     def n(self) -> int:
@@ -339,10 +323,10 @@ class CylinderOperator:
         """K x over the free unknowns (layer-major, x1 fastest), from the 1D bands."""
         n, m = self.mesh.n, len(self._sine)
         X = np.asarray(x, dtype=float).reshape((-1,) + (m,) * n)
-        fields = [X, _neighbour_sum(X, n)]  # N_t X: X, E_1 X
-        if n == 2:
-            fields.append(_neighbour_sum(fields[1], 1))  # E_2 E_1 X
-            fields[1] += _neighbour_sum(X, 1)  # (E_1 + E_2) X
+        fields = [X]  # N_t X, the terms of degree t in prod_d (1 + E_d) X
+        for axis in range(n, 0, -1):  # E_1 first: x1 is the last axis
+            shifted = [_neighbour_sum(F, axis) for F in fields]
+            fields = fields[:1] + [F + E for F, E in zip(fields[1:], shifted)] + shifted[-1:]
         return sum(_band_apply(*T, F) for T, F in zip(self._layer_bands, fields)).ravel()
 
     def to_modes(self, layers: np.ndarray) -> np.ndarray:

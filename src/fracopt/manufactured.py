@@ -54,20 +54,12 @@ def build_manufactured(s: float, n: int = 2, mu: float = 1.0,
                        bounds: BoxBounds = BoxBounds(0.0, 0.5)) -> ManufacturedProblem:
     if not 0.0 < s < 1.0:
         raise ConfigurationError(f"s must be in (0,1), got {s}")
-    if n == 2:
-        lam = 8.0 * math.pi**2  # mode (2,2)
-
-        def ubar(x1, x2):
-            return np.sin(2.0 * math.pi * np.asarray(x1)) * np.sin(2.0 * math.pi * np.asarray(x2))
-
-    elif n == 1:
-        lam = 4.0 * math.pi**2  # mode k=2
-
-        def ubar(x):
-            return np.sin(2.0 * math.pi * np.asarray(x))
-
-    else:
+    if n not in (1, 2):
         raise ConfigurationError(f"dimension n must be 1 or 2, got {n}")
+    lam = 4.0 * n * math.pi**2  # mode (2, .., 2)
+
+    def ubar(*x):
+        return math.prod(np.sin(2.0 * math.pi * np.asarray(xd)) for xd in x)
 
     lam_s = lam**s
     a, b = bounds.a, bounds.b

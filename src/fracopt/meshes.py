@@ -40,8 +40,20 @@ def default_grading(s: float) -> float:
     return 3.0 / (2.0 * s) + 0.1
 
 
+def _lattice(points_per_side: int, n: int) -> np.ndarray:
+    """Integer points of {0, .., points_per_side - 1}^n, shape (#points, n), x1 fastest."""
+    return np.indices((points_per_side,) * n).reshape(n, -1)[::-1].T
+
+
 class BasePartition:
-    """Uniform structured partition of (0,1)^n, n in {1, 2}."""
+    """Uniform structured partition of (0,1)^n, n in {1, 2}.
+
+    The single definition of the numbering: node (i_1, .., i_n) of the grid
+    is i_1 + i_2 (N+1) + .., x1 fastest (`node_numbers`), and so are the
+    cells, numbered by their origin node.  Corner k of a cell sits at its
+    origin + h * corner_offsets[k]; bit d of k is the offset along x_{d+1},
+    so the corner order is (00, 10, 01, 11).
+    """
 
     def __init__(self, n: int, cells_per_side: int):
         if n not in (1, 2):
@@ -53,29 +65,26 @@ class BasePartition:
         self.h = 1.0 / cells_per_side
 
         N = cells_per_side
-        grid = np.arange(N + 1) / N
-        if n == 1:
-            self.node_coords = grid[:, None].copy()
-            interior = (np.arange(N + 1) > 0) & (np.arange(N + 1) < N)
-            self.cells = np.stack([np.arange(N), np.arange(N) + 1], axis=1)
-            self.cell_origins = grid[:-1][:, None].copy()
-        else:
-            xi, xj = np.meshgrid(grid, grid, indexing="xy")  # node idx = j*(N+1)+i
-            self.node_coords = np.stack([xi.ravel(), xj.ravel()], axis=1)
-            ii, jj = np.meshgrid(np.arange(N + 1), np.arange(N + 1), indexing="xy")
-            onbnd = (ii.ravel() == 0) | (ii.ravel() == N) | (jj.ravel() == 0) | (jj.ravel() == N)
-            interior = ~onbnd
-            ci, cj = np.meshgrid(np.arange(N), np.arange(N), indexing="xy")
-            ci, cj = ci.ravel(), cj.ravel()
-            sw = cj * (N + 1) + ci
-            # corner order (00, 10, 01, 11) matches the bilinear shape functions
-            self.cells = np.stack([sw, sw + 1, sw + (N + 1), sw + (N + 2)], axis=1)
-            self.cell_origins = np.stack([ci / N, cj / N], axis=1)
-        self.interior_nodes = np.flatnonzero(interior)
+        self.corner_offsets = _lattice(2, n)
+        nodes, origins = _lattice(N + 1, n), _lattice(N, n)
+        self.node_coords = nodes / N
+        self.interior_nodes = np.flatnonzero(((nodes > 0) & (nodes < N)).all(axis=1))
+        self.cells = self.node_numbers(origins)[:, None] + self.node_numbers(self.corner_offsets)
+        self.cell_origins = origins / N
         self.n_nodes = len(self.node_coords)
         self.n_interior = len(self.interior_nodes)
         self.n_cells = len(self.cells)
         self.cell_volume = self.h**self.n
+
+    def node_numbers(self, lattice: np.ndarray) -> np.ndarray:
+        """Node number of the integer grid points lattice[..., d], d the axis."""
+        return lattice @ (self.cells_per_side + 1) ** np.arange(self.n)
+
+    def corner_shapes(self, local: np.ndarray) -> list:
+        """Q1 shape functions at local cell coordinates local[..., d] in [0, 1]^n, one array
+        per corner in corner order: the product over the axes of local or 1 - local."""
+        factors = [(1.0 - t, t) for t in np.moveaxis(local, -1, 0)]
+        return [math.prod(f[b] for f, b in zip(factors, bits)) for bits in self.corner_offsets]
 
 
 class GradedPartition:

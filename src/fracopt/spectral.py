@@ -78,17 +78,9 @@ def eigenpair(modes: Mode, n: int, c: float = 0.0) -> Tuple[float, Callable[...,
     lam = math.pi**2 * float(sum(k * k for k in modes)) + c
     scale = 2.0 ** (n / 2.0)
 
-    if n == 1:
-        k = modes[0]
-
-        def phi(x):
-            return scale * np.sin(k * math.pi * np.asarray(x))
-
-    else:
-        k, l = modes
-
-        def phi(x1, x2):
-            return scale * np.sin(k * math.pi * np.asarray(x1)) * np.sin(l * math.pi * np.asarray(x2))
+    def phi(*x):
+        return math.prod((np.sin(k * math.pi * np.asarray(xd))
+                          for k, xd in zip(modes, x, strict=True)), start=scale)
 
     return lam, phi
 

@@ -344,13 +344,12 @@ def run_truncation_study(cfg: StudyConfig, Y_values: Sequence[float],
         raise ConfigurationError(f"truncation study runs the fully discrete scheme only, "
                                  f"got {cfg.scheme!r}")
     Y_values = sorted(float(Y) for Y in Y_values)
+    if len(set(Y_values)) < 2:
+        raise ConfigurationError(f"truncation study needs two distinct heights, got {Y_values}")
     if Y_values[0] < 1.0:
         raise ConfigurationError("truncation study requires Y >= 1")
     s = cfg.s_values[0]
-    if cfg.n == 1:
-        u_d = lambda x: np.sin(math.pi * x)
-    else:
-        u_d = lambda x1, x2: np.sin(math.pi * x1) * np.sin(math.pi * x2)
+    u_d = lambda *x: math.prod(np.sin(math.pi * xd) for xd in x)
     problem = ProblemConfig(s=s, u_d=u_d, bounds=BoxBounds(0.0, 0.5), mu=1.0)
     gamma = cfg.gamma if cfg.gamma is not None else default_grading(s)
     N = balanced_resolution(max(cfg.dof_targets), cfg.n)
@@ -405,7 +404,6 @@ def _truncation_slope(Ys: Sequence[float], errs: Sequence[float]) -> Tuple[float
             cut = i + 1
         else:
             break
-    cut = max(cut, 2)
     ys = np.asarray(Ys[:cut], dtype=float)
     es = errs[:cut]
     A = np.column_stack([ys, np.ones_like(ys)])

@@ -18,6 +18,7 @@ from fracopt import (
     first_eigenvalue,
     make_graded_partition,
 )
+from fracopt.fem import BaseQuadrature, TraceField
 
 
 def width_ratio(part):
@@ -92,6 +93,30 @@ def test_free_unknowns_are_layer_major():
     for i in range(4):
         for j in range(4):
             assert np.any(K[i, :, j]) == (abs(i - j) <= 1), (i, j)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("N", [1, 2, 5])
+def test_base_numbering_and_corner_order(n, N):
+    # BasePartition is the one definition of both; the Q1 shapes and the point
+    # evaluation of a trace field read it
+    base = BasePartition(n, N)
+    assert np.array_equal(base.node_coords[1], [base.h] + [0.0] * (n - 1))  # x1 fastest
+    bits = np.array([[(k >> d) & 1 for d in range(n)] for k in range(2**n)])
+    assert np.array_equal(base.corner_offsets, bits)  # (00, 10, 01, 11)
+    for k in range(2**n):
+        assert np.allclose(base.node_coords[base.cells[:, k]],
+                           base.cell_origins + base.h * bits[k], rtol=0.0, atol=1e-15)
+    on_boundary = ((base.node_coords == 0.0) | (base.node_coords == 1.0)).any(axis=1)
+    assert np.array_equal(base.interior_nodes, np.flatnonzero(~on_boundary))
+    field = TraceField(base, np.random.default_rng(N).standard_normal(base.n_interior))
+    for corner in base.cells.T:
+        assert np.allclose(field.evaluate(*base.node_coords[corner].T),
+                           field.full_values()[corner], rtol=0.0, atol=1e-14)
+    for npts in (3, 4):
+        shapes = BaseQuadrature(base, npts).shapes
+        assert shapes.shape == (2**n, npts**n)
+        assert np.allclose(shapes.sum(axis=0), 1.0, rtol=0.0, atol=1e-15)
 
 
 def test_trace_dofs_lead_the_free_block():

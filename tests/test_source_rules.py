@@ -4,11 +4,15 @@ Library code reports through the `fracopt` logger, so only the CLI may call
 `print`; and it raises ConfigurationError or SolverError with a message rather
 than a bare `assert`, which `python -O` strips.  Its tridiagonals are held as
 their bands, so it imports nothing from scipy.sparse (the tests use it as their
-oracle).
+oracle).  And `import fracopt` leaves scipy.special unloaded: it adds about
+50-70 ms to every fresh process, and import time bounds a run's setup.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -41,3 +45,13 @@ def test_no_scipy_sparse_import(path):
     found = [f"line {line}: {name}" for line, name in modules
              if (name + ".").startswith("scipy.sparse.")]
     assert not found, f"{path.name}: {found}"
+
+
+def test_importing_fracopt_does_not_load_scipy_special():
+    # a fresh interpreter: this test process has scipy.special loaded already
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, fracopt; print(sorted(m for m in sys.modules if 'scipy.special' in m))"
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

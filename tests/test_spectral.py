@@ -93,6 +93,9 @@ def test_eigenpair_rejects_bad_input():
         eigenpair((1, 1), 1)
     with pytest.raises(ConfigurationError):
         eigenpair((1, 1, 1), 3)
+    _, phi = eigenpair((1, 2), 2)  # the evaluator takes one coordinate per dimension
+    with pytest.raises((TypeError, ValueError)):
+        phi(0.5)
 
 
 # ---------------------------------------------------------------------------

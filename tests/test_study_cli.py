@@ -173,6 +173,14 @@ def test_truncation_refuses_the_variational_scheme():
         run_truncation_study(cfg, (1.0, 1.2), reference_Y=4.0)
 
 
+@pytest.mark.parametrize("heights", [(1.0,), (1.0, 1.0)], ids=["one", "repeated"])
+def test_truncation_refuses_fewer_than_two_distinct_heights(heights):
+    # one height fits no decay slope
+    cfg = StudyConfig(s_values=(0.5,), n=1, dof_targets=(256,))
+    with pytest.raises(ConfigurationError, match="two distinct heights"):
+        run_truncation_study(cfg, heights)
+
+
 def test_compare_refinement_structure():
     cfg = StudyConfig(s_values=(0.2,), n=1, dof_targets=(1024,))
     rec = run_compare_refinement(cfg)
@@ -472,6 +480,35 @@ def test_config_file_parsing(tmp_path):
     bad.write_text("not a pair\n")
     with pytest.raises(ValueError):
         read_config_file(str(bad))
+
+
+def run_refused(argv, tmp_path, capsys):
+    """stderr of a CLI run that must refuse its input: one line, exit status 2, no report."""
+    with pytest.raises(SystemExit) as refused:
+        main(argv + ["--out", str(tmp_path / "refused")])
+    assert refused.value.code == 2
+    assert not (tmp_path / "refused.csv").exists()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["control-rates", "--n", "1", "--dofs", "256,64"], "dof_targets must be strictly increasing"),
+    (["truncation", "--n", "1", "--dofs", "256", "--truncation-Y", "1.0"],
+     "two distinct heights"),
+    (["truncation", "--n", "1", "--dofs", "256", "--scheme", "variational"], "fully discrete"),
+], ids=["dofs", "one-height", "scheme"])
+def test_cli_reports_invalid_input_in_one_line(argv, message, tmp_path, capsys):
+    err = run_refused(argv, tmp_path, capsys)
+    assert err.startswith("fracopt: error: ") and message in err
+
+
+def test_cli_refuses_a_height_list_outside_the_truncation_study(tmp_path, capsys):
+    # a rate sweep runs at one height; a list used to be dropped without a word
+    err = run_refused(["control-rates", "--n", "1", "--dofs", "256,1024",
+                       "--truncation-Y", "1.0,2.0"], tmp_path, capsys)
+    assert "one height" in err
 
 
 def test_cli_rejects_unknown_command():

@@ -1,8 +1,10 @@
 """Command-line front end for the study harness.
 
-Subcommands: state-rates, control-rates, compare-refinement, truncation,
-oracle-check.  Flags may also be supplied through a key=value config file
-(--config); explicit flags win over the file, which wins over defaults.
+Subcommands: control-rates, oracle-check, compare-refinement, truncation.
+Each flag's default is stated once, in `build_parser`, except the cell targets
+and the truncation heights, which depend on --n.  A key=value config file
+(--config), keyed by flag name, replaces the defaults: explicit flags win over
+the file, which wins over the defaults.  An unknown key is refused.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from .spectral import ConfigurationError
 from .study import (
@@ -22,7 +24,7 @@ from .study import (
     run_truncation_study,
 )
 
-_COMMANDS = ("state-rates", "control-rates", "compare-refinement", "truncation", "oracle-check")
+_COMMANDS = ("control-rates", "oracle-check", "compare-refinement", "truncation")
 
 
 def _parse_floats(text: str) -> tuple:
@@ -42,43 +44,42 @@ def read_config_file(path: str) -> Dict[str, str]:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
+                raise ConfigurationError(f"{path}:{lineno}: expected key=value, "
+                                         f"got {raw.rstrip()!r}")
             key, value = line.split("=", 1)
             out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The parser and its subparsers by command name."""
     parser = argparse.ArgumentParser(
         prog="fracopt",
         description="Convergence and comparison studies for the fractional control solver",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--s", type=str, default=None, help="comma-separated fractional orders")
-        p.add_argument("--n", type=int, default=None, choices=(1, 2))
-        p.add_argument("--dofs", type=str, default=None, help="comma-separated cell targets")
-        p.add_argument("--gamma", type=float, default=None, help="grading exponent override")
-        p.add_argument("--truncation-Y", type=str, default=None,
+        p = commands[name] = sub.add_parser(name)
+        p.add_argument("--s", type=_parse_floats,
+                       default="0.05" if name == "compare-refinement" else "0.5",
+                       help="comma-separated fractional orders")
+        p.add_argument("--n", type=int, default=2, choices=(1, 2))
+        p.add_argument("--dofs", type=_parse_ints, default=None,
+                       help="comma-separated cell targets (default set by --n)")
+        p.add_argument("--gamma", type=float, default=None,
+                       help="grading exponent (default 3/(2s)+0.1; 1 = uniform mesh)")
+        p.add_argument("--truncation-Y", type=_parse_floats, default=None,
                        help="height override (comma list = heights of the truncation study)")
-        p.add_argument("--mode", type=str, default=None, choices=("uniform", "anisotropic"))
-        p.add_argument("--tol", type=float, default=None, help="optimizer fixed-point tolerance")
-        p.add_argument("--seed", type=int, default=None, help="seed for the VI sampling check")
-        p.add_argument("--out", type=str, default=None, help="output prefix for .csv/.json")
-        p.add_argument("--scheme", type=str, default=None,
+        p.add_argument("--tol", type=float, default=1e-8, help="optimizer fixed-point tolerance")
+        p.add_argument("--seed", type=int, default=0, help="seed for the VI sampling check")
+        p.add_argument("--out", default=f"fracopt_{name.replace('-', '_')}",
+                       help="output prefix for .csv/.json")
+        p.add_argument("--scheme", default="fully_discrete",
                        choices=("fully_discrete", "variational"))
-        p.add_argument("--config", type=str, default=None, help="key=value config file")
+        p.add_argument("--config", help="key=value config file")
         p.add_argument("--verbose", action="store_true", help="debug log to stderr")
-    return parser
-
-
-def _pick(cli_value, file_cfg: Dict[str, str], key: str, conv, default):
-    if cli_value is not None:
-        return cli_value
-    if key in file_cfg:
-        return conv(file_cfg[key])
-    return default
+    return parser, commands
 
 
 def _default_dofs(command: str, n: int) -> tuple:
@@ -88,48 +89,44 @@ def _default_dofs(command: str, n: int) -> tuple:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
-    file_cfg = read_config_file(args.config) if args.config else {}
     if args.verbose:
         logging.basicConfig(format="%(name)s: %(message)s")
         logging.getLogger("fracopt").setLevel(logging.DEBUG)
 
-    n = _pick(args.n, file_cfg, "n", int, 2)
-    default_s = (0.05,) if args.command == "compare-refinement" else (0.5,)
-    s_values = _pick(_parse_floats(args.s) if args.s else None, file_cfg, "s",
-                     _parse_floats, default_s)
-    dofs = _pick(_parse_ints(args.dofs) if args.dofs else None, file_cfg, "dofs",
-                 _parse_ints, _default_dofs(args.command, n))
-    trunc = _pick(_parse_floats(args.truncation_Y) if args.truncation_Y else None,
-                  file_cfg, "truncation_Y", _parse_floats, None)
-    mode = _pick(args.mode, file_cfg, "mode", str, "anisotropic")
-    tol = _pick(args.tol, file_cfg, "tol", float, 1e-8)
-    seed = _pick(args.seed, file_cfg, "seed", int, 0)
-    scheme = _pick(args.scheme, file_cfg, "scheme", str, "fully_discrete")
-    gamma = _pick(args.gamma, file_cfg, "gamma", float, None)
-    out = _pick(args.out, file_cfg, "out", str, f"fracopt_{args.command.replace('-', '_')}")
-
     try:  # invalid input is reported in one line, with argparse's exit status 2
-        if trunc and len(trunc) > 1 and args.command != "truncation":
-            raise ConfigurationError(f"{args.command} runs at one height, got "
-                                     f"{len(trunc)} in --truncation-Y")
-        cfg = StudyConfig(s_values=tuple(s_values), n=n, mode=mode, dof_targets=tuple(dofs),
-                          gamma=gamma, tol=tol, scheme=scheme, seed=seed,
-                          truncation_Y=trunc[0] if trunc and args.command != "truncation" else None)
-        if args.command in ("state-rates", "control-rates"):
+        if args.config:  # the file's values become the command's defaults
+            file_cfg = read_config_file(args.config)
+            settable = vars(args).keys() - {"command", "config", "verbose"}
+            unknown = sorted(file_cfg.keys() - settable)
+            if unknown:
+                raise ConfigurationError(f"{args.config}: unknown key {', '.join(unknown)}")
+            commands[args.command].set_defaults(**file_cfg)
+            args = parser.parse_args(argv)
+        Y = args.truncation_Y  # the truncation study's heights, or a sweep's one height
+        if args.command == "truncation":
+            heights = Y or ((1.0, 1.5, 2.0, 2.5, 3.0, 4.0) if args.n == 2
+                            else (1.0, 2.0, 3.0, 4.0, 5.0))
+            Y = None
+        elif Y and len(Y) > 1:
+            raise ConfigurationError(f"{args.command} runs at one height, got {len(Y)} in "
+                                     f"--truncation-Y")
+        cfg = StudyConfig(s_values=args.s, n=args.n, gamma=args.gamma, tol=args.tol,
+                          dof_targets=args.dofs or _default_dofs(args.command, args.n),
+                          truncation_Y=Y[0] if Y else None, scheme=args.scheme, seed=args.seed)
+        if args.command == "control-rates":
             records = run_rate_study(cfg)
         elif args.command == "oracle-check":
             records = run_oracle_check(cfg)
         elif args.command == "compare-refinement":
             records = [run_compare_refinement(cfg)]
         else:
-            Y_default = (1.0, 1.5, 2.0, 2.5, 3.0, 4.0) if n == 2 else (1.0, 2.0, 3.0, 4.0, 5.0)
-            records = [run_truncation_study(cfg, trunc if trunc is not None else Y_default)]
+            records = [run_truncation_study(cfg, heights)]
     except ConfigurationError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
-    csv_path, json_path = emit_report(records, out, cfg)
+    csv_path, json_path = emit_report(records, args.out, cfg)
 
     all_ok = True
     for rec in records:

@@ -29,7 +29,6 @@ import numpy as np
 
 from .fem import (
     BaseQuadrature,
-    CylinderOperator,
     FeField,
     SolverError,
     TraceField,
@@ -168,11 +167,10 @@ class ReducedProblem:
     for the discrete cost (finite differences agree to solver tolerance).
     """
 
-    def __init__(self, problem: ProblemConfig, mesh: TensorMesh,
-                 op: Optional[CylinderOperator] = None):
+    def __init__(self, problem: ProblemConfig, mesh: TensorMesh):
         self.problem = problem
         self.mesh = mesh
-        self.op = op if op is not None else assemble_stiffness(mesh, problem.s, problem.c)
+        self.op = assemble_stiffness(mesh, problem.s, problem.c)
         self.quad = BaseQuadrature(mesh.base, 3)
         self.ud_q = self.quad.eval_callable(problem.u_d)
         self.f_q = self.quad.eval_callable(problem.forcing) if problem.forcing else None

@@ -455,12 +455,12 @@ def assemble_trace_block(quad: BaseQuadrature, r) -> np.ndarray:
     return node_vec[base.interior_nodes]
 
 
-def assemble_trace_load(mesh: TensorMesh, r, npts: int = 3,
+def assemble_trace_load(mesh: TensorMesh, r,
                         quad: Optional[BaseQuadrature] = None) -> np.ndarray:
     """Load vector <r, tr W_i> over free DOFs (nonzero only on the y=0 layer):
-    the trace block of `r` (assemble_trace_block; by default on the npts-point
+    the trace block of `r` (assemble_trace_block; by default on the 3-point
     rule of the base mesh), padded with zeros."""
-    quad = quad if quad is not None else BaseQuadrature(mesh.base, npts)
+    quad = quad if quad is not None else BaseQuadrature(mesh.base, 3)
     return np.r_[assemble_trace_block(quad, r), np.zeros(mesh.n_free - mesh.n_trace)]
 
 
@@ -468,17 +468,16 @@ def solve_state(op: CylinderOperator, load: np.ndarray) -> FeField:
     return FeField(op.mesh, op.solve(np.asarray(load, dtype=float)))
 
 
-def energy_error_galerkin(V: FeField, data: Callable, exact_trace: Callable, d_s: float,
-                          npts: int = 4) -> float:
+def energy_error_galerkin(V: FeField, data: Callable, exact_trace: Callable, d_s: float) -> float:
     """Weighted energy error via the duality identity
 
         ||grad(u_ext - V)||^2_{L2(y^alpha)} = d_s * int data * (tr u_ext - tr V),
 
-    where `data` is the full trace datum of the exact state.  Quadrature is
-    exact for degree 2*npts-1 >= 7.  Small negative roundoff is clamped;
+    where `data` is the full trace datum of the exact state.  The 4-point
+    quadrature is exact for degree 7.  Small negative roundoff is clamped;
     a substantially negative value signals an inconsistent input pair.
     """
-    quad = BaseQuadrature(V.mesh.base, npts)
+    quad = BaseQuadrature(V.mesh.base, 4)
     diff = quad.eval_callable(exact_trace) - V.trace().at_quadrature(quad)
     val = d_s * float(((quad.eval_callable(data) * diff) * quad.weights).sum())
     if val < -1e-8:
@@ -486,8 +485,8 @@ def energy_error_galerkin(V: FeField, data: Callable, exact_trace: Callable, d_s
     return math.sqrt(max(val, 0.0))
 
 
-def l2_trace_error(U: TraceField, exact: Callable, npts: int = 4) -> float:
+def l2_trace_error(U: TraceField, exact: Callable) -> float:
     """L2(base-domain) distance between a trace field and a reference function."""
-    quad = BaseQuadrature(U.base, npts)
+    quad = BaseQuadrature(U.base, 4)
     diff = U.at_quadrature(quad) - quad.eval_callable(exact)
     return math.sqrt(quad.integrate(diff * diff))

@@ -69,7 +69,6 @@ class StudyConfig:
 
     s_values: Tuple[float, ...] = (0.5,)
     n: int = 2
-    mode: str = "anisotropic"
     dof_targets: Tuple[int, ...] = (3_000, 10_000, 25_000, 50_000)
     gamma: Optional[float] = None
     truncation_Y: Optional[float] = None
@@ -78,25 +77,15 @@ class StudyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("anisotropic", "uniform"):
-            raise ConfigurationError(f"mode must be 'anisotropic' or 'uniform', got {self.mode!r}")
+        if not self.s_values or not self.dof_targets:
+            raise ConfigurationError("s_values and dof_targets must not be empty")
         if self.scheme not in ("fully_discrete", "variational"):
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
         if any(b <= a for a, b in zip(self.dof_targets, self.dof_targets[1:])):
             raise ConfigurationError("dof_targets must be strictly increasing")
 
     def to_dict(self) -> dict:
-        return {
-            "s_values": list(self.s_values),
-            "n": self.n,
-            "mode": self.mode,
-            "dof_targets": list(self.dof_targets),
-            "gamma": self.gamma,
-            "truncation_Y": self.truncation_Y,
-            "tol": self.tol,
-            "scheme": self.scheme,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -114,9 +103,9 @@ class ConvergenceRecord:
     checks: Dict[str, bool] = field(default_factory=dict)
     extras: Dict[str, object] = field(default_factory=dict)
 
-    def fit(self, key: str, skip_first: int = 0) -> Tuple[float, float]:
-        xs = [row["cells"] for row in self.rows[skip_first:] if row.get(key) is not None]
-        ys = [row[key] for row in self.rows[skip_first:] if row.get(key) is not None]
+    def fit(self, key: str) -> Tuple[float, float]:
+        xs = [row["cells"] for row in self.rows if row.get(key) is not None]
+        ys = [row[key] for row in self.rows if row.get(key) is not None]
         return fit_loglog_slope(xs, ys)
 
     def to_dict(self) -> dict:
@@ -143,14 +132,17 @@ def _build_mesh(n: int, target: int, gamma: float, Y: float, s: float,
     return TensorMesh(base, ext)
 
 
-def _resolve_mesh_family(cfg: StudyConfig, s: float) -> Tuple[float, float]:
-    gamma = cfg.gamma if cfg.gamma is not None else (
-        1.0 if cfg.mode == "uniform" else default_grading(s)
-    )
-    Y = cfg.truncation_Y if cfg.truncation_Y is not None else choose_truncation(
+def _grading(cfg: StudyConfig, s: float) -> Tuple[float, str]:
+    """Grading exponent of the y-partition and the mesh it makes: gamma = 1 is
+    the uniform mesh, any other the anisotropic one (default 3/(2s) + 0.1)."""
+    gamma = cfg.gamma if cfg.gamma is not None else default_grading(s)
+    return gamma, "uniform" if gamma == 1.0 else "anisotropic"
+
+
+def _height(cfg: StudyConfig, s: float) -> float:
+    return cfg.truncation_Y if cfg.truncation_Y is not None else choose_truncation(
         s, first_eigenvalue(cfg.n), max(cfg.dof_targets), cfg.n
     )
-    return gamma, Y
 
 
 def _control_error_fully_discrete(Z: ControlField, z_exact: Callable, base: BasePartition) -> float:
@@ -179,15 +171,15 @@ def run_rate_study(cfg: StudyConfig) -> List[ConvergenceRecord]:
         mp = build_manufactured(s, cfg.n)
         problem = mp.problem()
         consts = FractionalConstants.from_order(s)
-        gamma, Y = _resolve_mesh_family(cfg, s)
-        rec = ConvergenceRecord("rate", s, cfg.n, cfg.mode, cfg.scheme, gamma, Y)
+        (gamma, mode), Y = _grading(cfg, s), _height(cfg, s)
+        rec = ConvergenceRecord("rate", s, cfg.n, mode, cfg.scheme, gamma, Y)
 
         def exact_data(*x):
             # trace datum of the exact optimal state: f + zbar = lam^s * ubar
             return mp.lam_s * mp.u_exact(*x)
 
         for target in cfg.dof_targets:
-            mesh = _build_mesh(cfg.n, target, gamma, Y, s, cfg.mode == "anisotropic")
+            mesh = _build_mesh(cfg.n, target, gamma, Y, s, mode == "anisotropic")
             rp = ReducedProblem(problem, mesh)
             t0 = time.perf_counter()
             if cfg.scheme == "fully_discrete":
@@ -278,8 +270,8 @@ def run_oracle_check(cfg: StudyConfig) -> List[ConvergenceRecord]:
     """
     records = []
     for s in cfg.s_values:
-        gamma, Y = _resolve_mesh_family(cfg, s)
-        rec = ConvergenceRecord("oracle", s, cfg.n, cfg.mode, "state_only", gamma, Y)
+        (gamma, mode), Y = _grading(cfg, s), _height(cfg, s)
+        rec = ConvergenceRecord("oracle", s, cfg.n, mode, "state_only", gamma, Y)
         rec.extras["symbol_rel_error_mode1"] = symbol_errors = []  # one per row
         lam, phi = eigenpair((1,) * cfg.n, cfg.n)
         scale = 2.0 ** (cfg.n / 2.0)  # use unnormalized sine data, amplitude 1
@@ -291,7 +283,7 @@ def run_oracle_check(cfg: StudyConfig) -> List[ConvergenceRecord]:
             return phi(*x) / scale / lam**s
 
         for target in cfg.dof_targets:
-            mesh = _build_mesh(cfg.n, target, gamma, Y, s, cfg.mode == "anisotropic")
+            mesh = _build_mesh(cfg.n, target, gamma, Y, s, mode == "anisotropic")
             op = assemble_stiffness(mesh, s)
             symbol_errors.append(abs(op.symbol[0] * lam**s - 1.0))
             t0 = time.perf_counter()
@@ -351,17 +343,18 @@ def run_truncation_study(cfg: StudyConfig, Y_values: Sequence[float],
     s = cfg.s_values[0]
     u_d = lambda *x: math.prod(np.sin(math.pi * xd) for xd in x)
     problem = ProblemConfig(s=s, u_d=u_d, bounds=BoxBounds(0.0, 0.5), mu=1.0)
-    gamma = cfg.gamma if cfg.gamma is not None else default_grading(s)
+    gamma, mode = _grading(cfg, s)
     N = balanced_resolution(max(cfg.dof_targets), cfg.n)
     M = 4 * N  # oversample layers; the floor should come from the Y-rescaled
     # template, not from running out of y-resolution
     base = BasePartition(cfg.n, N)
     ref_Y = reference_Y if reference_Y is not None else 2.0 * Y_values[-1] + 2.0
-    rec = ConvergenceRecord("truncation", s, cfg.n, cfg.mode, cfg.scheme, gamma, ref_Y)
+    rec = ConvergenceRecord("truncation", s, cfg.n, mode, cfg.scheme, gamma, ref_Y)
 
     reference = None
     for Y in [ref_Y] + Y_values:
-        mesh = TensorMesh(base, make_graded_partition(M, gamma, Y, s=s))
+        mesh = TensorMesh(base, make_graded_partition(
+            M, gamma, Y, s=s if mode == "anisotropic" else None))
         Z, V, _, rep = solve_fully_discrete(problem, mesh, tol=cfg.tol)
         if not rep.converged:
             rec.extras["aborted_at_Y"] = Y
@@ -421,11 +414,10 @@ def run_compare_refinement(cfg: StudyConfig) -> ConvergenceRecord:
     """
     s = cfg.s_values[0]
     target = cfg.dof_targets[-1]
-    gamma_an = cfg.gamma if cfg.gamma is not None else default_grading(s)
+    gamma_an, _ = _grading(cfg, s)
     sweeps = []
-    for mode, gamma in (("uniform", 1.0), ("anisotropic", gamma_an)):
-        sweeps += run_rate_study(replace(cfg, s_values=(s,), dof_targets=(target,),
-                                         mode=mode, gamma=gamma))
+    for gamma in (1.0, gamma_an):
+        sweeps += run_rate_study(replace(cfg, s_values=(s,), dof_targets=(target,), gamma=gamma))
         if "aborted_at_target" in sweeps[-1].extras:
             break
     rec = ConvergenceRecord("compare", s, cfg.n, "both", cfg.scheme, gamma_an, sweeps[0].Y)
@@ -462,23 +454,9 @@ def emit_report(records: Sequence[ConvergenceRecord], out_prefix: str,
     try:
         lines = [",".join(CSV_COLUMNS)]
         for rec in records:
-            for row in rec.rows:
-                values = {
-                    "study": rec.study,
-                    "s": rec.s,
-                    "n": rec.n,
-                    "mode": row.get("mode", rec.mode),
-                    "scheme": rec.scheme,
-                    "gamma": row.get("gamma", rec.gamma),
-                    "Y": row.get("Y", rec.Y),
-                    "cells": row.get("cells"),
-                    "dofs": row.get("dofs"),
-                    "err_control_L2": row.get("err_control_L2"),
-                    "err_state_Hs": row.get("err_state_Hs"),
-                    "err_state_L2": row.get("err_state_L2"),
-                    "err_extension_nodes": row.get("err_extension_nodes"),
-                }
-                lines.append(",".join(_fmt(values[c]) for c in CSV_COLUMNS))
+            for row in rec.rows:  # a row's own mode, gamma or Y overrides the record's
+                values = {**vars(rec), **row}
+                lines.append(",".join(_fmt(values.get(c)) for c in CSV_COLUMNS))
         with open(csv_path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -124,7 +125,8 @@ def test_rate_fit_stability_drop_coarsest():
     cfg = StudyConfig(s_values=(0.5,), n=1, dof_targets=(256, 1024, 4096, 16384))
     rec = run_oracle_check(cfg)[0]
     full, _ = rec.fit("err_state_L2")
-    tail, _ = rec.fit("err_state_L2", skip_first=1)
+    tail, _ = fit_loglog_slope([row["cells"] for row in rec.rows[1:]],
+                               [row["err_state_L2"] for row in rec.rows[1:]])
     assert abs(full - tail) < 0.1
     assert rec.checks["oracle_slope_band"]
 
@@ -132,7 +134,7 @@ def test_rate_fit_stability_drop_coarsest():
 def test_oracle_slope_band_rejects_uniform_mesh():
     # without grading the singular layer at y=0 caps the trace rate well
     # below the a priori exponent -(1+s)/(n+1)
-    cfg = StudyConfig(s_values=(0.3,), n=1, mode="uniform",
+    cfg = StudyConfig(s_values=(0.3,), n=1, gamma=1.0,
                       dof_targets=(256, 1024, 4096, 16384))
     rec = run_oracle_check(cfg)[0]
     assert rec.slopes["err_state_L2"] > rec.extras["expected_slope"]
@@ -239,7 +241,7 @@ def test_rate_study_aborts_with_partial_output(monkeypatch):
 
 
 def test_rate_checks_make_no_n2_band_claims_for_n1():
-    cfg = StudyConfig(s_values=(0.5,), n=1, mode="uniform", dof_targets=(64, 256))
+    cfg = StudyConfig(s_values=(0.5,), n=1, gamma=1.0, dof_targets=(64, 256))
     rec = run_rate_study(cfg)[0]
     assert "control_slope_band" not in rec.checks
     assert "state_l2_slope_band" not in rec.checks
@@ -248,8 +250,6 @@ def test_rate_checks_make_no_n2_band_claims_for_n1():
 def test_study_config_validation():
     with pytest.raises(ConfigurationError):
         StudyConfig(dof_targets=(100, 100))
-    with pytest.raises(ConfigurationError):
-        StudyConfig(mode="diagonal")
     with pytest.raises(ConfigurationError):
         StudyConfig(scheme="newton")
 
@@ -460,6 +460,10 @@ def test_cli_config_file(tmp_path):
     rc = main(["control-rates", "--config", str(cfgfile)])
     assert rc == 0
     assert os.path.exists(str(tmp_path / "fromcfg") + ".csv")
+    with open(str(tmp_path / "fromcfg") + ".json") as fh:
+        config = json.load(fh)["config"]
+    assert (config["s_values"], config["n"], config["dof_targets"], config["tol"]) == (
+        [0.5], 1, [64, 256], 1e-7)
 
 
 def test_cli_flag_overrides_config(tmp_path):
@@ -495,10 +499,11 @@ def run_refused(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["control-rates", "--n", "1", "--dofs", "256,64"], "dof_targets must be strictly increasing"),
+    (["control-rates", "--n", "1", "--s", ","], "s_values and dof_targets must not be empty"),
     (["truncation", "--n", "1", "--dofs", "256", "--truncation-Y", "1.0"],
      "two distinct heights"),
     (["truncation", "--n", "1", "--dofs", "256", "--scheme", "variational"], "fully discrete"),
-], ids=["dofs", "one-height", "scheme"])
+], ids=["dofs", "no-s", "one-height", "scheme"])
 def test_cli_reports_invalid_input_in_one_line(argv, message, tmp_path, capsys):
     err = run_refused(argv, tmp_path, capsys)
     assert err.startswith("fracopt: error: ") and message in err
@@ -509,6 +514,35 @@ def test_cli_refuses_a_height_list_outside_the_truncation_study(tmp_path, capsys
     err = run_refused(["control-rates", "--n", "1", "--dofs", "256,1024",
                        "--truncation-Y", "1.0,2.0"], tmp_path, capsys)
     assert "one height" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n = 1\ndof = 64,256\nschme = variational\n", "unknown key dof, schme"),
+    ("n = 1\nmode = uniform\n", "unknown key mode"),
+    ("n = 1\nnot a pair\n", "expected key=value"),
+], ids=["typos", "mode", "no-pair"])
+def test_cli_refuses_a_bad_config_file(text, message, tmp_path, capsys):
+    # a mistyped key used to be dropped, and the run went on with the defaults
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(text)
+    err = run_refused(["control-rates", "--config", str(cfgfile)], tmp_path, capsys)
+    assert err.startswith("fracopt: error: ") and message in err
+
+
+@pytest.mark.parametrize("flags, mode", [(["--gamma", "1"], "uniform"), ([], "anisotropic")],
+                         ids=["gamma-1", "default"])
+def test_cli_mode_label_follows_the_grading(flags, mode, tmp_path):
+    # gamma = 1 builds the uniform mesh: its rows say so, and it is not warned of as a
+    # graded mesh with gamma <= 3/(2s)
+    out = str(tmp_path / "g")
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", message="grading gamma")
+        rc = main(["control-rates", "--s", "0.3", "--n", "1", "--dofs", "64,256",
+                   "--out", out] + flags)
+    assert rc == 0
+    with open(out + ".csv") as fh:
+        header, *rows = [line.split(",") for line in fh.read().split()]
+    assert [row[header.index("mode")] for row in rows] == [mode, mode]
 
 
 def test_cli_rejects_unknown_command():

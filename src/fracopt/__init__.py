@@ -18,7 +18,6 @@ from .control import (
     VariationalControl,
     optimality_residuals,
     project_box,
-    reduced_cost_and_gradient,
     solve_fully_discrete,
     solve_variational,
 )

@@ -4,7 +4,7 @@ Subcommands: control-rates, oracle-check, compare-refinement, truncation.
 Each flag's default is stated once, in `build_parser`, except the cell targets
 and the truncation heights, which depend on --n.  A key=value config file
 (--config), keyed by flag name, replaces the defaults: explicit flags win over
-the file, which wins over the defaults.  An unknown key is refused.
+the file, which wins over the defaults.  An unknown or repeated key is refused.
 """
 
 from __future__ import annotations
@@ -36,18 +36,26 @@ def _parse_ints(text: str) -> tuple:
 
 
 def read_config_file(path: str) -> Dict[str, str]:
-    """Parse a simple key=value file; '#' starts a comment."""
+    """Parse a simple key=value file; '#' starts a comment.  A key may appear once."""
     out: Dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"{path}:{lineno}: expected key=value, "
-                                         f"got {raw.rstrip()!r}")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+    seen: Dict[str, int] = {}  # line of each key
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config file {path!r}: {exc.strerror}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigurationError(f"{path}:{lineno}: expected key=value, "
+                                     f"got {raw.rstrip()!r}")
+        key, value = line.split("=", 1)
+        key = key.strip().replace("-", "_")
+        if key in seen:
+            raise ConfigurationError(f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key], out[key] = lineno, value.strip()
     return out
 
 

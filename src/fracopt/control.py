@@ -50,7 +50,6 @@ __all__ = [
     "VariationalControl",
     "optimality_residuals",
     "project_box",
-    "reduced_cost_and_gradient",
     "solve_fully_discrete",
     "solve_variational",
 ]
@@ -97,9 +96,6 @@ class ControlField:
     def constant(cls, base: BasePartition, value: float) -> "ControlField":
         return cls(base, np.full(base.n_cells, float(value)))
 
-    def project(self, bounds: BoxBounds) -> "ControlField":
-        return ControlField(self.base, project_box(self.cell_values, bounds))
-
 
 @dataclass(frozen=True)
 class ProblemConfig:
@@ -114,7 +110,6 @@ class ProblemConfig:
     u_d: Callable
     bounds: BoxBounds
     mu: float = 1.0
-    c: float = 0.0
     forcing: Optional[Callable] = None
 
     def __post_init__(self):
@@ -122,8 +117,6 @@ class ProblemConfig:
             raise ConfigurationError(f"s must be in (0,1), got {self.s}")
         if self.mu <= 0.0:
             raise ConfigurationError(f"regularization mu must be > 0, got {self.mu}")
-        if self.c < 0.0:
-            raise ConfigurationError(f"coefficient c must be >= 0, got {self.c}")
 
 
 @dataclass
@@ -170,7 +163,7 @@ class ReducedProblem:
     def __init__(self, problem: ProblemConfig, mesh: TensorMesh):
         self.problem = problem
         self.mesh = mesh
-        self.op = assemble_stiffness(mesh, problem.s, problem.c)
+        self.op = assemble_stiffness(mesh, problem.s)
         self.quad = BaseQuadrature(mesh.base, 3)
         self.ud_q = self.quad.eval_callable(problem.u_d)
         self.f_q = self.quad.eval_callable(problem.forcing) if problem.forcing else None
@@ -263,18 +256,6 @@ class ReducedProblem:
             scheme=scheme, certificate=certificate)
 
 
-def reduced_cost_and_gradient(Z: ControlField, problem: ProblemConfig, mesh: TensorMesh,
-                              rp: Optional[ReducedProblem] = None) -> ReducedCostReport:
-    """J(Z), its cellwise gradient, the fixed-point residual and the certificate of the
-    state and adjoint solves: the optimizer's exit evaluation (ReducedProblem.evaluate)."""
-    rp = rp if rp is not None else ReducedProblem(problem, mesh)
-    t0 = time.perf_counter()
-    _, _, report = rp.evaluate(rp.cell_point_values(Z.cell_values), "fully_discrete")
-    report.cost_history, report.n_state_solves = [report.j], 2
-    report.wall_time = time.perf_counter() - t0
-    return report
-
-
 def _descend(rp: ReducedProblem, z0: Optional[ControlField], scheme: str, tol: float,
              max_iterations: int) -> Tuple[np.ndarray, FeField, FeField, ReducedCostReport]:
     """Projected descent on the control values G at the load quadrature points.
@@ -305,7 +286,7 @@ def _descend(rp: ReducedProblem, z0: Optional[ControlField], scheme: str, tol: f
     op, bounds = rp.op, rp.problem.bounds
     if z0 is None:
         z0 = ControlField.constant(rp.mesh.base, 0.5 * (bounds.a + bounds.b))
-    G = rp.cell_point_values(z0.project(bounds).cell_values).copy()
+    G = rp.cell_point_values(project_box(z0.cell_values, bounds)).copy()
     v_hat = rp.trace_solve(rp.load_modes(rp.load(G)))
     r = rp.mismatch(op.to_modes(v_hat))
     j = rp.cost(G, r)

@@ -272,7 +272,7 @@ def _neighbour_sum(X: np.ndarray, axis: int) -> np.ndarray:
 class CylinderOperator:
     """Bilinear form a_Y over the free unknowns, applied matrix-free, with its exact solver.
 
-    K = (My (x) Sx + Sy (x) Mx + c My (x) Mx) / d_s on a uniform base mesh.  The interior
+    K = (My (x) Sx + Sy (x) Mx) / d_s on a uniform base mesh.  The interior
     base factors are Toeplitz, S1 = (2I - E)/h and M1 = h(4I + E)/6 with E the neighbour
     sum, so K = sum_t T_t (x) N_t with N_0 = I, N_1 = E_1 (+ E_2), N_2 = E_1 E_2 and each
     T_t a y-tridiagonal: `apply` computes K x with one shift-sum per base direction, and
@@ -289,12 +289,11 @@ class CylinderOperator:
     its mass matrix is too badly conditioned.
     """
 
-    def __init__(self, mesh: TensorMesh, s: float, c: float,
+    def __init__(self, mesh: TensorMesh, s: float,
                  layer_bands: Tuple[Tuple[np.ndarray, np.ndarray], ...], sine: np.ndarray,
                  mass_modes: np.ndarray, profiles: np.ndarray, profile_backward_error: float):
         self.mesh = mesh
         self.s = s
-        self.c = c
         self._layer_bands = layer_bands  # (diagonal, off) of T_t, the y-factor of N_t
         self._sine = sine  # per base direction
         self.mass_modes = mass_modes  # diagonal of the base mass matrix in sine modes
@@ -316,7 +315,7 @@ class CylinderOperator:
     @property
     def symbol(self) -> np.ndarray:
         """Discrete fractional symbol per base mode, lowest first: trace
-        response to one normalized sine mode, approximating (lambda_j + c)^{-s}."""
+        response to one normalized sine mode, approximating lambda_j^{-s}."""
         return self.mass_modes * self.profiles[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -370,11 +369,9 @@ class CylinderOperator:
         return x
 
 
-def assemble_stiffness(mesh: TensorMesh, s: float, c: float = 0.0) -> CylinderOperator:
-    """Assemble (1/d_s) int y^alpha (grad w . grad phi + c w phi) on free DOFs; the y-profiles
-    come from one LAPACK tridiagonal sweep over the distinct base-mode systems."""
-    if c < 0.0:
-        raise ConfigurationError(f"coefficient c must be >= 0, got {c}")
+def assemble_stiffness(mesh: TensorMesh, s: float) -> CylinderOperator:
+    """Assemble (1/d_s) int y^alpha grad w . grad phi on free DOFs; the y-profiles come
+    from one LAPACK tridiagonal sweep over the distinct base-mode systems."""
     if mesh.n_free == 0:
         raise ConfigurationError("the base mesh has no interior node; use 2 or more cells")
     start = time.perf_counter()
@@ -391,13 +388,12 @@ def assemble_stiffness(mesh: TensorMesh, s: float, c: float = 0.0) -> CylinderOp
     sd, so, md, mo = 2.0 / h, -1.0 / h, 2.0 * h / 3.0, h / 6.0  # interior S1, M1 (Toeplitz)
     stiff, mass = ((sd, so), (md, mo)) if mesh.n == 1 else (  # coefficients of N_t in Sx, Mx
         (2.0 * sd * md, sd * mo + so * md, 2.0 * so * mo), (md * md, md * mo, mo * mo))
-    layer_bands = tuple((((a + c * b) * my + b * sy) / consts.d_s,
-                         ((a + c * b) * my_up + b * sy_up) / consts.d_s)
+    layer_bands = tuple(((a * my + b * sy) / consts.d_s, (a * my_up + b * sy_up) / consts.d_s)
                         for a, b in zip(stiff, mass))
     # free unknown (layer, node) -> layer*m^n + node; interior node (i, j) -> j*m + i,
     # x1 fastest; base mode (k, l) alike
     Q, mass_modes, sigma, tau, first, system = _base_symbols(mesh.n, m, (sd, so), (md, mo))
-    a = ((sigma + c * tau) / consts.d_s)[:, None]  # My coefficient per system
+    a = (sigma / consts.d_s)[:, None]  # My coefficient per system
     b = (tau / consts.d_s)[:, None]  # Sy coefficient
     # all systems in one tridiagonal, M layers each; off[:, -1] = 0 decouples them
     diag, off = (a * my + b * sy).ravel(), np.zeros((len(a), M))
@@ -419,7 +415,7 @@ def assemble_stiffness(mesh: TensorMesh, s: float, c: float = 0.0) -> CylinderOp
         raise SolverError(f"the y-profile of base mode {first[worst]} has backward error "
                           f"{eta[worst]:.3e} > {BACKWARD_ERROR_TOL:g}", float(rnorm[worst]))
     profiles = np.take(p.T, system, axis=1)  # (layer, base mode), C order
-    op = CylinderOperator(mesh, s, c, layer_bands, Q, mass_modes, profiles, float(eta[worst]))
+    op = CylinderOperator(mesh, s, layer_bands, Q, mass_modes, profiles, float(eta[worst]))
     _log.debug("assembled %d free dofs: |K|_1 = %.6g, profile backward error %.2e, %.3f s",
                mesh.n_free, op.norm1, eta[worst], time.perf_counter() - start)
     return op
@@ -430,27 +426,16 @@ def assemble_stiffness(mesh: TensorMesh, s: float, c: float = 0.0) -> CylinderOp
 # ---------------------------------------------------------------------------
 
 
-def _values_at_quadrature(quad: BaseQuadrature, r) -> np.ndarray:
-    if callable(r):
-        return quad.eval_callable(r)
-    if isinstance(r, TraceField):
-        return r.at_quadrature(quad)
-    if hasattr(r, "cell_values"):
-        r = r.cell_values
-    arr = np.asarray(r, dtype=float)
-    if arr.ndim == 1 and len(arr) == quad.base.n_cells:
-        return np.broadcast_to(arr[:, None], (quad.base.n_cells, quad.n_points))
-    if arr.shape == (quad.base.n_cells, quad.n_points):
-        return arr
-    raise ConfigurationError(f"cannot interpret load data of shape {getattr(arr, 'shape', None)}")
-
-
 def assemble_trace_block(quad: BaseQuadrature, r) -> np.ndarray:
-    """Trace block of the load <r, tr W_i>, one entry per interior base node.  `r` may be a
-    per-cell-constant control, a TraceField, a callable on the base domain, or values at
-    the points of `quad`."""
+    """Trace block of the load <r, tr W_i>, one entry per interior base node.  `r` is a
+    callable on the base domain or its values at the points of `quad`, (#cells, #points)."""
     base = quad.base
-    local = (_values_at_quadrature(quad, r) * quad.weights) @ quad.shapes.T  # (#cells, 2^n)
+    values = quad.eval_callable(r) if callable(r) else np.asarray(r)
+    if values.shape != quad.points.shape[:2]:
+        raise ConfigurationError(f"a load is a callable or its values at the points, of shape "
+                                 f"{quad.points.shape[:2]}; got a {type(r).__name__} of shape "
+                                 f"{values.shape}")
+    local = (values * quad.weights) @ quad.shapes.T  # (#cells, 2^n)
     node_vec = np.bincount(base.cells.ravel(), local.ravel(), minlength=base.n_nodes)
     return node_vec[base.interior_nodes]
 

@@ -45,13 +45,11 @@ class ManufacturedProblem:
             u_d=self.u_d,
             bounds=self.bounds,
             mu=self.mu,
-            c=0.0,
             forcing=self.forcing,
         )
 
 
-def build_manufactured(s: float, n: int = 2, mu: float = 1.0,
-                       bounds: BoxBounds = BoxBounds(0.0, 0.5)) -> ManufacturedProblem:
+def build_manufactured(s: float, n: int = 2, mu: float = 1.0) -> ManufacturedProblem:
     if not 0.0 < s < 1.0:
         raise ConfigurationError(f"s must be in (0,1), got {s}")
     if n not in (1, 2):
@@ -62,13 +60,13 @@ def build_manufactured(s: float, n: int = 2, mu: float = 1.0,
         return math.prod(np.sin(2.0 * math.pi * np.asarray(xd)) for xd in x)
 
     lam_s = lam**s
-    a, b = bounds.a, bounds.b
+    bounds = BoxBounds(0.0, 0.5)
 
     def pbar(*x):
         return -mu * ubar(*x)
 
     def zbar(*x):
-        return np.clip(-pbar(*x) / mu, a, b)
+        return np.clip(-pbar(*x) / mu, bounds.a, bounds.b)
 
     def forcing(*x):
         return lam_s * ubar(*x) - zbar(*x)

@@ -28,11 +28,11 @@ __all__ = [
 ]
 
 
-def first_eigenvalue(n: int, c: float = 0.0) -> float:
-    """Smallest Dirichlet eigenvalue on (0,1)^n: n*pi^2 (+ shift c)."""
+def first_eigenvalue(n: int) -> float:
+    """Smallest Dirichlet eigenvalue on (0,1)^n: n*pi^2."""
     if n not in (1, 2):
         raise ConfigurationError(f"dimension n must be 1 or 2, got {n}")
-    return n * math.pi**2 + c
+    return n * math.pi**2
 
 
 def default_grading(s: float) -> float:

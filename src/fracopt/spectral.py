@@ -1,7 +1,7 @@
 """Spectral reference machinery on the unit interval / unit square.
 
 Everything here is exact up to floating point: Dirichlet eigenpairs of
--Delta (+ constant shift c) on (0,1)^n, the Bessel-K profiles that describe
+-Delta on (0,1)^n, the Bessel-K profiles that describe
 the harmonic extension of one eigenmode in the added coordinate, and the
 normalization constants tying the extension to the fractional operator.
 The oracle check builds its exact trace and extension from these; the
@@ -65,17 +65,14 @@ def _check_mode(modes: Mode, n: int) -> None:
         raise ConfigurationError(f"invalid eigenindex {modes!r} for n={n}")
 
 
-def eigenpair(modes: Mode, n: int, c: float = 0.0) -> Tuple[float, Callable[..., np.ndarray]]:
+def eigenpair(modes: Mode, n: int) -> Tuple[float, Callable[..., np.ndarray]]:
     """Return (eigenvalue, evaluator) of mode `modes` on the unit interval/square.
 
-    The eigenvalue is pi^2 * sum(k_i^2) + c; the evaluator is the
-    L2-orthonormal sine product and accepts one coordinate array per
-    dimension.
+    The eigenvalue is pi^2 * sum(k_i^2); the evaluator is the L2-orthonormal
+    sine product and accepts one coordinate array per dimension.
     """
     _check_mode(modes, n)
-    if c < 0.0:
-        raise ConfigurationError(f"zeroth-order coefficient c must be >= 0, got {c}")
-    lam = math.pi**2 * float(sum(k * k for k in modes)) + c
+    lam = math.pi**2 * float(sum(k * k for k in modes))
     scale = 2.0 ** (n / 2.0)
 
     def phi(*x):

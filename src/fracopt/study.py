@@ -447,7 +447,7 @@ def _fmt(value) -> str:
 
 
 def emit_report(records: Sequence[ConvergenceRecord], out_prefix: str,
-                config: Optional[StudyConfig] = None) -> Tuple[str, str]:
+                config: StudyConfig) -> Tuple[str, str]:
     """Write {prefix}.csv (one row per mesh) and {prefix}.json (summary)."""
     csv_path = f"{out_prefix}.csv"
     json_path = f"{out_prefix}.json"
@@ -461,7 +461,7 @@ def emit_report(records: Sequence[ConvergenceRecord], out_prefix: str,
             fh.write("\n".join(lines) + "\n")
 
         summary = {
-            "config": config.to_dict() if config is not None else None,
+            "config": config.to_dict(),
             "records": [rec.to_dict() for rec in records],
             "all_checks_passed": all(
                 flag for rec in records for flag in rec.checks.values()

@@ -30,7 +30,6 @@ from fracopt import (
     first_eigenvalue,
     optimality_residuals,
     project_box,
-    reduced_cost_and_gradient,
     solve_fully_discrete,
     solve_variational,
 )
@@ -78,8 +77,8 @@ def test_bounds_must_be_ordered():
 def test_zero_problem_zero_cost():
     _, _, mesh = manufactured_setup()
     problem = ProblemConfig(s=0.5, u_d=lambda x: 0.0 * x, bounds=BoxBounds(-1.0, 1.0))
-    Z = ControlField.constant(mesh.base, 0.0)
-    rep = reduced_cost_and_gradient(Z, problem, mesh)
+    rp = ReducedProblem(problem, mesh)
+    _, _, rep = rp.evaluate(rp.cell_point_values(np.zeros(mesh.base.n_cells)), "fully_discrete")
     assert rep.j == 0.0
     assert np.allclose(rep.gradient.cell_values, 0.0)
 
@@ -87,7 +86,8 @@ def test_zero_problem_zero_cost():
 def test_a_plain_evaluation_claims_no_convergence():
     # no optimizer ran, so no fixed-point test was met, whatever the residual
     _, problem, mesh = manufactured_setup(n=1, N=16, M=16)
-    rep = reduced_cost_and_gradient(ControlField.constant(mesh.base, 0.0), problem, mesh)
+    rp = ReducedProblem(problem, mesh)
+    _, _, rep = rp.evaluate(rp.cell_point_values(np.zeros(mesh.base.n_cells)), "fully_discrete")
     assert rep.vi_residual > 0.3
     assert rep.converged is None and rep.to_dict()["converged"] is None
 
@@ -106,15 +106,15 @@ def test_gradient_matches_central_differences():
     mp, problem, mesh = manufactured_setup(n=1, N=10, M=10)
     rp = ReducedProblem(problem, mesh)
     rng = np.random.default_rng(42)
-    Z = ControlField(mesh.base, rng.uniform(0.05, 0.45, mesh.base.n_cells))
-    rep = reduced_cost_and_gradient(Z, problem, mesh, rp=rp)
+    z = rng.uniform(0.05, 0.45, mesh.base.n_cells)
+    _, _, rep = rp.evaluate(rp.cell_point_values(z), "fully_discrete")
     delta = rng.uniform(-1.0, 1.0, mesh.base.n_cells)
     h = 1e-4
 
     def j_of(vals):
-        return reduced_cost_and_gradient(ControlField(mesh.base, vals), problem, mesh, rp=rp).j
+        return rp.evaluate(rp.cell_point_values(vals), "fully_discrete")[2].j
 
-    fd = (j_of(Z.cell_values + h * delta) - j_of(Z.cell_values - h * delta)) / (2 * h)
+    fd = (j_of(z + h * delta) - j_of(z - h * delta)) / (2 * h)
     directional = mesh.base.cell_volume * rep.gradient.cell_values @ delta
     assert fd == pytest.approx(directional, abs=1e-8)
 
@@ -372,8 +372,6 @@ def test_problem_config_validation():
         ProblemConfig(s=1.5, u_d=ud, bounds=BoxBounds(0, 1))
     with pytest.raises(ConfigurationError):
         ProblemConfig(s=0.5, u_d=ud, bounds=BoxBounds(0, 1), mu=0.0)
-    with pytest.raises(ConfigurationError):
-        ProblemConfig(s=0.5, u_d=ud, bounds=BoxBounds(0, 1), c=-1.0)
 
 
 @pytest.mark.parametrize("n, N", [(1, 16), (2, 6)])

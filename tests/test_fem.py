@@ -48,6 +48,11 @@ def small_mesh(n=1, N=4, M=3, gamma=2.0, Y=1.0):
     return TensorMesh(BasePartition(n, N), GradedPartition(M, gamma, Y))
 
 
+def cell_load(mesh, cell_values):
+    """Per-cell constants as load values at the points of the default 3-point rule."""
+    return np.repeat(np.asarray(cell_values, dtype=float)[:, None], 3**mesh.n, axis=1)
+
+
 def dense(op):
     """The operator as a dense matrix, one apply per unit vector (small meshes only)."""
     return np.column_stack([op.apply(e) for e in np.eye(op.n)])
@@ -134,7 +139,7 @@ def test_single_column_entries_vs_oracle():
 # ---------------------------------------------------------------------------
 
 
-def _kronecker_stiffness(mesh, s, c):
+def _kronecker_stiffness(mesh, s, c=0.0):
     """(My (x) Sx + Sy (x) Mx + c My (x) Mx) / d_s over the free unknowns, by sp.kron."""
     consts = FractionalConstants.from_order(s)
     M = mesh.extended.M
@@ -150,6 +155,13 @@ def _kronecker_stiffness(mesh, s, c):
     return (K / consts.d_s).tocsr()
 
 
+def _operator(mesh, s, c):
+    """The assembled operator at c = 0.  The library assembles no zeroth-order term, so for
+    c > 0 the test builds -Delta + c mode by mode: CylinderOperator's stencil apply and
+    solve take any y-bands, and a shifted T_0 band checks that they assume no c = 0 ratio."""
+    return assemble_stiffness(mesh, s) if c == 0.0 else _per_mode_reference(mesh, s, c)[0]
+
+
 # N=2 and N=3 leave one and two interior base nodes: distinct stencil offsets share a diagonal
 @pytest.mark.parametrize("N", [2, 3, 5, 8])
 @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
@@ -157,7 +169,7 @@ def _kronecker_stiffness(mesh, s, c):
 @pytest.mark.parametrize("n", [1, 2])
 def test_stencil_matrix_matches_kronecker_reference(n, c, s, N):
     mesh = small_mesh(n=n, N=N, M=5, gamma=default_grading(s), Y=1.4)
-    op = assemble_stiffness(mesh, s, c)
+    op = _operator(mesh, s, c)
     ref = _kronecker_stiffness(mesh, s, c)
     K = dense(op)
     assert K.shape == ref.shape == (mesh.n_free, mesh.n_free)
@@ -173,7 +185,7 @@ def test_assembly_uses_no_kronecker_products(monkeypatch):
     monkeypatch.setattr(sp, "kron", refuse)
     for n in (1, 2):
         mesh = small_mesh(n=n, N=6, M=4, gamma=2.5)
-        op = assemble_stiffness(mesh, 0.4, 1.0)
+        op = assemble_stiffness(mesh, 0.4)
         b = assemble_trace_load(mesh, lambda *x: np.ones_like(x[0]))
         assert np.linalg.norm(op.apply(op.solve(b)) - b) <= 1e-10 * np.linalg.norm(b)
 
@@ -227,20 +239,6 @@ def test_interior_row_sums_vanish_without_reaction():
     assert abs(K[dof].sum()) <= 1e-12 * np.abs(K).max()
 
 
-def test_constant_shift_adds_weighted_mass():
-    mesh = small_mesh(n=1, N=5, M=4, gamma=2.0)
-    s, c = 0.4, 2.0
-    consts = FractionalConstants.from_order(s)
-    K0 = dense(assemble_stiffness(mesh, s, 0.0))
-    Kc = dense(assemble_stiffness(mesh, s, c))
-    _, My = extended_direction_matrices(mesh.extended.nodes, consts.alpha)
-    _, Mx = base_direction_matrices(mesh.base.cells_per_side)
-    ii = mesh.base.interior_nodes
-    Mw = sp.kron(My[: mesh.extended.M, : mesh.extended.M],
-                 Mx.toarray()[np.ix_(ii, ii)]).toarray()
-    assert np.allclose(Kc - K0, c / consts.d_s * Mw, rtol=1e-12, atol=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # loads
 # ---------------------------------------------------------------------------
@@ -256,8 +254,7 @@ def test_unit_load_gives_hat_integrals():
 
 def test_piecewise_constant_load_partial_hats():
     mesh = small_mesh(n=1, N=4, M=3)
-    Z = ControlField(mesh.base, [1.0, 1.0, 0.0, 0.0])  # 1 on the left half
-    b = assemble_trace_load(mesh, Z)
+    b = assemble_trace_load(mesh, cell_load(mesh, [1.0, 1.0, 0.0, 0.0]))  # 1 on the left half
     h = 0.25
     # nodes at 0.25, 0.5, 0.75: full hat, half hat, nothing
     assert b[0] == pytest.approx(h, rel=1e-14)
@@ -267,16 +264,22 @@ def test_piecewise_constant_load_partial_hats():
 
 def test_zero_load_vector():
     mesh = small_mesh(n=1, N=4, M=3)
-    b = assemble_trace_load(mesh, ControlField.constant(mesh.base, 0.0))
+    b = assemble_trace_load(mesh, cell_load(mesh, np.zeros(mesh.base.n_cells)))
     assert np.all(b == 0.0)
 
 
-def test_load_accepts_trace_field():
-    mesh = small_mesh(n=1, N=4, M=3)
-    U = TraceField(mesh.base, np.array([1.0, 1.0, 1.0]))
-    b1 = assemble_trace_load(mesh, U)
-    b2 = assemble_trace_load(mesh, U.evaluate)
-    assert np.allclose(b1, b2, rtol=1e-13)
+@pytest.mark.parametrize("n", [1, 2])
+def test_load_refuses_cell_values_and_controls(n):
+    # a load is a callable or its values at the points; per-cell data must be spread to them
+    mesh = small_mesh(n=n, N=4, M=3)
+    Z = ControlField.constant(mesh.base, 1.0)
+    quad = fem.BaseQuadrature(mesh.base, 3)
+    for r, shape in ((Z, r"\(\)"), (Z.cell_values, rf"\({mesh.base.n_cells},\)"),
+                     (cell_load(mesh, Z.cell_values).T, "")):
+        with pytest.raises(ConfigurationError, match=f"of shape .*{shape}"):
+            assemble_trace_load(mesh, r)
+        with pytest.raises(ConfigurationError, match="callable or its values at the points"):
+            fem.assemble_trace_block(quad, r)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -286,8 +289,7 @@ def test_trace_block_is_the_load_on_the_trace_layer(n):
     quad = fem.BaseQuadrature(mesh.base, 3)
     rng = np.random.default_rng(3)
     U = TraceField(mesh.base, rng.standard_normal(mesh.n_trace))
-    for r in (rng.standard_normal(mesh.base.n_cells), U, U.evaluate,
-              rng.standard_normal((mesh.base.n_cells, quad.n_points))):
+    for r in (U.evaluate, rng.standard_normal((mesh.base.n_cells, quad.n_points))):
         b = assemble_trace_load(mesh, r, quad=quad)
         assert np.array_equal(fem.assemble_trace_block(quad, r), b[: mesh.n_trace])
         assert not b[mesh.n_trace:].any()
@@ -343,7 +345,7 @@ def test_backward_error_clause_accepts_a_solve_on_a_sweep_mesh():
     mesh = TensorMesh(BasePartition(1, M), GradedPartition(M, default_grading(s), Y))
     assert mesh.n_free == 16_256
     op = assemble_stiffness(mesh, s)
-    ref = _kronecker_stiffness(mesh, s, 0.0)
+    ref = _kronecker_stiffness(mesh, s)
     norm1 = abs(ref).sum(axis=0).max()
     assert abs(op.norm1 - norm1) <= 1e-15 * norm1
     b = assemble_trace_load(mesh, lambda x: np.sin(np.pi * x))
@@ -359,10 +361,10 @@ def test_backward_error_clause_accepts_a_solve_on_a_sweep_mesh():
 @pytest.mark.parametrize("graded", [False, True])
 def test_solve_matches_sparse_direct_reference(n, N, M, c, s, graded):
     mesh = small_mesh(n=n, N=N, M=M, gamma=default_grading(s) if graded else 1.0, Y=2.0)
-    op = assemble_stiffness(mesh, s, c)
+    op = _operator(mesh, s, c)
     rng = np.random.default_rng(7)
     # random cellwise load: excites every base mode, asymmetric in x1, x2
-    b = assemble_trace_load(mesh, rng.uniform(-1.0, 1.0, mesh.base.n_cells))
+    b = assemble_trace_load(mesh, cell_load(mesh, rng.uniform(-1.0, 1.0, mesh.base.n_cells)))
     x = op.solve(b)
     ref = spsolve(sp.csc_matrix(dense(op)), b)
     nt = mesh.n_trace
@@ -374,7 +376,7 @@ def test_solve_matches_sparse_direct_reference(n, N, M, c, s, graded):
     assert np.linalg.norm(t - x[:nt]) <= 1e-13 * np.linalg.norm(x[:nt])
 
 
-def _per_mode_reference(mesh, s, c):
+def _per_mode_reference(mesh, s, c=0.0):
     """The operator assembled mode by mode: y-bands from weighted_interval_integrals,
     textbook base factors and their symbols diag(Q S1 Q), diag(Q M1 Q), and one
     solve_banded per base mode, mirrored pairs included.  Returns it with its y-factors
@@ -403,7 +405,7 @@ def _per_mode_reference(mesh, s, c):
         up = a * my_up + b * sy_up
         banded = np.stack([np.r_[0.0, up], a * my + b * sy, np.r_[up, 0.0]])
         profiles[:, j] = solve_banded((1, 1), banded, np.eye(M)[0])
-    op = fem.CylinderOperator(mesh, s, c, layer_bands, Q, tau, profiles, 0.0)
+    op = fem.CylinderOperator(mesh, s, layer_bands, Q, tau, profiles, 0.0)
     return op, [sp.diags([up, d, up], [-1, 0, 1]) for d, up in layer_bands]
 
 
@@ -423,18 +425,17 @@ def _sparse_factor_product(mesh, layer_ops, x):
 
 
 @pytest.mark.parametrize("n, N, M", [(1, 12, 9), (2, 7, 6)])
-@pytest.mark.parametrize("c", [0.0, 1.0])
 @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
-def test_assembly_is_bit_identical_to_per_mode_reference(n, N, M, s, c):
+def test_assembly_is_bit_identical_to_per_mode_reference(n, N, M, s):
     # one tridiagonal sweep over the distinct systems changes no bit of the operator
     mesh = small_mesh(n=n, N=N, M=M, gamma=default_grading(s), Y=2.0)
-    op, (ref, layer_ops) = assemble_stiffness(mesh, s, c), _per_mode_reference(mesh, s, c)
+    op, (ref, layer_ops) = assemble_stiffness(mesh, s), _per_mode_reference(mesh, s)
     for name in ("profiles", "mass_modes", "norm1"):
         np.testing.assert_array_equal(getattr(op, name), getattr(ref, name))
     # the optimizer's dot products with mass_modes round by its layout
     assert op.mass_modes.strides == ref.mass_modes.strides
-    b = assemble_trace_load(mesh, np.random.default_rng(7).uniform(-1.0, 1.0,
-                                                                  mesh.base.n_cells))
+    b = assemble_trace_load(mesh, cell_load(mesh, np.random.default_rng(7).uniform(
+        -1.0, 1.0, mesh.base.n_cells)))
     x = op.solve(b)
     np.testing.assert_array_equal(x, ref.solve(b))
     # the band products round as scipy.sparse's
@@ -451,7 +452,7 @@ def test_base_symbols_are_cached_and_read_only(n):
     h = 1.0 / 6
     symbols = fem._base_symbols(n, 5, (2.0 / h, -1.0 / h), (2.0 * h / 3.0, h / 6.0))
     assert symbols[1] is op.mass_modes
-    assert assemble_stiffness(small_mesh(n=n, N=6, M=5), 0.3, 1.0).mass_modes is op.mass_modes
+    assert assemble_stiffness(small_mesh(n=n, N=6, M=5), 0.3).mass_modes is op.mass_modes
     for a in symbols:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
@@ -543,7 +544,7 @@ def test_assembly_solves_unit_trace_load_or_rejects_grading(s, M):
         except ConfigurationError:
             return
         assert np.isfinite(op.profiles).all()
-        b = assemble_trace_load(mesh, np.ones(mesh.base.n_cells))
+        b = assemble_trace_load(mesh, cell_load(mesh, np.ones(mesh.base.n_cells)))
         x = op.solve(b)  # raises SolverError if the residual contract fails
     assert np.isfinite(x).all()
 

@@ -167,4 +167,3 @@ def test_choose_truncation_log_additivity():
 def test_first_eigenvalue():
     assert first_eigenvalue(1) == pytest.approx(math.pi**2)
     assert first_eigenvalue(2) == pytest.approx(2.0 * math.pi**2)
-    assert first_eigenvalue(2, c=1.5) == pytest.approx(2.0 * math.pi**2 + 1.5)

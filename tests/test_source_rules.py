@@ -7,7 +7,10 @@ their bands, so it imports nothing from scipy.sparse (the tests use it as their
 oracle).  And `import fracopt` leaves scipy.special unloaded: it adds about
 50-70 ms to every fresh process, and import time bounds a run's setup.  The
 README's command-line section names exactly the CLI's subcommands and flags,
-so a removed one cannot stay documented.
+so a removed one cannot stay documented.  Every name a module exports in
+`__all__` has a use outside the tests: in the library beyond its own
+definition, in the benchmark, or in the README's library example; so no entry
+point is kept for the tests alone.
 """
 
 import ast
@@ -77,3 +80,43 @@ def test_readme_command_line_names_the_parsers_commands_and_flags():
     keys = {"--" + key.replace("_", "-") for key in
             re.findall(r"^(\w[\w-]*)\s*=", config_example, re.M)}
     assert keys <= flags - {"--config", "--verbose"}
+
+
+def _used_names(tree: ast.AST, skip=(), strings=False) -> set:
+    """Names read in `tree` (as a name or an attribute), leaving out the nodes within
+    the line spans `skip`.  With `strings`, a string constant such as
+    "CylinderOperator.solve", which the benchmark's tracer patches by name, counts
+    for its first part."""
+    used = set()
+    for node in ast.walk(tree):
+        if any(first <= getattr(node, "lineno", 0) <= last for first, last in skip):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value.split(".")[0])
+    return used
+
+
+def test_every_exported_name_is_used_outside_the_tests():
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    outside = set()  # benchmark and README library example
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        outside |= _used_names(ast.parse(path.read_text()), strings=True)
+    readme = (ROOT / "README.md").read_text().split("## Library", 1)[1]
+    outside |= _used_names(ast.parse(re.search(r"```python\n(.*?)```", readme, re.S).group(1)))
+    unused = []
+    for path, tree in trees.items():
+        exported = [ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)]
+        for name in (exported[0] if exported else ()):
+            definition = [(node.lineno, node.end_lineno) for node in tree.body
+                          if getattr(node, "name", None) == name]
+            in_library = any(name in _used_names(other, definition if other is tree else ())
+                             for p, other in trees.items() if p.name != "__init__.py")
+            if not (in_library or name in outside):
+                unused.append(f"{path.name}: {name}")
+    assert not unused, f"exported for the tests only: {unused}"

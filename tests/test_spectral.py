@@ -80,12 +80,6 @@ def test_eigenpair_orthonormality_by_quadrature():
     assert np.mean(phi1(x) * phi3(x)) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_eigenpair_constant_shift():
-    lam0, _ = eigenpair((2,), 1)
-    lam3, _ = eigenpair((2,), 1, c=3.0)
-    assert lam3 == pytest.approx(lam0 + 3.0, rel=1e-14)
-
-
 def test_eigenpair_rejects_bad_input():
     with pytest.raises(ConfigurationError):
         eigenpair((0,), 1)

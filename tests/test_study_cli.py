@@ -13,8 +13,8 @@ import pytest
 from fracopt import (
     BasePartition,
     ConfigurationError,
-    ControlField,
     GradedPartition,
+    ReducedProblem,
     SolverError,
     StudyConfig,
     TensorMesh,
@@ -23,7 +23,6 @@ from fracopt import (
     emit_report,
     first_eigenvalue,
     fit_loglog_slope,
-    reduced_cost_and_gradient,
     run_compare_refinement,
     run_oracle_check,
     run_rate_study,
@@ -95,9 +94,9 @@ def test_manufactured_vi_residual_shrinks_under_refinement():
         Y = choose_truncation(0.5, first_eigenvalue(1), N * N, 1)
         mesh = TensorMesh(BasePartition(1, N), GradedPartition(N, 3.1, Y))
         quad = BaseQuadrature(mesh.base, 3)  # cell averages of the exact control
-        Z = ControlField(mesh.base, quad.eval_callable(mp.z_exact) @ quad.weights
-                         / mesh.base.cell_volume)
-        rep = reduced_cost_and_gradient(Z, problem, mesh)
+        z = quad.eval_callable(mp.z_exact) @ quad.weights / mesh.base.cell_volume
+        rp = ReducedProblem(problem, mesh)
+        _, _, rep = rp.evaluate(rp.cell_point_values(z), "fully_discrete")
         res.append(rep.vi_residual)
     assert res[0] > res[1] > res[2]
     assert res[-1] <= 5e-3
@@ -520,13 +519,22 @@ def test_cli_refuses_a_height_list_outside_the_truncation_study(tmp_path, capsys
     ("n = 1\ndof = 64,256\nschme = variational\n", "unknown key dof, schme"),
     ("n = 1\nmode = uniform\n", "unknown key mode"),
     ("n = 1\nnot a pair\n", "expected key=value"),
-], ids=["typos", "mode", "no-pair"])
+    ("n = 1\ndofs = 64,256\nn = 2\n", "run.cfg:3: key 'n' repeats line 1"),
+], ids=["typos", "mode", "no-pair", "repeated-key"])
 def test_cli_refuses_a_bad_config_file(text, message, tmp_path, capsys):
     # a mistyped key used to be dropped, and the run went on with the defaults
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(text)
     err = run_refused(["control-rates", "--config", str(cfgfile)], tmp_path, capsys)
     assert err.startswith("fracopt: error: ") and message in err
+
+
+def test_cli_refuses_a_missing_config_file(tmp_path, capsys):
+    # it used to end in a FileNotFoundError traceback with exit status 1
+    missing = tmp_path / "nosuch.cfg"
+    err = run_refused(["control-rates", "--config", str(missing), "--n", "1", "--dofs", "64"],
+                      tmp_path, capsys)
+    assert err.startswith("fracopt: error: cannot read config file") and str(missing) in err
 
 
 @pytest.mark.parametrize("flags, mode", [(["--gamma", "1"], "uniform"), ([], "anisotropic")],

@@ -1,10 +1,10 @@
 """Command-line front end for the study harness.
 
 Subcommands: control-rates, oracle-check, compare-refinement, truncation.
-Each flag's default is stated once, in `build_parser`, except the cell targets
-and the truncation heights, which depend on --n.  A key=value config file
-(--config), keyed by flag name, replaces the defaults: explicit flags win over
-the file, which wins over the defaults.  An unknown or repeated key is refused.
+Each flag's default is stated once, in `build_parser`, except the cell targets,
+which depend on --n.  A key=value config file (--config), keyed by flag name,
+replaces the defaults: explicit flags win over the file, which wins over the
+defaults.  An unknown or repeated key is refused.
 """
 
 from __future__ import annotations
@@ -77,7 +77,8 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
                        help="comma-separated cell targets (default set by --n)")
         p.add_argument("--gamma", type=float, default=None,
                        help="grading exponent (default 3/(2s)+0.1; 1 = uniform mesh)")
-        p.add_argument("--truncation-Y", type=_parse_floats, default=None,
+        p.add_argument("--truncation-Y", type=_parse_floats,
+                       default="1,2,3,4,5" if name == "truncation" else None,
                        help="height override (comma list = heights of the truncation study)")
         p.add_argument("--tol", type=float, default=1e-8, help="optimizer fixed-point tolerance")
         p.add_argument("--seed", type=int, default=0, help="seed for the VI sampling check")
@@ -112,12 +113,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise ConfigurationError(f"{args.config}: unknown key {', '.join(unknown)}")
             commands[args.command].set_defaults(**file_cfg)
             args = parser.parse_args(argv)
-        Y = args.truncation_Y  # the truncation study's heights, or a sweep's one height
-        if args.command == "truncation":
-            heights = Y or ((1.0, 1.5, 2.0, 2.5, 3.0, 4.0) if args.n == 2
-                            else (1.0, 2.0, 3.0, 4.0, 5.0))
-            Y = None
-        elif Y and len(Y) > 1:
+        Y = args.truncation_Y if args.command != "truncation" else None  # a sweep's one height
+        if Y and len(Y) > 1:
             raise ConfigurationError(f"{args.command} runs at one height, got {len(Y)} in "
                                      f"--truncation-Y")
         cfg = StudyConfig(s_values=args.s, n=args.n, gamma=args.gamma, tol=args.tol,
@@ -130,7 +127,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "compare-refinement":
             records = [run_compare_refinement(cfg)]
         else:
-            records = [run_truncation_study(cfg, heights)]
+            records = [run_truncation_study(cfg, args.truncation_Y)]
     except ConfigurationError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 

@@ -9,6 +9,7 @@ trace at y=0 is the leading contiguous block of the free unknowns.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 
@@ -88,7 +89,7 @@ class BasePartition:
 
 
 class GradedPartition:
-    """Partition of [0, Y] with nodes y_k = (k/M)^gamma * Y."""
+    """Partition of [0, Y] with nodes y_k = (k/M)^gamma * Y, or a cut of one (`below`)."""
 
     def __init__(self, M: int, gamma: float, Y: float):
         if M < 1:
@@ -98,16 +99,23 @@ class GradedPartition:
         if gamma < 1.0:
             raise ConfigurationError(f"grading exponent must be >= 1, got {gamma}")
         self.M = M
-        self.gamma = gamma
-        self.Y = Y
         self.nodes = Y * (np.arange(M + 1) / M) ** gamma
-        self.widths = np.diff(self.nodes)
-        if not np.all(self.widths >= np.finfo(float).tiny):  # also rejects NaN
+        widths = np.diff(self.nodes)
+        if not np.all(widths >= np.finfo(float).tiny):  # also rejects NaN
             raise ConfigurationError(
                 f"graded partition M={M}, gamma={gamma:.4g}, Y={Y:.4g} has a first width of "
-                f"{self.widths[0]:.3e}, not a positive normal float; use fewer layers "
+                f"{widths[0]:.3e}, not a positive normal float; use fewer layers "
                 "or a weaker grading"
             )
+
+    def below(self, Y: float) -> "GradedPartition":
+        """Partition of [0, Y] by this partition's nodes below Y, closed by a node at Y."""
+        if not 0.0 < Y <= self.nodes[-1]:
+            raise ConfigurationError(f"height Y must lie in (0, {self.nodes[-1]:.4g}], got {Y}")
+        part = copy.copy(self)
+        part.nodes = np.append(self.nodes[self.nodes < Y], Y)
+        part.M = len(part.nodes) - 1
+        return part
 
 
 def make_graded_partition(M: int, gamma: float, Y: float, s: float | None = None) -> GradedPartition:

@@ -319,18 +319,17 @@ def _extension_node_rms(V: FeField, s: float, lam: float, exact_trace_scale: flo
     return float(np.sqrt(np.mean((V.free_values - exact) ** 2)))
 
 
-def run_truncation_study(cfg: StudyConfig, Y_values: Sequence[float],
-                         reference_Y: Optional[float] = None) -> ConvergenceRecord:
+def run_truncation_study(cfg: StudyConfig, Y_values: Sequence[float]) -> ConvergenceRecord:
     """Control/state error decay as the cylinder height Y grows.
 
-    The base resolution and layer count stay fixed; each run is compared
-    against a reference solve on a much taller cylinder, isolating the
-    truncation error until the discretization floor is reached.  The
-    desired state is the first eigenmode: truncation error scales with
-    exp(-c sqrt(lambda_1) Y), so lowest-mode data keeps the decay visible
-    above the floor for the longest stretch of heights.  Fully discrete
-    scheme only; the first solve that does not converge (the reference
-    solve included) ends the study and fails its check.
+    Every row is compared against a reference solve on the height 2 max(Y) + 2,
+    graded with 4N layers.  A row's y-nodes are the reference's nodes below Y,
+    closed by a node at Y, so it differs from the reference in its height only.
+    The desired state is the first eigenmode, whose truncation error decays
+    slowest, like exp(-c sqrt(lambda_1) Y); the measured rate is about
+    2 sqrt(lambda_1).  Fully discrete scheme and one order only; the first solve
+    that does not converge (the reference solve included) ends the study and
+    fails its check.
     """
     if cfg.scheme != "fully_discrete":
         raise ConfigurationError(f"truncation study runs the fully discrete scheme only, "
@@ -340,68 +339,71 @@ def run_truncation_study(cfg: StudyConfig, Y_values: Sequence[float],
         raise ConfigurationError(f"truncation study needs two distinct heights, got {Y_values}")
     if Y_values[0] < 1.0:
         raise ConfigurationError("truncation study requires Y >= 1")
-    s = cfg.s_values[0]
+    s = _one_order(cfg, "truncation study")
     u_d = lambda *x: math.prod(np.sin(math.pi * xd) for xd in x)
     problem = ProblemConfig(s=s, u_d=u_d, bounds=BoxBounds(0.0, 0.5), mu=1.0)
     gamma, mode = _grading(cfg, s)
     N = balanced_resolution(max(cfg.dof_targets), cfg.n)
-    M = 4 * N  # oversample layers; the floor should come from the Y-rescaled
-    # template, not from running out of y-resolution
     base = BasePartition(cfg.n, N)
-    ref_Y = reference_Y if reference_Y is not None else 2.0 * Y_values[-1] + 2.0
+    ref_Y = 2.0 * Y_values[-1] + 2.0
+    ref_part = make_graded_partition(4 * N, gamma, ref_Y, s=s if mode == "anisotropic" else None)
     rec = ConvergenceRecord("truncation", s, cfg.n, mode, cfg.scheme, gamma, ref_Y)
 
-    reference = None
     for Y in [ref_Y] + Y_values:
-        mesh = TensorMesh(base, make_graded_partition(
-            M, gamma, Y, s=s if mode == "anisotropic" else None))
+        mesh = TensorMesh(base, ref_part.below(Y))
         Z, V, _, rep = solve_fully_discrete(problem, mesh, tol=cfg.tol)
         if not rep.converged:
             rec.extras["aborted_at_Y"] = Y
             rec.extras["abort_residual"] = rep.vi_residual
             rec.checks["truncation_decay"] = False
             return rec
-        if reference is None:
-            reference = Z, V.trace()
+        if Y == ref_Y:  # above every row's height, so the first solve only
+            Z_ref, tr_ref = Z, V.trace()
             continue
-        Z_ref, tr_ref = reference
         err_control = math.sqrt(base.cell_volume * float(
             np.sum((Z.cell_values - Z_ref.cell_values) ** 2)))
         err_state = l2_trace_error(V.trace(), tr_ref.evaluate)
         rec.rows.append({
             "Y": Y,
-            "cells": base.n_cells * M,
-            "dofs": base.n_interior * M,
+            "cells": mesh.n_cells,
+            "dofs": mesh.n_free,
             "err_control_L2": err_control,
             "err_state_L2": err_state,
             "iterations": rep.iterations,
         })
 
-    lam1 = first_eigenvalue(cfg.n)
-    slope, nfit = _truncation_slope([r["Y"] for r in rec.rows],
-                                    [r["err_control_L2"] for r in rec.rows])
-    rec.slopes["log_err_control_vs_Y"] = slope
-    rec.extras["fit_rows"] = nfit
-    rec.extras["decay_rate_bound"] = -math.sqrt(lam1) / 4.0
-    rec.checks["truncation_decay"] = slope <= -0.7 * math.sqrt(lam1) / 4.0
+    slope, rec.extras["fit_rows"] = _truncation_slope([r["Y"] for r in rec.rows],
+                                                      [r["err_control_L2"] for r in rec.rows])
+    bound = rec.extras["decay_rate_bound"] = -math.sqrt(first_eigenvalue(cfg.n)) / 4.0
+    if slope is None:
+        rec.extras["unfitted"] = "fewer than two leading heights have a positive control error"
+    else:
+        rec.slopes["log_err_control_vs_Y"] = slope
+    rec.checks["truncation_decay"] = slope is not None and slope <= 0.7 * bound
     return rec
 
 
-def _truncation_slope(Ys: Sequence[float], errs: Sequence[float]) -> Tuple[float, int]:
-    """Fit log(err) vs Y on the pre-floor prefix: rows are kept while the
-    error keeps dropping by a clear margin (20 percent per row)."""
+def _truncation_slope(Ys: Sequence[float], errs: Sequence[float]) -> Tuple[Optional[float], int]:
+    """Slope of log(err) vs Y and the rows it fits: the pre-floor prefix (two rows,
+    then on while the error drops by 20 percent per row), ended at the first error
+    that is not positive.  The slope is None if fewer than two rows are left."""
     errs = np.asarray(errs, dtype=float)
-    cut = 2
-    for i in range(1, len(errs)):
-        if errs[i] < 0.8 * errs[i - 1]:
-            cut = i + 1
-        else:
-            break
-    ys = np.asarray(Ys[:cut], dtype=float)
-    es = errs[:cut]
-    A = np.column_stack([ys, np.ones_like(ys)])
-    coef, *_ = np.linalg.lstsq(A, np.log(es), rcond=None)
-    return float(coef[0]), int(cut)
+    falls = np.append(errs[1:] < 0.8 * errs[:-1], False)  # row i + 1 drops below row i
+    positive = np.append(errs > 0.0, False)
+    cut = min(max(2, 1 + int(np.argmin(falls))), int(np.argmin(positive)))  # first False
+    if cut < 2:
+        return None, cut
+    A = np.column_stack([Ys[:cut], np.ones(cut)])
+    coef, *_ = np.linalg.lstsq(A, np.log(errs[:cut]), rcond=None)
+    return float(coef[0]), cut
+
+
+def _one_order(cfg: StudyConfig, study: str) -> float:
+    """The one fractional order of a study that runs a single s."""
+    if len(cfg.s_values) != 1:
+        raise ConfigurationError(f"{study} runs one fractional order, got {len(cfg.s_values)}: "
+                                 f"{', '.join(f'{s:g}' for s in cfg.s_values)}")
+    return cfg.s_values[0]
 
 
 def run_compare_refinement(cfg: StudyConfig) -> ConvergenceRecord:
@@ -412,12 +414,12 @@ def run_compare_refinement(cfg: StudyConfig) -> ConvergenceRecord:
     error ratio, not absolute values.  A sweep that aborts ends the study
     and fails its check.
     """
-    s = cfg.s_values[0]
+    s = _one_order(cfg, "compare-refinement")
     target = cfg.dof_targets[-1]
     gamma_an, _ = _grading(cfg, s)
     sweeps = []
     for gamma in (1.0, gamma_an):
-        sweeps += run_rate_study(replace(cfg, s_values=(s,), dof_targets=(target,), gamma=gamma))
+        sweeps += run_rate_study(replace(cfg, dof_targets=(target,), gamma=gamma))
         if "aborted_at_target" in sweeps[-1].extras:
             break
     rec = ConvergenceRecord("compare", s, cfg.n, "both", cfg.scheme, gamma_an, sweeps[0].Y)

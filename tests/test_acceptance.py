@@ -196,7 +196,7 @@ def test_criterion_5_anisotropic_superiority():
 
 def test_criterion_6_truncation_decay():
     cfg = StudyConfig(s_values=(0.5,), n=1, dof_targets=(4096,))
-    rec = run_truncation_study(cfg, (1.0, 1.1, 1.2, 1.3, 1.4, 1.5), reference_Y=8.0)
+    rec = run_truncation_study(cfg, (1.0, 1.1, 1.2, 1.3, 1.4, 1.5))
     slope = rec.slopes["log_err_control_vs_Y"]
     bound = -0.7 * math.sqrt(first_eigenvalue(1)) / 4.0
     ok = slope <= bound

@@ -120,7 +120,7 @@ def standing_numbers():
                                                      dof_targets=(25_000,)))
     out["criterion5"] = anisotropic.extras["control_error_ratio_an_over_un"]
     truncation = run_truncation_study(StudyConfig(s_values=(0.5,), n=1, dof_targets=(4096,)),
-                                      (1.0, 1.1, 1.2, 1.3, 1.4, 1.5), reference_Y=8.0)
+                                      (1.0, 1.1, 1.2, 1.3, 1.4, 1.5))
     out["criterion6"] = truncation.slopes["log_err_control_vs_Y"]
     out["criterion8"] = max(row["fixed_point_residual"] for rec in sweep for row in rec.rows)
     return out

@@ -23,7 +23,8 @@ from fracopt.fem import BaseQuadrature, TraceField
 
 def width_ratio(part):
     """Largest ratio of widths of neighboring intervals."""
-    r = part.widths[1:] / part.widths[:-1]
+    widths = np.diff(part.nodes)
+    r = widths[1:] / widths[:-1]
     return float(max(r.max(), (1.0 / r).max()))
 
 
@@ -54,10 +55,24 @@ def test_graded_nodes_strictly_increase(M, gamma, Y):
     part = GradedPartition(M, gamma, Y)
     assert part.nodes[0] == 0.0
     assert part.nodes[-1] == pytest.approx(Y)
-    assert np.all(np.diff(part.nodes) > 0.0)
+    widths = np.diff(part.nodes)
+    assert np.all(widths > 0.0)
     # first interval is the smallest, last the largest (ties up to roundoff)
-    assert part.widths[0] <= min(part.widths) * (1.0 + 1e-12)
-    assert part.widths[-1] >= max(part.widths) * (1.0 - 1e-12)
+    assert widths[0] <= min(widths) * (1.0 + 1e-12)
+    assert widths[-1] >= max(widths) * (1.0 - 1e-12)
+
+
+def test_below_cuts_the_nodes_at_a_height():
+    part = GradedPartition(4, 2.0, 4.0)  # nodes 0, 0.25, 1, 2.25, 4
+    cut = part.below(1.5)
+    assert np.array_equal(cut.nodes, [0.0, 0.25, 1.0, 1.5])
+    assert cut.M == 3
+    assert np.array_equal(part.below(1.0).nodes, [0.0, 0.25, 1.0])
+    assert np.array_equal(part.below(4.0).nodes, part.nodes)
+    assert part.M == 4  # the cut partition is a copy
+    for Y in (0.0, 4.5):
+        with pytest.raises(ConfigurationError, match="height Y"):
+            part.below(Y)
 
 
 def test_graded_rejects_bad_input():

@@ -156,10 +156,56 @@ def test_oracle_extension_diagnostic_decreases():
 
 def test_truncation_study_structure():
     cfg = StudyConfig(s_values=(0.5,), n=1, dof_targets=(256,))
-    rec = run_truncation_study(cfg, (1.0, 1.2), reference_Y=4.0)
+    rec = run_truncation_study(cfg, (1.0, 1.2))
     assert [row["Y"] for row in rec.rows] == [1.0, 1.2]
     assert "log_err_control_vs_Y" in rec.slopes
     assert rec.rows[0]["err_control_L2"] >= rec.rows[1]["err_control_L2"]
+
+
+def test_truncation_rows_cut_the_reference_partition(monkeypatch):
+    # a row differs from the reference in its height only: same y-nodes below Y
+    meshes = []
+
+    def recording(problem, mesh, **kw):
+        meshes.append(mesh)
+        return solve(problem, mesh, **kw)
+
+    solve = study.solve_fully_discrete
+    monkeypatch.setattr(study, "solve_fully_discrete", recording)
+    cfg = StudyConfig(s_values=(0.5,), n=1, dof_targets=(256,))
+    rec = run_truncation_study(cfg, (1.0, 1.5, 2.0))
+    reference, rows = meshes[0].extended.nodes, meshes[1:]
+    assert reference[-1] == rec.Y == 6.0
+    for row, mesh in zip(rec.rows, rows, strict=True):
+        Y, nodes = row["Y"], mesh.extended.nodes
+        assert np.array_equal(nodes[:-1], reference[reference < Y]) and nodes[-1] == Y
+        assert (row["cells"], row["dofs"]) == (mesh.n_cells, mesh.n_free)
+    assert len({row["cells"] for row in rec.rows}) == len(rec.rows)
+
+
+def test_truncation_slope_ends_at_the_first_zero_error():
+    # bit-equal iterates give error 0: fit the positive prefix, take no log(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slope, rows = study._truncation_slope([1.0, 2.0, 3.0, 4.0], [1e-4, 1e-8, 1e-12, 0.0])
+    assert rows == 3 and slope == pytest.approx(-4.0 * math.log(10.0))
+    assert study._truncation_slope([1.0, 2.0], [1e-4, 0.0]) == (None, 1)
+
+
+def test_truncation_with_fewer_than_two_positive_errors_fails_its_check(monkeypatch):
+    # every row returns the reference's solve, so every error is exactly 0
+    def reference_solve(problem, mesh, **kw):
+        if not results:
+            results.append(solve(problem, mesh, **kw))
+        return results[0]
+
+    results, solve = [], study.solve_fully_discrete
+    monkeypatch.setattr(study, "solve_fully_discrete", reference_solve)
+    cfg = StudyConfig(s_values=(0.5,), n=1, dof_targets=(256,))
+    rec = run_truncation_study(cfg, (1.0, 1.2))
+    assert [row["err_control_L2"] for row in rec.rows] == [0.0, 0.0]
+    assert rec.slopes == {} and rec.checks == {"truncation_decay": False}
+    assert rec.extras["fit_rows"] == 0 and "positive control error" in rec.extras["unfitted"]
 
 
 def test_truncation_requires_unit_height():
@@ -171,7 +217,7 @@ def test_truncation_requires_unit_height():
 def test_truncation_refuses_the_variational_scheme():
     cfg = StudyConfig(s_values=(0.5,), n=1, dof_targets=(256,), scheme="variational")
     with pytest.raises(ConfigurationError, match="fully discrete"):
-        run_truncation_study(cfg, (1.0, 1.2), reference_Y=4.0)
+        run_truncation_study(cfg, (1.0, 1.2))
 
 
 @pytest.mark.parametrize("heights", [(1.0,), (1.0, 1.0)], ids=["one", "repeated"])
@@ -437,6 +483,13 @@ def test_rate_rows_carry_the_exit_certificate(run, scheme):
         assert cert["state_residual_rel"] <= 1e-10 and cert["adjoint_residual_rel"] <= 1e-10
 
 
+def test_cli_truncation_n2_passes_at_its_defaults(tmp_path, capsys):
+    # the default heights fit the decay at n=2 as at n=1
+    rc = main(["truncation", "--n", "2", "--out", str(tmp_path / "tr")])
+    assert "truncation_decay: PASS" in capsys.readouterr().out
+    assert rc == 0
+
+
 def test_cli_truncation_smoke(tmp_path):
     out = str(tmp_path / "tr")
     rc = main(["truncation", "--s", "0.5", "--n", "1", "--dofs", "256",
@@ -502,7 +555,11 @@ def run_refused(argv, tmp_path, capsys):
     (["truncation", "--n", "1", "--dofs", "256", "--truncation-Y", "1.0"],
      "two distinct heights"),
     (["truncation", "--n", "1", "--dofs", "256", "--scheme", "variational"], "fully discrete"),
-], ids=["dofs", "no-s", "one-height", "scheme"])
+    (["truncation", "--n", "1", "--dofs", "256", "--s", "0.2,0.5"],
+     "truncation study runs one fractional order, got 2: 0.2, 0.5"),
+    (["compare-refinement", "--n", "1", "--dofs", "256", "--s", "0.2,0.5"],
+     "compare-refinement runs one fractional order, got 2: 0.2, 0.5"),
+], ids=["dofs", "no-s", "one-height", "scheme", "truncation-two-orders", "compare-two-orders"])
 def test_cli_reports_invalid_input_in_one_line(argv, message, tmp_path, capsys):
     err = run_refused(argv, tmp_path, capsys)
     assert err.startswith("fracopt: error: ") and message in err

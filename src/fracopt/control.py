@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -33,9 +33,7 @@ from .fem import (
     SolverError,
     TraceField,
     assemble_stiffness,
-    assemble_trace_block,
     assemble_trace_load,
-    solve_state,
 )
 from .meshes import BasePartition, TensorMesh
 from .spectral import ConfigurationError
@@ -131,23 +129,9 @@ class ReducedCostReport:
     converged: Optional[bool] = None  # set by an optimizer run only: its fixed-point test
     n_state_solves: int = 1
     wall_time: float = 0.0
-    scheme: str = "fully_discrete"
     # exit solves of the optimizer: relative residuals of the certified state
     # and adjoint, the trace gap and the profiles' assembly backward error
     certificate: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "cost": self.j,
-            "fixed_point_residual": self.vi_residual,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "n_state_solves": self.n_state_solves,
-            "wall_time_s": self.wall_time,
-            "cost_history": list(self.cost_history),
-            "certificate": dict(self.certificate),
-        }
 
 
 class ReducedProblem:
@@ -179,14 +163,15 @@ class ReducedProblem:
         return G + self.f_q if self.f_q is not None else G
 
     # -- state -----------------------------------------------------------
-    def state(self, point_values: np.ndarray) -> FeField:
-        """Full state of a load given at the points, through the checked solve."""
-        self.n_state_solves += 1
-        return solve_state(self.op, assemble_trace_load(self.mesh, point_values, quad=self.quad))
+    def state(self, point_values: np.ndarray) -> Tuple[FeField, float]:
+        """Full state of a load given at the points, through the checked solve, and its
+        relative residual."""
+        x, residual = self.op.solve(assemble_trace_load(self.mesh, point_values, quad=self.quad))
+        return FeField(self.mesh, x), residual
 
     def load_modes(self, point_values: np.ndarray) -> np.ndarray:
         """Sine modes Q B of the trace load of values given at the points."""
-        return self.op.to_modes(assemble_trace_block(self.quad, point_values))
+        return self.op.to_modes(assemble_trace_load(self.mesh, point_values, quad=self.quad))
 
     def trace_solve(self, load_modes: np.ndarray) -> np.ndarray:
         """Sine modes of the state trace of a trace load given in sine modes:
@@ -229,12 +214,13 @@ class ReducedProblem:
         """The state V of control values G at the points and the adjoint P of its mismatch,
         each solved in full and checked against the operator (SolverError otherwise), with
         a report of the cost, the cell averages of the gradient, the fixed-point residual
-        and the certificate of both solves.  The state is affine in G, so `v_hat`, the
-        state trace in sine modes that the optimizer loop accumulated for G, must equal
-        tr V up to rounding; a relative gap above TRACE_GAP_RTOL raises SolverError."""
+        and the certificate of both solves: the relative residuals that `state` returns
+        with V and P, and the profiles' backward error.  The state is affine in G, so
+        `v_hat`, the state trace in sine modes that the optimizer loop accumulated for G,
+        must equal tr V up to rounding; a relative gap above TRACE_GAP_RTOL raises
+        SolverError."""
         op, quad = self.op, self.quad
-        V = self.state(self.load(G))
-        state_res = op.last_residual
+        V, state_res = self.state(self.load(G))
         v_cert = V.trace().values
         if v_hat is not None:
             gap = float(np.linalg.norm(op.to_modes(v_hat) - v_cert)) / max(
@@ -243,8 +229,8 @@ class ReducedProblem:
                 raise SolverError("the accumulated state trace departs from the certified "
                                   "state's", gap)
         r = self.mismatch(v_cert)
-        P = self.state(r)
-        certificate = {"state_residual_rel": state_res, "adjoint_residual_rel": op.last_residual}
+        P, adjoint_res = self.state(r)
+        certificate = {"state_residual_rel": state_res, "adjoint_residual_rel": adjoint_res}
         if v_hat is not None:
             certificate["trace_gap"] = gap
         certificate["profile_backward_error"] = op.profile_backward_error
@@ -253,7 +239,7 @@ class ReducedProblem:
                  else g @ quad.weights / self.mesh.base.cell_volume)
         return V, P, ReducedCostReport(
             j=self.cost(G, r), gradient=ControlField(self.mesh.base, cells), vi_residual=fp_res,
-            scheme=scheme, certificate=certificate)
+            certificate=certificate)
 
 
 def _descend(rp: ReducedProblem, z0: Optional[ControlField], scheme: str, tol: float,
@@ -428,9 +414,6 @@ class OptimalityResiduals:
     vi_violation_min: float
     vi_violation_exact: float
     fixed_point_residual: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def optimality_residuals(

@@ -13,8 +13,10 @@ factor is a symmetric tridiagonal held as its two bands in plain arrays, with
 one product (_band_apply) and one column norm (_column_norm1); scipy supplies
 only LAPACK's tridiagonal solver dgtsv.  The same tensor structure gives one
 exact solver: sine transforms in the base directions and tridiagonal solves in
-y.  Its trace at y=0 is diagonal in sine modes, which is all the optimizer loop
-needs; the fields that leave the loop are solved in full and checked.
+y.  A load enters only as a Neumann datum on the face y=0, so it is one value per
+node of that layer (assemble_trace_load), and the trace response to it is diagonal
+in sine modes, which is all the optimizer loop needs; the fields that leave the
+loop are solved in full and checked, and `solve` returns each with its residual.
 """
 
 from __future__ import annotations
@@ -281,24 +283,23 @@ class CylinderOperator:
     each base mode j leaves one SPD tridiagonal system (a_j My + b_j Sy) / d_s in y (the
     modes (k, l), (l, k) share one), all solved at assembly in one tridiagonal sweep for a
     unit load on the layer y=0; `profiles[:, j]` is the y-profile of mode j, rejected if
-    its backward error exceeds BACKWARD_ERROR_TOL.  `solve` transforms the trace block
-    (`to_modes`), scales the profiles, transforms all layers back and checks the result
-    with `apply`, independent of both.  So the trace response is diagonal in
-    sine modes, profiles[0]: the optimizer loop iterates there and certifies its outputs
-    through `solve` (control._descend).  The graded y-direction is never diagonalized;
-    its mass matrix is too badly conditioned.
+    its backward error exceeds BACKWARD_ERROR_TOL.  Every load is a trace load, the
+    block on the layer y=0 (assemble_trace_load): `solve` transforms it (`to_modes`),
+    scales the profiles, transforms all layers back, checks the result with `apply`,
+    independent of both, and returns it with its relative residual.  So the trace
+    response is diagonal in sine modes, profiles[0]: the optimizer loop iterates there
+    and certifies its outputs through `solve` (control._descend).  The graded
+    y-direction is never diagonalized; its mass matrix is too badly conditioned.
     """
 
-    def __init__(self, mesh: TensorMesh, s: float,
-                 layer_bands: Tuple[Tuple[np.ndarray, np.ndarray], ...], sine: np.ndarray,
-                 mass_modes: np.ndarray, profiles: np.ndarray, profile_backward_error: float):
+    def __init__(self, mesh: TensorMesh, layer_bands: Tuple[Tuple[np.ndarray, np.ndarray], ...],
+                 sine: np.ndarray, mass_modes: np.ndarray, profiles: np.ndarray,
+                 profile_backward_error: float):
         self.mesh = mesh
-        self.s = s
         self._layer_bands = layer_bands  # (diagonal, off) of T_t, the y-factor of N_t
         self._sine = sine  # per base direction
         self.mass_modes = mass_modes  # diagonal of the base mass matrix in sine modes
         self.profiles = profiles
-        self.last_residual = 0.0  # relative residual |b - K x| / |b| of the last solve
         # largest backward error of the profiles' tridiagonal solves, checked at assembly
         self.profile_backward_error = profile_backward_error
         # |K|_1: a column adds |T_t| over the N_t-neighbours of its node, disjoint for
@@ -337,8 +338,11 @@ class CylinderOperator:
         return (Q @ layers.reshape(-1, m, m) @ Q).reshape(layers.shape)
 
     def residual(self, x: np.ndarray, b: np.ndarray) -> float:
-        """|b - K x|, the Euclidean norm of the residual of x for the load b."""
-        return float(np.linalg.norm(b - self.apply(x)))
+        """|K x - b|, the Euclidean norm of the residual of x for the trace load b,
+        formed in place on the trace rows."""
+        r = self.apply(x)
+        r[: self.mesh.n_trace] -= b
+        return float(np.linalg.norm(r))
 
     def _contract_met(self, x: np.ndarray, b: np.ndarray, bnorm: float) -> Tuple[bool, float]:
         """Residual contract and residual norm: relative residual below tolerance,
@@ -350,23 +354,23 @@ class CylinderOperator:
         eta = rnorm / (self.norm1 * float(np.linalg.norm(x)) + bnorm)
         return eta <= BACKWARD_ERROR_TOL, rnorm
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """K^{-1} b for a trace load b; SolverError if the residual contract fails."""
+    def solve(self, b: np.ndarray) -> Tuple[np.ndarray, float]:
+        """K^{-1} b for a trace load b, one value per node of the layer y=0, and its
+        relative residual |K x - b| / |b| (0 for b = 0); SolverError if the residual
+        contract fails."""
         b = np.asarray(b, dtype=float)
-        nt = self.mesh.n_trace
-        if np.any(b[nt:]):
-            raise ConfigurationError("solve takes trace loads only; this load is nonzero "
-                                     "off the layer y=0")
+        if b.shape != (self.mesh.n_trace,):
+            raise ConfigurationError(f"solve takes a trace load of shape ({self.mesh.n_trace},), "
+                                     f"one value per node of the layer y=0; got {b.shape}")
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
-            self.last_residual = 0.0
-            return np.zeros(self.n)
-        x = self.to_modes(self.profiles * self.to_modes(b[None, :nt])).ravel()
+            return np.zeros(self.n), 0.0
+        x = self.to_modes(self.profiles * self.to_modes(b[None, :])).ravel()
         met, rnorm = self._contract_met(x, b, bnorm)
-        self.last_residual = float(rnorm / bnorm)
+        relative = float(rnorm / bnorm)
         if not met:
-            raise SolverError("solver residual contract violated", self.last_residual)
-        return x
+            raise SolverError("solver residual contract violated", relative)
+        return x, relative
 
 
 def assemble_stiffness(mesh: TensorMesh, s: float) -> CylinderOperator:
@@ -415,7 +419,7 @@ def assemble_stiffness(mesh: TensorMesh, s: float) -> CylinderOperator:
         raise SolverError(f"the y-profile of base mode {first[worst]} has backward error "
                           f"{eta[worst]:.3e} > {BACKWARD_ERROR_TOL:g}", float(rnorm[worst]))
     profiles = np.take(p.T, system, axis=1)  # (layer, base mode), C order
-    op = CylinderOperator(mesh, s, layer_bands, Q, mass_modes, profiles, float(eta[worst]))
+    op = CylinderOperator(mesh, layer_bands, Q, mass_modes, profiles, float(eta[worst]))
     _log.debug("assembled %d free dofs: |K|_1 = %.6g, profile backward error %.2e, %.3f s",
                mesh.n_free, op.norm1, eta[worst], time.perf_counter() - start)
     return op
@@ -426,31 +430,27 @@ def assemble_stiffness(mesh: TensorMesh, s: float) -> CylinderOperator:
 # ---------------------------------------------------------------------------
 
 
-def assemble_trace_block(quad: BaseQuadrature, r) -> np.ndarray:
-    """Trace block of the load <r, tr W_i>, one entry per interior base node.  `r` is a
-    callable on the base domain or its values at the points of `quad`, (#cells, #points)."""
-    base = quad.base
+def assemble_trace_load(mesh: TensorMesh, r,
+                        quad: Optional[BaseQuadrature] = None) -> np.ndarray:
+    """Trace load <r, tr W_i>, one entry per interior base node: the load vector's block
+    on the layer y=0, the only layer a Neumann datum reaches.  `r` is a callable on the
+    base domain or its values at the points of `quad` (by default the 3-point rule of the
+    base mesh), (#cells, #points)."""
+    quad = quad if quad is not None else BaseQuadrature(mesh.base, 3)
     values = quad.eval_callable(r) if callable(r) else np.asarray(r)
     if values.shape != quad.points.shape[:2]:
         raise ConfigurationError(f"a load is a callable or its values at the points, of shape "
                                  f"{quad.points.shape[:2]}; got a {type(r).__name__} of shape "
                                  f"{values.shape}")
     local = (values * quad.weights) @ quad.shapes.T  # (#cells, 2^n)
+    base = mesh.base
     node_vec = np.bincount(base.cells.ravel(), local.ravel(), minlength=base.n_nodes)
     return node_vec[base.interior_nodes]
 
 
-def assemble_trace_load(mesh: TensorMesh, r,
-                        quad: Optional[BaseQuadrature] = None) -> np.ndarray:
-    """Load vector <r, tr W_i> over free DOFs (nonzero only on the y=0 layer):
-    the trace block of `r` (assemble_trace_block; by default on the 3-point
-    rule of the base mesh), padded with zeros."""
-    quad = quad if quad is not None else BaseQuadrature(mesh.base, 3)
-    return np.r_[assemble_trace_block(quad, r), np.zeros(mesh.n_free - mesh.n_trace)]
-
-
 def solve_state(op: CylinderOperator, load: np.ndarray) -> FeField:
-    return FeField(op.mesh, op.solve(np.asarray(load, dtype=float)))
+    """The full field of a trace load, through the checked solve."""
+    return FeField(op.mesh, op.solve(load)[0])
 
 
 def energy_error_galerkin(V: FeField, data: Callable, exact_trace: Callable, d_s: float) -> float:

@@ -61,6 +61,11 @@ CSV_COLUMNS = (
     "study", "s", "n", "mode", "scheme", "gamma", "Y", "cells", "dofs",
     "err_control_L2", "err_state_Hs", "err_state_L2", "err_extension_nodes",
 )
+# A truncation row whose control error is below this fraction of ||Z_ref||_L2 differs
+# from the reference by rounding, not truncation: at n=2 the row Y=4 differs by a few
+# ulps in a few cells (5.9e-17) and still falls by 20 percent, so only this floor ends
+# the fitted prefix before it.
+TRUNCATION_FLOOR_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -84,9 +89,6 @@ class StudyConfig:
         if any(b <= a for a, b in zip(self.dof_targets, self.dof_targets[1:])):
             raise ConfigurationError("dof_targets must be strictly increasing")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class ConvergenceRecord:
@@ -107,9 +109,6 @@ class ConvergenceRecord:
         xs = [row["cells"] for row in self.rows if row.get(key) is not None]
         ys = [row[key] for row in self.rows if row.get(key) is not None]
         return fit_loglog_slope(xs, ys)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:
@@ -192,8 +191,8 @@ def run_rate_study(cfg: StudyConfig) -> List[ConvergenceRecord]:
                 break
             if cfg.scheme == "fully_discrete":
                 err_control = _control_error_fully_discrete(Z, mp.z_exact, mesh.base)
-                cert = optimality_residuals(Z, V, P, problem, mesh, rp=rp, seed=cfg.seed)
-                cert_dict = cert.to_dict()
+                cert_dict = asdict(optimality_residuals(Z, V, P, problem, mesh, rp=rp,
+                                                        seed=cfg.seed))
             else:
                 err_control = _control_error_evaluator(g, mp.z_exact, mesh.base)
                 cert_dict = None
@@ -349,6 +348,9 @@ def run_truncation_study(cfg: StudyConfig, Y_values: Sequence[float]) -> Converg
     ref_part = make_graded_partition(4 * N, gamma, ref_Y, s=s if mode == "anisotropic" else None)
     rec = ConvergenceRecord("truncation", s, cfg.n, mode, cfg.scheme, gamma, ref_Y)
 
+    def l2(cell_values):
+        return math.sqrt(base.cell_volume * float(np.sum(cell_values ** 2)))
+
     for Y in [ref_Y] + Y_values:
         mesh = TensorMesh(base, ref_part.below(Y))
         Z, V, _, rep = solve_fully_discrete(problem, mesh, tol=cfg.tol)
@@ -360,8 +362,7 @@ def run_truncation_study(cfg: StudyConfig, Y_values: Sequence[float]) -> Converg
         if Y == ref_Y:  # above every row's height, so the first solve only
             Z_ref, tr_ref = Z, V.trace()
             continue
-        err_control = math.sqrt(base.cell_volume * float(
-            np.sum((Z.cell_values - Z_ref.cell_values) ** 2)))
+        err_control = l2(Z.cell_values - Z_ref.cell_values)
         err_state = l2_trace_error(V.trace(), tr_ref.evaluate)
         rec.rows.append({
             "Y": Y,
@@ -372,25 +373,29 @@ def run_truncation_study(cfg: StudyConfig, Y_values: Sequence[float]) -> Converg
             "iterations": rep.iterations,
         })
 
-    slope, rec.extras["fit_rows"] = _truncation_slope([r["Y"] for r in rec.rows],
-                                                      [r["err_control_L2"] for r in rec.rows])
+    slope, rec.extras["fit_rows"] = _truncation_slope(
+        [r["Y"] for r in rec.rows], [r["err_control_L2"] for r in rec.rows],
+        TRUNCATION_FLOOR_RTOL * l2(Z_ref.cell_values))
     bound = rec.extras["decay_rate_bound"] = -math.sqrt(first_eigenvalue(cfg.n)) / 4.0
     if slope is None:
-        rec.extras["unfitted"] = "fewer than two leading heights have a positive control error"
+        rec.extras["unfitted"] = (f"fewer than two leading heights have a positive control "
+                                  f"error above rounding ({TRUNCATION_FLOOR_RTOL:g} ||Z_ref||_L2)")
     else:
         rec.slopes["log_err_control_vs_Y"] = slope
     rec.checks["truncation_decay"] = slope is not None and slope <= 0.7 * bound
     return rec
 
 
-def _truncation_slope(Ys: Sequence[float], errs: Sequence[float]) -> Tuple[Optional[float], int]:
+def _truncation_slope(Ys: Sequence[float], errs: Sequence[float],
+                      floor: float) -> Tuple[Optional[float], int]:
     """Slope of log(err) vs Y and the rows it fits: the pre-floor prefix (two rows,
     then on while the error drops by 20 percent per row), ended at the first error
-    that is not positive.  The slope is None if fewer than two rows are left."""
+    not above `floor`, the rounding level.  The slope is None if fewer than two rows
+    are left."""
     errs = np.asarray(errs, dtype=float)
     falls = np.append(errs[1:] < 0.8 * errs[:-1], False)  # row i + 1 drops below row i
-    positive = np.append(errs > 0.0, False)
-    cut = min(max(2, 1 + int(np.argmin(falls))), int(np.argmin(positive)))  # first False
+    above = np.append(errs > floor, False)
+    cut = min(max(2, 1 + int(np.argmin(falls))), int(np.argmin(above)))  # first False
     if cut < 2:
         return None, cut
     A = np.column_stack([Ys[:cut], np.ones(cut)])
@@ -463,8 +468,8 @@ def emit_report(records: Sequence[ConvergenceRecord], out_prefix: str,
             fh.write("\n".join(lines) + "\n")
 
         summary = {
-            "config": config.to_dict(),
-            "records": [rec.to_dict() for rec in records],
+            "config": asdict(config),
+            "records": [asdict(rec) for rec in records],
             "all_checks_passed": all(
                 flag for rec in records for flag in rec.checks.values()
             ),

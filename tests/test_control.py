@@ -89,7 +89,7 @@ def test_a_plain_evaluation_claims_no_convergence():
     rp = ReducedProblem(problem, mesh)
     _, _, rep = rp.evaluate(rp.cell_point_values(np.zeros(mesh.base.n_cells)), "fully_discrete")
     assert rep.vi_residual > 0.3
-    assert rep.converged is None and rep.to_dict()["converged"] is None
+    assert rep.converged is None
 
 
 def test_fully_discrete_gradient_is_exact_per_cell():
@@ -322,7 +322,7 @@ def test_only_exit_fields_are_solved_in_full(scheme, monkeypatch):
         assert rep.certificate["state_residual_rel"] == res.state_residual_rel
         assert rep.certificate["adjoint_residual_rel"] == res.adjoint_residual_rel
     assert rep.iterations > 1 and rep.converged
-    cert = rep.to_dict()["certificate"]
+    cert = rep.certificate
     assert cert["state_residual_rel"] <= 1e-10 and cert["adjoint_residual_rel"] <= 1e-10
     assert cert["trace_gap"] <= 1e-13
     assert cert["profile_backward_error"] <= 5e-15

@@ -53,6 +53,11 @@ def cell_load(mesh, cell_values):
     return np.repeat(np.asarray(cell_values, dtype=float)[:, None], 3**mesh.n, axis=1)
 
 
+def padded(mesh, b):
+    """A trace load as the full load vector over the free unknowns: zero off the layer y=0."""
+    return np.r_[b, np.zeros(mesh.n_free - mesh.n_trace)]
+
+
 def dense(op):
     """The operator as a dense matrix, one apply per unit vector (small meshes only)."""
     return np.column_stack([op.apply(e) for e in np.eye(op.n)])
@@ -187,7 +192,8 @@ def test_assembly_uses_no_kronecker_products(monkeypatch):
         mesh = small_mesh(n=n, N=6, M=4, gamma=2.5)
         op = assemble_stiffness(mesh, 0.4)
         b = assemble_trace_load(mesh, lambda *x: np.ones_like(x[0]))
-        assert np.linalg.norm(op.apply(op.solve(b)) - b) <= 1e-10 * np.linalg.norm(b)
+        x, _ = op.solve(b)
+        assert np.linalg.norm(op.apply(x) - padded(mesh, b)) <= 1e-10 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("n,s", [(1, 0.3), (1, 0.75), (2, 0.5), (2, 0.2)])
@@ -248,8 +254,8 @@ def test_unit_load_gives_hat_integrals():
     mesh = small_mesh(n=1, N=4, M=3)
     b = assemble_trace_load(mesh, lambda x: np.ones_like(x))
     h = 0.25
-    assert np.allclose(b[: mesh.n_trace], h)
-    assert np.allclose(b[mesh.n_trace :], 0.0)
+    assert b.shape == (mesh.n_trace,)
+    assert np.allclose(b, h)
 
 
 def test_piecewise_constant_load_partial_hats():
@@ -279,20 +285,23 @@ def test_load_refuses_cell_values_and_controls(n):
         with pytest.raises(ConfigurationError, match=f"of shape .*{shape}"):
             assemble_trace_load(mesh, r)
         with pytest.raises(ConfigurationError, match="callable or its values at the points"):
-            fem.assemble_trace_block(quad, r)
+            assemble_trace_load(mesh, r, quad=quad)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_trace_block_is_the_load_on_the_trace_layer(n):
-    # the optimizer loop assembles only the block; the padded load must carry it unchanged
+    # a load is one value per node of the layer y=0; for a Q1 trace U it is the base
+    # mass matrix times U, since the 3-point rule is exact on products of Q1 functions
     mesh = small_mesh(n=n, N=5, M=4)
     quad = fem.BaseQuadrature(mesh.base, 3)
     rng = np.random.default_rng(3)
     U = TraceField(mesh.base, rng.standard_normal(mesh.n_trace))
-    for r in (U.evaluate, rng.standard_normal((mesh.base.n_cells, quad.n_points))):
-        b = assemble_trace_load(mesh, r, quad=quad)
-        assert np.array_equal(fem.assemble_trace_block(quad, r), b[: mesh.n_trace])
-        assert not b[mesh.n_trace:].any()
+    M1 = base_direction_matrices(mesh.base.cells_per_side)[1][1:-1, 1:-1]
+    Mx = M1 if n == 1 else sp.kron(M1, M1)
+    b = assemble_trace_load(mesh, U.evaluate, quad=quad)
+    assert np.linalg.norm(b - Mx @ U.values) <= 1e-14 * np.linalg.norm(b)
+    b = assemble_trace_load(mesh, rng.standard_normal((mesh.base.n_cells, quad.n_points)))
+    assert b.shape == (mesh.n_trace,)
 
 
 @pytest.mark.parametrize("npts", [3, 4])
@@ -313,7 +322,7 @@ def test_gauss_rule_is_cached_and_read_only(npts):
 def test_zero_load_zero_field():
     mesh = small_mesh(n=1, N=4, M=3)
     op = assemble_stiffness(mesh, 0.5)
-    V = solve_state(op, np.zeros(mesh.n_free))
+    V = solve_state(op, np.zeros(mesh.n_trace))
     assert np.all(V.free_values == 0.0)
 
 
@@ -330,9 +339,11 @@ def test_solver_residual_contract():
     mesh = small_mesh(n=2, N=6, M=6, gamma=3.1)
     op = assemble_stiffness(mesh, 0.5)
     b = assemble_trace_load(mesh, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
-    V = solve_state(op, b)
-    r = np.linalg.norm(op.apply(V.free_values) - b) / np.linalg.norm(b)
+    x, residual = op.solve(b)
+    r = np.linalg.norm(op.apply(x) - padded(mesh, b)) / np.linalg.norm(b)
     assert r <= 1e-10
+    assert residual == r  # the relative residual that solve returns is this one
+    np.testing.assert_array_equal(solve_state(op, b).free_values, x)
 
 
 def test_backward_error_clause_accepts_a_solve_on_a_sweep_mesh():
@@ -349,8 +360,8 @@ def test_backward_error_clause_accepts_a_solve_on_a_sweep_mesh():
     norm1 = abs(ref).sum(axis=0).max()
     assert abs(op.norm1 - norm1) <= 1e-15 * norm1
     b = assemble_trace_load(mesh, lambda x: np.sin(np.pi * x))
-    x = op.solve(b)  # raises SolverError if the contract fails
-    r, bnorm = np.linalg.norm(b - ref @ x), np.linalg.norm(b)
+    x, _ = op.solve(b)  # raises SolverError if the contract fails
+    r, bnorm = np.linalg.norm(padded(mesh, b) - ref @ x), np.linalg.norm(b)
     assert r > fem.SOLVER_RTOL * bnorm
     assert r <= fem.BACKWARD_ERROR_TOL * (norm1 * np.linalg.norm(x) + bnorm)
 
@@ -365,14 +376,14 @@ def test_solve_matches_sparse_direct_reference(n, N, M, c, s, graded):
     rng = np.random.default_rng(7)
     # random cellwise load: excites every base mode, asymmetric in x1, x2
     b = assemble_trace_load(mesh, cell_load(mesh, rng.uniform(-1.0, 1.0, mesh.base.n_cells)))
-    x = op.solve(b)
-    ref = spsolve(sp.csc_matrix(dense(op)), b)
+    x, _ = op.solve(b)
+    ref = spsolve(sp.csc_matrix(dense(op)), padded(mesh, b))
     nt = mesh.n_trace
     assert np.linalg.norm(x[:nt] - ref[:nt]) <= 1e-10 * np.linalg.norm(ref[:nt])
     # the profiles build every layer, not only the trace
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
     # the trace is diagonal in sine modes: Q (p0 * Q b_t) is the trace of the full solve
-    t = op.to_modes(op.profiles[0] * op.to_modes(b[:nt]))
+    t = op.to_modes(op.profiles[0] * op.to_modes(b))
     assert np.linalg.norm(t - x[:nt]) <= 1e-13 * np.linalg.norm(x[:nt])
 
 
@@ -405,7 +416,7 @@ def _per_mode_reference(mesh, s, c=0.0):
         up = a * my_up + b * sy_up
         banded = np.stack([np.r_[0.0, up], a * my + b * sy, np.r_[up, 0.0]])
         profiles[:, j] = solve_banded((1, 1), banded, np.eye(M)[0])
-    op = fem.CylinderOperator(mesh, s, layer_bands, Q, tau, profiles, 0.0)
+    op = fem.CylinderOperator(mesh, layer_bands, Q, tau, profiles, 0.0)
     return op, [sp.diags([up, d, up], [-1, 0, 1]) for d, up in layer_bands]
 
 
@@ -436,8 +447,9 @@ def test_assembly_is_bit_identical_to_per_mode_reference(n, N, M, s):
     assert op.mass_modes.strides == ref.mass_modes.strides
     b = assemble_trace_load(mesh, cell_load(mesh, np.random.default_rng(7).uniform(
         -1.0, 1.0, mesh.base.n_cells)))
-    x = op.solve(b)
-    np.testing.assert_array_equal(x, ref.solve(b))
+    (x, residual), (x_ref, residual_ref) = op.solve(b), ref.solve(b)
+    np.testing.assert_array_equal(x, x_ref)
+    assert residual == residual_ref
     # the band products round as scipy.sparse's
     np.testing.assert_array_equal(op.apply(x), _sparse_factor_product(mesh, layer_ops, x))
     if n == 2:  # the modes (k, l) and (l, k) share one system
@@ -463,8 +475,11 @@ def test_solve_rejects_load_off_trace_layer():
     op = assemble_stiffness(mesh, 0.5)
     b = np.zeros(mesh.n_free)
     b[mesh.n_trace + 1] = 1.0
-    with pytest.raises(ConfigurationError, match="off the layer y=0"):
-        op.solve(b)
+    # a load is its trace block; a full-length vector is refused, whatever its values
+    for load in (b, np.zeros(mesh.n_free)):
+        with pytest.raises(ConfigurationError, match=rf"trace load of shape \({mesh.n_trace},\)"
+                                                     rf".*got \({mesh.n_free},\)"):
+            op.solve(load)
 
 
 @pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
@@ -545,7 +560,7 @@ def test_assembly_solves_unit_trace_load_or_rejects_grading(s, M):
             return
         assert np.isfinite(op.profiles).all()
         b = assemble_trace_load(mesh, cell_load(mesh, np.ones(mesh.base.n_cells)))
-        x = op.solve(b)  # raises SolverError if the residual contract fails
+        x, _ = op.solve(b)  # raises SolverError if the residual contract fails
     assert np.isfinite(x).all()
 
 
@@ -566,7 +581,7 @@ def test_galerkin_orthogonality():
     op = assemble_stiffness(mesh, 0.6)
     b = assemble_trace_load(mesh, lambda x: np.sin(2 * np.pi * x))
     V = solve_state(op, b)
-    residual = op.apply(V.free_values) - b
+    residual = op.apply(V.free_values) - padded(mesh, b)
     assert np.max(np.abs(residual)) <= 1e-9 * np.linalg.norm(b)
 
 
@@ -581,7 +596,8 @@ def test_adjoint_pairing_symmetry():
     u, v = u1.free_values, u2.free_values
     assert u @ op.apply(v) == pytest.approx(v @ op.apply(u), rel=1e-12)
     # and <b1, u2> = a(u1, u2) = <b2, u1>
-    assert float(b1 @ u2.free_values) == pytest.approx(float(b2 @ u1.free_values), rel=1e-9)
+    assert float(b1 @ u2.trace().values) == pytest.approx(float(b2 @ u1.trace().values),
+                                                          rel=1e-9)
 
 
 def test_zero_mismatch_zero_adjoint():

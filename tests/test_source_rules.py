@@ -10,10 +10,14 @@ README's command-line section names exactly the CLI's subcommands and flags,
 so a removed one cannot stay documented.  Every name a module exports in
 `__all__` has a use outside the tests: in the library beyond its own
 definition, in the benchmark, or in the README's library example; so no entry
-point is kept for the tests alone.
+point is kept for the tests alone.  And every library name the benchmark uses
+(module attributes, keyword arguments, and the functions and methods its tracer
+patches by name) resolves, so a library change cannot break the benchmark alone.
 """
 
 import ast
+import importlib
+import inspect
 import os
 import pathlib
 import re
@@ -120,3 +124,68 @@ def test_every_exported_name_is_used_outside_the_tests():
             if not (in_library or name in outside):
                 unused.append(f"{path.name}: {name}")
     assert not unused, f"exported for the tests only: {unused}"
+
+
+def _resolve(node: ast.AST, roots: dict):
+    """(text, object) of an attribute chain rooted at a fracopt import, such as
+    `study.StudyConfig`; the object is None where a name does not resolve.  None for any
+    other node."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not (parts and isinstance(node, ast.Name) and node.id in roots):
+        return None
+    obj = roots[node.id]
+    for attr in reversed(parts):
+        obj = getattr(obj, attr, None)
+    return ".".join([node.id] + parts[::-1]), obj
+
+
+def _benchmark_uses(tree: ast.AST):
+    """The library uses of one benchmark source, as (line, text, object or None): every
+    attribute chain rooted at a fracopt import, every keyword of a call to one, and every
+    TRACED (module, "function" or "Class.method") entry."""
+    import fracopt
+
+    roots = {}  # local name -> fracopt module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update({a.asname or a.name: fracopt for a in node.names if a.name == "fracopt"})
+        elif isinstance(node, ast.ImportFrom) and node.module == "fracopt":
+            roots.update({a.asname or a.name: importlib.import_module(f"fracopt.{a.name}")
+                          for a in node.names})
+    for node in ast.walk(tree):
+        chain = _resolve(node, roots)
+        if chain is not None:
+            yield (node.lineno, *chain)
+        if not isinstance(node, ast.Call):
+            continue
+        func = _resolve(node.func, roots)
+        if func is None or func[1] is None:
+            continue  # not the library's, or reported as an attribute
+        params = inspect.signature(func[1]).parameters
+        if not any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            yield from ((node.lineno, f"{func[0]}({kw.arg}=)", params.get(kw.arg))
+                        for kw in node.keywords if kw.arg is not None)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED"
+                                                for t in node.targets):
+            for entry in node.value.elts:
+                module, attr = (ast.literal_eval(e) for e in entry.elts[:2])
+                owner, *method = attr.split(".")
+                obj = getattr(importlib.import_module(f"fracopt.{module}"), owner, None)
+                if method:  # the tracer patches the method in its class's own namespace
+                    obj = vars(obj).get(method[0]) if obj is not None else None
+                yield entry.lineno, f"TRACED {module}.{attr}", obj
+
+
+def test_the_benchmark_uses_only_library_names_that_resolve():
+    # perfbench calls and traces the library by name, so a rename or a dropped keyword
+    # would otherwise break the benchmark alone
+    uses = [(path.name, line, text, obj) for path in sorted((ROOT / "perfbench").glob("*.py"))
+            for line, text, obj in _benchmark_uses(ast.parse(path.read_text()))]
+    assert any(text.startswith("TRACED") for _, _, text, _ in uses)
+    assert any(text.endswith("=)") for _, _, text, _ in uses)
+    broken = [f"{name}:{line}: {text}" for name, line, text, obj in uses if obj is None]
+    assert not broken, f"the benchmark uses library names that do not resolve: {broken}"

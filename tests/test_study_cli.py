@@ -187,12 +187,22 @@ def test_truncation_slope_ends_at_the_first_zero_error():
     # bit-equal iterates give error 0: fit the positive prefix, take no log(0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        slope, rows = study._truncation_slope([1.0, 2.0, 3.0, 4.0], [1e-4, 1e-8, 1e-12, 0.0])
+        slope, rows = study._truncation_slope([1.0, 2.0, 3.0, 4.0], [1e-4, 1e-8, 1e-12, 0.0],
+                                              0.0)
     assert rows == 3 and slope == pytest.approx(-4.0 * math.log(10.0))
-    assert study._truncation_slope([1.0, 2.0], [1e-4, 0.0]) == (None, 1)
+    assert study._truncation_slope([1.0, 2.0], [1e-4, 0.0], 0.0) == (None, 1)
 
 
-def test_truncation_with_fewer_than_two_positive_errors_fails_its_check(monkeypatch):
+def test_truncation_slope_ends_at_the_rounding_floor():
+    # a row a few ulps from the reference still falls by 20 percent; the floor drops it
+    Ys, errs = [1.0, 2.0, 3.0, 4.0], [1e-4, 1e-8, 1e-12, 6e-17]
+    slope, rows = study._truncation_slope(Ys, errs, study.TRUNCATION_FLOOR_RTOL * 0.3)
+    assert rows == 3 and slope == pytest.approx(-4.0 * math.log(10.0))
+    assert study._truncation_slope(Ys, errs, 0.0)[1] == 4
+
+
+def test_truncation_with_fewer_than_two_positive_errors_fails_its_check(monkeypatch, tmp_path,
+                                                                        capsys):
     # every row returns the reference's solve, so every error is exactly 0
     def reference_solve(problem, mesh, **kw):
         if not results:
@@ -206,6 +216,12 @@ def test_truncation_with_fewer_than_two_positive_errors_fails_its_check(monkeypa
     assert [row["err_control_L2"] for row in rec.rows] == [0.0, 0.0]
     assert rec.slopes == {} and rec.checks == {"truncation_decay": False}
     assert rec.extras["fit_rows"] == 0 and "positive control error" in rec.extras["unfitted"]
+    # and the command line says why
+    code = main(["truncation", "--n", "1", "--dofs", "256", "--truncation-Y", "1,1.2",
+                 "--out", str(tmp_path / "t")])
+    out = capsys.readouterr().out
+    assert code == 2 and "truncation_decay: FAIL" in out
+    assert f"unfitted = {rec.extras['unfitted']}" in out
 
 
 def test_truncation_requires_unit_height():

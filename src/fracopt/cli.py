@@ -140,8 +140,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for key, value in rec.extras.items():
             if isinstance(value, float):
                 print(f"    {key} = {value:.6g}")
-            elif isinstance(value, str):  # why a check could not be made
-                print(f"    {key} = {value}")
+            elif isinstance(value, (int, str)) and not isinstance(value, bool):
+                print(f"    {key} = {value}")  # a target or row count, or why a check was not made
         for name, ok in rec.checks.items():
             print(f"    {name}: {'PASS' if ok else 'FAIL'}")
             all_ok &= ok

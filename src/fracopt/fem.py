@@ -17,6 +17,9 @@ y.  A load enters only as a Neumann datum on the face y=0, so it is one value pe
 node of that layer (assemble_trace_load), and the trace response to it is diagonal
 in sine modes, which is all the optimizer loop needs; the fields that leave the
 loop are solved in full and checked, and `solve` returns each with its residual.
+Assembly keeps its last result: an operator on an equal mesh and order is built around
+the same read-only arrays, so consecutive problems on one mesh assemble once, and one
+assembly (chiefly its profiles, n_free doubles) stays alive after its caller drops it.
 """
 
 from __future__ import annotations
@@ -373,30 +376,30 @@ class CylinderOperator:
         return x, relative
 
 
-def assemble_stiffness(mesh: TensorMesh, s: float) -> CylinderOperator:
-    """Assemble (1/d_s) int y^alpha grad w . grad phi on free DOFs; the y-profiles come
-    from one LAPACK tridiagonal sweep over the distinct base-mode systems."""
-    if mesh.n_free == 0:
-        raise ConfigurationError("the base mesh has no interior node; use 2 or more cells")
-    start = time.perf_counter()
+@functools.lru_cache(maxsize=1)
+def _assemble_parts(n: int, N: int, y_nodes: bytes, s: float):
+    """Layer bands, sine matrix, mass_modes, profiles and their backward error of the
+    operator on the base mesh of N cells per side in dimension n and the y-partition with
+    nodes `y_nodes` (their float64 bytes).  Keyed on these values, so an equal mesh hits;
+    one entry, whose arrays are read-only; a refusal is not cached, so every call raises it."""
     consts = FractionalConstants.from_order(s)
     with np.errstate(all="ignore"):  # non-finite integrals are rejected below
-        scoef, m00, m01, m11 = weighted_interval_integrals(mesh.extended.nodes, consts.alpha)
+        scoef, m00, m01, m11 = weighted_interval_integrals(np.frombuffer(y_nodes), consts.alpha)
         y_bands = ((np.r_[scoef, 0.0] + np.r_[0.0, scoef], -scoef),
                    (np.r_[m00, 0.0] + np.r_[0.0, m11], m01))  # (diagonal, off) of Sy, My
     if not all(np.isfinite(band).all() for pair in y_bands for band in pair):
         raise ConfigurationError("the weighted y-integrals overflow on this graded partition; "
                                  "use fewer layers or a weaker grading")
-    M, m, h = mesh.extended.M, mesh.base.cells_per_side - 1, mesh.base.h
+    M, m, h = len(scoef), N - 1, 1.0 / N
     (sy, sy_up), (my, my_up) = ((d[:M], o[:M - 1]) for d, o in y_bands)  # free layers
     sd, so, md, mo = 2.0 / h, -1.0 / h, 2.0 * h / 3.0, h / 6.0  # interior S1, M1 (Toeplitz)
-    stiff, mass = ((sd, so), (md, mo)) if mesh.n == 1 else (  # coefficients of N_t in Sx, Mx
+    stiff, mass = ((sd, so), (md, mo)) if n == 1 else (  # coefficients of N_t in Sx, Mx
         (2.0 * sd * md, sd * mo + so * md, 2.0 * so * mo), (md * md, md * mo, mo * mo))
     layer_bands = tuple(((a * my + b * sy) / consts.d_s, (a * my_up + b * sy_up) / consts.d_s)
                         for a, b in zip(stiff, mass))
     # free unknown (layer, node) -> layer*m^n + node; interior node (i, j) -> j*m + i,
     # x1 fastest; base mode (k, l) alike
-    Q, mass_modes, sigma, tau, first, system = _base_symbols(mesh.n, m, (sd, so), (md, mo))
+    Q, mass_modes, sigma, tau, first, system = _base_symbols(n, m, (sd, so), (md, mo))
     a = (sigma / consts.d_s)[:, None]  # My coefficient per system
     b = (tau / consts.d_s)[:, None]  # Sy coefficient
     # all systems in one tridiagonal, M layers each; off[:, -1] = 0 decouples them
@@ -419,9 +422,25 @@ def assemble_stiffness(mesh: TensorMesh, s: float) -> CylinderOperator:
         raise SolverError(f"the y-profile of base mode {first[worst]} has backward error "
                           f"{eta[worst]:.3e} > {BACKWARD_ERROR_TOL:g}", float(rnorm[worst]))
     profiles = np.take(p.T, system, axis=1)  # (layer, base mode), C order
-    op = CylinderOperator(mesh, layer_bands, Q, mass_modes, profiles, float(eta[worst]))
-    _log.debug("assembled %d free dofs: |K|_1 = %.6g, profile backward error %.2e, %.3f s",
-               mesh.n_free, op.norm1, eta[worst], time.perf_counter() - start)
+    for arr in (profiles, *sum(layer_bands, ())):
+        arr.flags.writeable = False
+    return layer_bands, Q, mass_modes, profiles, float(eta[worst])
+
+
+def assemble_stiffness(mesh: TensorMesh, s: float) -> CylinderOperator:
+    """Assemble (1/d_s) int y^alpha grad w . grad phi on free DOFs; the y-profiles come
+    from one LAPACK tridiagonal sweep over the distinct base-mode systems.  The last
+    assembly is kept: a call with an equal base mesh, y-partition and s reuses its
+    read-only arrays in an operator on this mesh."""
+    if mesh.n_free == 0:
+        raise ConfigurationError("the base mesh has no interior node; use 2 or more cells")
+    start, hits = time.perf_counter(), _assemble_parts.cache_info().hits
+    op = CylinderOperator(mesh, *_assemble_parts(mesh.n, mesh.base.cells_per_side,
+                                                 mesh.extended.nodes.tobytes(), float(s)))
+    reused = _assemble_parts.cache_info().hits > hits
+    _log.debug("%s %d free dofs: |K|_1 = %.6g, profile backward error %.2e, %.3f s",
+               "reused the last assembly of" if reused else "assembled", mesh.n_free,
+               op.norm1, op.profile_backward_error, time.perf_counter() - start)
     return op
 
 

@@ -331,7 +331,10 @@ def test_only_exit_fields_are_solved_in_full(scheme, monkeypatch):
 def test_corrupted_profiles_fail_at_exit():
     _, problem, mesh = manufactured_setup(n=1, s=0.5, N=16, M=16)
     rp = ReducedProblem(problem, mesh)
-    rp.op.profiles[1:] *= 1.0 + 1e-6  # every layer but the trace: the loop cannot see it
+    # every layer but the trace: the loop cannot see it.  The assembled profiles are
+    # shared with later operators on an equal mesh, so this operator gets a corrupted copy
+    p = rp.op.profiles
+    rp.op.profiles = np.vstack([p[:1], p[1:] * (1.0 + 1e-6)])
     with pytest.raises(SolverError, match="residual contract"):
         solve_fully_discrete(problem, mesh, rp=rp)
 

@@ -470,6 +470,66 @@ def test_base_symbols_are_cached_and_read_only(n):
             a[0] = 0
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_equal_meshes_share_the_last_assembly(n):
+    # consecutive problems on one mesh (a mu sweep, both schemes) assemble once
+    mesh, twin = small_mesh(n=n, N=6, M=5), small_mesh(n=n, N=6, M=5)
+    op, op_twin = assemble_stiffness(mesh, 0.5), assemble_stiffness(twin, 0.5)
+    assert op_twin.profiles is op.profiles
+    assert op.mesh is mesh and op_twin.mesh is twin
+
+
+def _assembles(mesh, s):
+    """Whether assemble_stiffness(mesh, s) runs the assembly, and its operator."""
+    misses = fem._assemble_parts.cache_info().misses
+    op = assemble_stiffness(mesh, s)
+    return fem._assemble_parts.cache_info().misses > misses, op
+
+
+def test_a_changed_order_base_mesh_or_y_partition_assembles_again():
+    def mesh(N=6):
+        return small_mesh(N=N, M=5, Y=2.0)
+
+    for other, s in [(mesh(), 0.3), (mesh(N=8), 0.5),
+                     (TensorMesh(mesh().base, mesh().extended.below(1.5)), 0.5)]:
+        _, op = _assembles(mesh(), 0.5)
+        assert not _assembles(mesh(), 0.5)[0]
+        assembled, op_other = _assembles(other, s)
+        assert assembled and op_other.profiles is not op.profiles
+    # nodes changed in place make another partition, assembled as such
+    changed = mesh()
+    before = assemble_stiffness(changed, 0.5)
+    changed.extended.nodes[1] *= 0.5
+    assembled, after = _assembles(changed, 0.5)
+    assert assembled and not np.array_equal(after.profiles, before.profiles)
+
+
+def test_the_shared_assembly_arrays_are_read_only():
+    op = assemble_stiffness(small_mesh(n=2, N=5, M=4), 0.5)
+    for a in (op.profiles, op.mass_modes, op._sine, *sum(op._layer_bands, ())):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_reused_assembly_solves_as_a_fresh_one_bit_for_bit(n):
+    def mesh():
+        return small_mesh(n=n, N=8, M=6, gamma=default_grading(0.3), Y=2.0)
+
+    first = mesh()
+    b = assemble_trace_load(first, cell_load(first, np.random.default_rng(3).uniform(
+        -1.0, 1.0, first.base.n_cells)))
+    assemble_stiffness(first, 0.3)
+    assembled, hit = _assembles(mesh(), 0.3)
+    fem._assemble_parts.cache_clear()
+    fresh = assemble_stiffness(first, 0.3)
+    assert not assembled and fresh.profiles is not hit.profiles
+    (x_hit, res_hit), (x_fresh, res_fresh) = hit.solve(b), fresh.solve(b)
+    np.testing.assert_array_equal(x_hit, x_fresh)
+    assert (res_hit, hit.norm1, hit.profile_backward_error) == (
+        res_fresh, fresh.norm1, fresh.profile_backward_error)
+
+
 def test_solve_rejects_load_off_trace_layer():
     mesh = small_mesh(n=1, N=4, M=3)
     op = assemble_stiffness(mesh, 0.5)
@@ -500,6 +560,7 @@ def test_symbol_of_lowest_mode_approaches_fractional_eigenvalue(s):
 def test_assembly_rejects_nonfinite_profiles(monkeypatch):
     # no partition with finite y-integrals is known to get here; a tridiagonal
     # solve that breaks down must still be reported, not solved with
+    fem._assemble_parts.cache_clear()  # a kept assembly of this mesh would skip the sweep
     monkeypatch.setattr(fem, "dgtsv", lambda dl, d, du, b, **kw: (dl, d, du, b * np.nan, 0))
     with pytest.raises(ConfigurationError, match="profiles"):
         assemble_stiffness(small_mesh(), 0.5)
@@ -513,6 +574,7 @@ def test_assembly_rejects_singular_profile_systems(monkeypatch):
     def zeroed(dl, d, du, b, **kw):
         return solve(0 * dl, 0 * d, 0 * du, b, **kw)
 
+    fem._assemble_parts.cache_clear()
     monkeypatch.setattr(fem, "dgtsv", zeroed)
     with pytest.raises(ConfigurationError, match=r"singular \(LAPACK info 1\)"):
         assemble_stiffness(small_mesh(), 0.5)
@@ -534,6 +596,7 @@ def _scale_profiles(monkeypatch, M, system=slice(None)):
 def test_assembly_rejects_inaccurate_profiles(monkeypatch):
     # profiles off by 1e-12 relative have a backward error far above 5e-15
     mesh = small_mesh()
+    fem._assemble_parts.cache_clear()
     _scale_profiles(monkeypatch, mesh.extended.M)
     with pytest.raises(fem.SolverError, match="backward error"):
         assemble_stiffness(mesh, 0.5)
@@ -543,6 +606,7 @@ def test_inaccurate_profile_error_names_the_base_mode(monkeypatch):
     # n=2, 5 x 5 base modes: the 15 systems are the modes (k, l), k <= l, row by row,
     # so system 7 is mode (1, 3), base mode 1 * 5 + 3 = 8 (and its mirror (3, 1))
     mesh = small_mesh(n=2, N=6, M=4)
+    fem._assemble_parts.cache_clear()
     _scale_profiles(monkeypatch, mesh.extended.M, system=7)
     with pytest.raises(fem.SolverError, match="the y-profile of base mode 8 has backward error"):
         assemble_stiffness(mesh, 0.5)

@@ -11,8 +11,9 @@ so a removed one cannot stay documented.  Every name a module exports in
 `__all__` has a use outside the tests: in the library beyond its own
 definition, in the benchmark, or in the README's library example; so no entry
 point is kept for the tests alone.  And every library name the benchmark uses
-(module attributes, keyword arguments, and the functions and methods its tracer
-patches by name) resolves, so a library change cannot break the benchmark alone.
+(module attributes, keyword arguments, the functions and methods its tracer
+patches by name, and the attributes it reads on the objects the library returns)
+resolves, so a library change cannot break the benchmark alone.
 """
 
 import ast
@@ -23,6 +24,8 @@ import pathlib
 import re
 import subprocess
 import sys
+import textwrap
+import typing
 
 import pytest
 
@@ -142,19 +145,140 @@ def _resolve(node: ast.AST, roots: dict):
     return ".".join([node.id] + parts[::-1]), obj
 
 
-def _benchmark_uses(tree: ast.AST):
-    """The library uses of one benchmark source, as (line, text, object or None): every
-    attribute chain rooted at a fracopt import, every keyword of a call to one, and every
-    TRACED (module, "function" or "Class.method") entry."""
+def _fracopt_roots(tree: ast.AST) -> dict:
+    """Local name -> fracopt module, for each fracopt import in `tree`."""
     import fracopt
 
-    roots = {}  # local name -> fracopt module
+    roots = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             roots.update({a.asname or a.name: fracopt for a in node.names if a.name == "fracopt"})
         elif isinstance(node, ast.ImportFrom) and node.module == "fracopt":
             roots.update({a.asname or a.name: importlib.import_module(f"fracopt.{a.name}")
                           for a in node.names})
+    return roots
+
+
+def _traced(tree: ast.AST):
+    """Each TRACED (module, "function" or "Class.method", span, hook) entry, as (line,
+    text, the object the tracer patches or None, the hook's name or None)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED"
+                                                for t in node.targets):
+            for entry in node.value.elts:
+                module, attr = (ast.literal_eval(e) for e in entry.elts[:2])
+                owner, *method = attr.split(".")
+                obj = getattr(importlib.import_module(f"fracopt.{module}"), owner, None)
+                if method:  # the tracer patches the method in its class's own namespace
+                    obj = vars(obj).get(method[0]) if obj is not None else None
+                hook = getattr(entry.elts[3], "id", None)
+                yield entry.lineno, f"TRACED {module}.{attr}", obj, hook
+
+
+def _is_library_class(t) -> bool:
+    return isinstance(t, type) and t.__module__.startswith("fracopt")
+
+
+def _returns(obj) -> set:
+    """The types a call of `obj` returns, from its annotation: a class makes itself."""
+    if isinstance(obj, type):
+        return {obj}
+    ret = typing.get_type_hints(obj).get("return") if inspect.isroutine(obj) else None
+    return {ret} if ret is not None else set()
+
+
+def _items(types: set, index: int) -> set:
+    """The types of item `index` of a value of one of `types` (a Tuple or a List)."""
+    out = set()
+    for t in types:
+        origin, args = typing.get_origin(t), typing.get_args(t)
+        if origin is tuple and -len(args) <= index < len(args):
+            out.add(args[index])
+        elif origin is list and args:
+            out.add(args[0])
+    return out
+
+
+def _type_of(node: ast.AST, env: dict, roots: dict) -> set:
+    """The library types `node` may have: a call of a library function or class (its
+    return annotation), a method call or attribute of a value of known type, an item
+    of a Tuple or List, or a name bound to one of these; empty where unknown."""
+    if isinstance(node, ast.Name):
+        return env.get(node.id) or set()
+    if isinstance(node, ast.Call):
+        chain = _resolve(node.func, roots)
+        if chain is not None:
+            return _returns(chain[1])
+        if isinstance(node.func, ast.Attribute):
+            owners = _type_of(node.func.value, env, roots)
+            return set().union(*(_returns(getattr(t, node.func.attr, None))
+                                 for t in owners if _is_library_class(t)))
+    if isinstance(node, ast.Attribute):
+        owners = _type_of(node.value, env, roots)
+        return {typing.get_type_hints(t).get(node.attr) for t in owners
+                if _is_library_class(t)} - {None}
+    if isinstance(node, ast.Subscript):
+        try:
+            index = ast.literal_eval(node.slice)  # a constant index, such as 0 or -1
+        except ValueError:
+            return set()
+        if isinstance(index, int):
+            return _items(_type_of(node.value, env, roots), index)
+    return set()
+
+
+def _has_attribute(cls: type, attr: str) -> bool:
+    """A class attribute, method or property, a dataclass field, or set on self."""
+    if hasattr(cls, attr) or attr in typing.get_type_hints(cls):
+        return True
+    source = ast.parse(textwrap.dedent(inspect.getsource(cls)))
+    return any(isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+               and getattr(n.value, "id", None) == "self" and n.attr == attr
+               for n in ast.walk(source))
+
+
+def _typed_attribute_reads(tree: ast.AST, roots: dict, hooks: dict):
+    """(line, "Class.attr", whether it exists) for each attribute the benchmark reads on
+    a value of a known library class.  Per function, a name takes the types of every
+    value assigned to it, and none if it is also bound another way; a tracer hook's
+    second parameter is the result of each function it counts (`count(args, result)`).
+    An attribute must exist on every type its value may have."""
+    for scope in ast.walk(tree):
+        if not isinstance(scope, ast.FunctionDef):
+            continue
+        env = {}  # name -> set of types, or None where unknown
+        if scope.name in hooks:
+            env[scope.args.args[1].arg] = hooks[scope.name]
+        assigns = sorted((n for n in ast.walk(scope) if isinstance(n, ast.Assign)),
+                         key=lambda n: (n.lineno, n.col_offset))
+        targeted = set()
+        for node in assigns:
+            value = _type_of(node.value, env, roots)
+            for target in node.targets:
+                names = target.elts if isinstance(target, ast.Tuple) else [target]
+                for i, name in enumerate(names):
+                    if not isinstance(name, ast.Name):
+                        continue
+                    targeted.add(id(name))
+                    types = _items(value, i) if isinstance(target, ast.Tuple) else value
+                    known = env.get(name.id, set())
+                    env[name.id] = known | types if types and known is not None else None
+        for node in ast.walk(scope):  # bound by for, with, an import or a comprehension
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) \
+                    and id(node) not in targeted:
+                env[node.id] = None
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Attribute):
+                yield from ((node.lineno, f"{t.__name__}.{node.attr}", _has_attribute(t, node.attr))
+                            for t in _type_of(node.value, env, roots) if _is_library_class(t))
+
+
+def _benchmark_uses(tree: ast.AST):
+    """The library uses of one benchmark source, as (line, text, object or None): every
+    attribute chain rooted at a fracopt import, every keyword of a call to one, every
+    TRACED (module, "function" or "Class.method") entry, and every attribute read on a
+    value of a library class (see _typed_attribute_reads)."""
+    roots = _fracopt_roots(tree)
     for node in ast.walk(tree):
         chain = _resolve(node, roots)
         if chain is not None:
@@ -168,16 +292,13 @@ def _benchmark_uses(tree: ast.AST):
         if not any(p.kind is p.VAR_KEYWORD for p in params.values()):
             yield from ((node.lineno, f"{func[0]}({kw.arg}=)", params.get(kw.arg))
                         for kw in node.keywords if kw.arg is not None)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED"
-                                                for t in node.targets):
-            for entry in node.value.elts:
-                module, attr = (ast.literal_eval(e) for e in entry.elts[:2])
-                owner, *method = attr.split(".")
-                obj = getattr(importlib.import_module(f"fracopt.{module}"), owner, None)
-                if method:  # the tracer patches the method in its class's own namespace
-                    obj = vars(obj).get(method[0]) if obj is not None else None
-                yield entry.lineno, f"TRACED {module}.{attr}", obj
+    hooks = {}  # hook name -> the types of the results it counts
+    for line, text, obj, hook in _traced(tree):
+        yield line, text, obj
+        if hook is not None and obj is not None:
+            hooks[hook] = hooks.get(hook, set()) | _returns(obj)
+    for line, text, found in _typed_attribute_reads(tree, roots, hooks):
+        yield line, text, found or None
 
 
 def test_the_benchmark_uses_only_library_names_that_resolve():
@@ -187,5 +308,11 @@ def test_the_benchmark_uses_only_library_names_that_resolve():
             for line, text, obj in _benchmark_uses(ast.parse(path.read_text()))]
     assert any(text.startswith("TRACED") for _, _, text, _ in uses)
     assert any(text.endswith("=)") for _, _, text, _ in uses)
+    # the reads on returned objects are typed, so each of these is checked
+    assert {text for _, _, text, _ in uses} >= {
+        "ReducedCostReport.n_state_solves", "ReducedCostReport.converged",
+        "ReducedCostReport.vi_residual", "ReducedCostReport.iterations",
+        "OptimalityResiduals.vi_violation_min", "ManufacturedProblem.lam_s",
+        "ManufacturedProblem.u_exact", "ManufacturedProblem.z_exact"}
     broken = [f"{name}:{line}: {text}" for name, line, text, obj in uses if obj is None]
     assert not broken, f"the benchmark uses library names that do not resolve: {broken}"

@@ -393,6 +393,8 @@ def test_cli_verbose_logs_assembly(tmp_path, caplog):
                          if r.name == "fracopt")
     assert "free dofs" in lines[0] and "|K|_1" in lines[0]
     assert "profile backward error" in lines[0]
+    # the second run meets the first run's mesh and order, and says it reused the assembly
+    assert "reused the last assembly" in lines[0]
 
 
 def test_cli_verbose_logs_optimizer_runs(tmp_path, caplog):
@@ -445,6 +447,22 @@ def test_cli_aborted_n1_fully_discrete_sweep_exits_2(monkeypatch, tmp_path, caps
     with open(out + ".json") as fh:
         record = json.load(fh)["records"][0]
     assert record["rows"] == [] and record["checks"] == {"converged": False}
+
+
+def test_cli_prints_the_target_a_sweep_aborted_at(monkeypatch, tmp_path, capsys):
+    # an int extra is printed like a float one; the second row does not converge
+    def capped_at_finest(problem, mesh, **kw):
+        if mesh.n_cells >= 256:
+            kw["max_iterations"] = 1
+        return solve(problem, mesh, **kw)
+
+    solve = study.solve_fully_discrete
+    monkeypatch.setattr(study, "solve_fully_discrete", capped_at_finest)
+    rc = main(["control-rates", "--s", "0.5", "--n", "1", "--dofs", "64,256", "--out",
+               str(tmp_path / "ab")])
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert "    aborted_at_target = 256\n" in out and "    abort_residual = " in out
 
 
 @pytest.mark.parametrize("argv, abort_key, check", [

@@ -31,7 +31,6 @@ from .fem import (
     assemble_trace_load,
     energy_error_galerkin,
     l2_trace_error,
-    solve_state,
 )
 from .manufactured import ManufacturedProblem, build_manufactured
 from .meshes import (

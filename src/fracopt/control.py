@@ -14,7 +14,8 @@ feasible, and no accepted step raises the cost.  The loop keeps its state,
 adjoint and trial increments in the sine modes of the base mesh, where the
 trace solve and the trace mass matrix are diagonal; the state and adjoint
 it returns, and the cost and fixed-point residual taken from them, are
-solved in full and certified against the stiffness operator.
+solved in full and certified against the stiffness operator.  A non-finite
+mu or bound, a tol below 0 or NaN, or an rp of another problem or mesh is refused.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ BB_SHORT_STEP_RATIO = 0.5
 # Relative gap allowed between the state trace accumulated over the loop's
 # modal solves and the trace of the certified state; measured gaps stay below 1e-15.
 TRACE_GAP_RTOL = 1e-10
+VI_SAMPLES = 1000  # random feasible controls in the sampled check of optimality_residuals
 _log = logging.getLogger("fracopt")
 
 
@@ -67,8 +69,8 @@ class BoxBounds:
     b: float
 
     def __post_init__(self):
-        if not self.a <= self.b:
-            raise ConfigurationError(f"box bounds need a <= b, got ({self.a}, {self.b})")
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a <= self.b):
+            raise ConfigurationError(f"box bounds need finite a <= b, got ({self.a}, {self.b})")
 
 
 def project_box(v, bounds: BoxBounds):
@@ -113,8 +115,8 @@ class ProblemConfig:
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
             raise ConfigurationError(f"s must be in (0,1), got {self.s}")
-        if self.mu <= 0.0:
-            raise ConfigurationError(f"regularization mu must be > 0, got {self.mu}")
+        if not 0.0 < self.mu < math.inf:
+            raise ConfigurationError(f"regularization mu must be finite and > 0, got {self.mu}")
 
 
 @dataclass
@@ -163,12 +165,6 @@ class ReducedProblem:
         return G + self.f_q if self.f_q is not None else G
 
     # -- state -----------------------------------------------------------
-    def state(self, point_values: np.ndarray) -> Tuple[FeField, float]:
-        """Full state of a load given at the points, through the checked solve, and its
-        relative residual."""
-        x, residual = self.op.solve(assemble_trace_load(self.mesh, point_values, quad=self.quad))
-        return FeField(self.mesh, x), residual
-
     def load_modes(self, point_values: np.ndarray) -> np.ndarray:
         """Sine modes Q B of the trace load of values given at the points."""
         return self.op.to_modes(assemble_trace_load(self.mesh, point_values, quad=self.quad))
@@ -214,13 +210,13 @@ class ReducedProblem:
         """The state V of control values G at the points and the adjoint P of its mismatch,
         each solved in full and checked against the operator (SolverError otherwise), with
         a report of the cost, the cell averages of the gradient, the fixed-point residual
-        and the certificate of both solves: the relative residuals that `state` returns
+        and the certificate of both solves: the relative residuals that `op.solve` returns
         with V and P, and the profiles' backward error.  The state is affine in G, so
         `v_hat`, the state trace in sine modes that the optimizer loop accumulated for G,
         must equal tr V up to rounding; a relative gap above TRACE_GAP_RTOL raises
         SolverError."""
         op, quad = self.op, self.quad
-        V, state_res = self.state(self.load(G))
+        V, state_res = op.solve(assemble_trace_load(self.mesh, self.load(G), quad=quad))
         v_cert = V.trace().values
         if v_hat is not None:
             gap = float(np.linalg.norm(op.to_modes(v_hat) - v_cert)) / max(
@@ -229,7 +225,7 @@ class ReducedProblem:
                 raise SolverError("the accumulated state trace departs from the certified "
                                   "state's", gap)
         r = self.mismatch(v_cert)
-        P, adjoint_res = self.state(r)
+        P, adjoint_res = op.solve(assemble_trace_load(self.mesh, r, quad=quad))
         certificate = {"state_residual_rel": state_res, "adjoint_residual_rel": adjoint_res}
         if v_hat is not None:
             certificate["trace_gap"] = gap
@@ -268,6 +264,8 @@ def _descend(rp: ReducedProblem, z0: Optional[ControlField], scheme: str, tol: f
     match against the certified state; so the trace gap check covers every
     accepted intermediate solve.
     """
+    if not tol >= 0.0:
+        raise ConfigurationError(f"tolerance tol must be >= 0, got {tol}")
     t_start, solves_before = time.perf_counter(), rp.n_state_solves
     op, bounds = rp.op, rp.problem.bounds
     if z0 is None:
@@ -310,6 +308,13 @@ def _descend(rp: ReducedProblem, z0: Optional[ControlField], scheme: str, tol: f
                cert["state_residual_rel"], cert["adjoint_residual_rel"], cert["trace_gap"],
                report.wall_time)
     return G, V, P, report
+
+
+def _reduced_problem(problem: ProblemConfig, mesh: TensorMesh, rp: Optional[ReducedProblem]):
+    """rp, which must be built for this problem on this mesh, or a new one."""
+    if rp is not None and (rp.problem != problem or rp.mesh is not mesh):
+        raise ConfigurationError("rp was built for another problem or mesh than it is passed with")
+    return rp if rp is not None else ReducedProblem(problem, mesh)
 
 
 def _residual(rp: ReducedProblem, x: np.ndarray, point_values: np.ndarray):
@@ -362,7 +367,7 @@ def solve_fully_discrete(
     towards proj(Z - t g), t the adaptive Barzilai-Borwein step (1/mu at the
     first iteration); no accepted step raises the cost.
     """
-    rp = rp if rp is not None else ReducedProblem(problem, mesh)
+    rp = _reduced_problem(problem, mesh, rp)
     G, V, P, report = _descend(rp, z0, "fully_discrete", tol, max_iterations)
     # one point per cell: re-averaging constant values would round them
     return ControlField(mesh.base, G[:, 0]), V, P, report
@@ -400,7 +405,7 @@ def solve_variational(
     cost-minimizing point on the segment towards proj(-tr P / mu), so no
     accepted step raises the cost.
     """
-    rp = rp if rp is not None else ReducedProblem(problem, mesh)
+    rp = _reduced_problem(problem, mesh, rp)
     _, V, P, report = _descend(rp, None, "variational", tol, max_iterations)
     return VariationalControl(problem.bounds, problem.mu, P.trace()), V, report
 
@@ -423,16 +428,15 @@ def optimality_residuals(
     problem: ProblemConfig,
     mesh: TensorMesh,
     rp: Optional[ReducedProblem] = None,
-    n_samples: int = 1000,
     seed: int = 0,
 ) -> OptimalityResiduals:
     """Certify first-order optimality of a fully-discrete solve.
 
     Reports the algebraic residuals of the state/adjoint systems and the
-    smallest sampled value of (tr P + mu Z, Z_test - Z) over random feasible
-    piecewise-constant controls; nonnegative up to tolerance at an optimum.
+    smallest sampled value of (tr P + mu Z, Z_test - Z) over VI_SAMPLES random
+    feasible piecewise-constant controls; nonnegative up to tolerance at an optimum.
     """
-    rp = rp if rp is not None else ReducedProblem(problem, mesh)
+    rp = _reduced_problem(problem, mesh, rp)
     G = rp.cell_point_values(Z.cell_values)
     r_state, rel_state = _residual(rp, V.free_values, rp.load(G))
     r_adj, rel_adj = _residual(rp, P.free_values, rp.mismatch(V.trace().values))
@@ -440,7 +444,7 @@ def optimality_residuals(
     g = g_points[:, 0]  # one value per cell
     rng = np.random.default_rng(seed)
     samples = rng.uniform(problem.bounds.a, problem.bounds.b,
-                          size=(n_samples, mesh.base.n_cells))
+                          size=(VI_SAMPLES, mesh.base.n_cells))
     vi = float(np.min((samples - Z.cell_values) @ g) * mesh.base.cell_volume)
     # exact separable minimum over the box (equivalent to the projection test)
     a, b = problem.bounds.a, problem.bounds.b

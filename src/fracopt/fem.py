@@ -16,7 +16,7 @@ exact solver: sine transforms in the base directions and tridiagonal solves in
 y.  A load enters only as a Neumann datum on the face y=0, so it is one value per
 node of that layer (assemble_trace_load), and the trace response to it is diagonal
 in sine modes, which is all the optimizer loop needs; the fields that leave the
-loop are solved in full and checked, and `solve` returns each with its residual.
+loop are solved in full and checked: `solve` returns each as a field with its residual.
 Assembly keeps its last result: an operator on an equal mesh and order is built around
 the same read-only arrays, so consecutive problems on one mesh assemble once, and one
 assembly (chiefly its profiles, n_free doubles) stays alive after its caller drops it.
@@ -48,7 +48,6 @@ __all__ = [
     "assemble_trace_load",
     "energy_error_galerkin",
     "l2_trace_error",
-    "solve_state",
 ]
 
 SOLVER_RTOL = 1e-10
@@ -104,10 +103,6 @@ class BaseQuadrature:
         self.shapes = np.array(base.corner_shapes(self.ref_points))  # (2^n, nq)
         # physical points, shape (#cells, nq, n)
         self.points = base.cell_origins[:, None, :] + h * self.ref_points[None, :, :]
-
-    @property
-    def n_points(self) -> int:
-        return len(self.weights)
 
     def coords(self) -> Tuple[np.ndarray, ...]:
         return tuple(self.points[:, :, d] for d in range(self.base.n))
@@ -289,7 +284,7 @@ class CylinderOperator:
     its backward error exceeds BACKWARD_ERROR_TOL.  Every load is a trace load, the
     block on the layer y=0 (assemble_trace_load): `solve` transforms it (`to_modes`),
     scales the profiles, transforms all layers back, checks the result with `apply`,
-    independent of both, and returns it with its relative residual.  So the trace
+    independent of both, and returns the field with its relative residual.  So the trace
     response is diagonal in sine modes, profiles[0]: the optimizer loop iterates there
     and certifies its outputs through `solve` (control._descend).  The graded
     y-direction is never diagonalized; its mass matrix is too badly conditioned.
@@ -357,23 +352,23 @@ class CylinderOperator:
         eta = rnorm / (self.norm1 * float(np.linalg.norm(x)) + bnorm)
         return eta <= BACKWARD_ERROR_TOL, rnorm
 
-    def solve(self, b: np.ndarray) -> Tuple[np.ndarray, float]:
-        """K^{-1} b for a trace load b, one value per node of the layer y=0, and its
-        relative residual |K x - b| / |b| (0 for b = 0); SolverError if the residual
-        contract fails."""
+    def solve(self, b: np.ndarray) -> Tuple[FeField, float]:
+        """The field K^{-1} b on this operator's mesh for a trace load b, one value per
+        node of the layer y=0, and its relative residual |K x - b| / |b| (the zero field
+        and 0 for b = 0); SolverError if the residual contract fails."""
         b = np.asarray(b, dtype=float)
         if b.shape != (self.mesh.n_trace,):
             raise ConfigurationError(f"solve takes a trace load of shape ({self.mesh.n_trace},), "
                                      f"one value per node of the layer y=0; got {b.shape}")
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
-            return np.zeros(self.n), 0.0
+            return FeField(self.mesh, np.zeros(self.n)), 0.0
         x = self.to_modes(self.profiles * self.to_modes(b[None, :])).ravel()
         met, rnorm = self._contract_met(x, b, bnorm)
         relative = float(rnorm / bnorm)
         if not met:
             raise SolverError("solver residual contract violated", relative)
-        return x, relative
+        return FeField(self.mesh, x), relative
 
 
 @functools.lru_cache(maxsize=1)
@@ -445,7 +440,7 @@ def assemble_stiffness(mesh: TensorMesh, s: float) -> CylinderOperator:
 
 
 # ---------------------------------------------------------------------------
-# Loads, solves, error functionals.
+# Loads and error functionals.
 # ---------------------------------------------------------------------------
 
 
@@ -465,11 +460,6 @@ def assemble_trace_load(mesh: TensorMesh, r,
     base = mesh.base
     node_vec = np.bincount(base.cells.ravel(), local.ravel(), minlength=base.n_nodes)
     return node_vec[base.interior_nodes]
-
-
-def solve_state(op: CylinderOperator, load: np.ndarray) -> FeField:
-    """The full field of a trace load, through the checked solve."""
-    return FeField(op.mesh, op.solve(load)[0])
 
 
 def energy_error_galerkin(V: FeField, data: Callable, exact_trace: Callable, d_s: float) -> float:

@@ -94,14 +94,14 @@ class GradedPartition:
     def __init__(self, M: int, gamma: float, Y: float):
         if M < 1:
             raise ConfigurationError(f"number of intervals M must be >= 1, got {M}")
-        if Y <= 0.0:
-            raise ConfigurationError(f"truncation height Y must be > 0, got {Y}")
-        if gamma < 1.0:
-            raise ConfigurationError(f"grading exponent must be >= 1, got {gamma}")
+        if not 0.0 < Y < math.inf:
+            raise ConfigurationError(f"truncation height Y must be finite and > 0, got {Y}")
+        if not 1.0 <= gamma < math.inf:
+            raise ConfigurationError(f"grading exponent must be finite and >= 1, got {gamma}")
         self.M = M
         self.nodes = Y * (np.arange(M + 1) / M) ** gamma
         widths = np.diff(self.nodes)
-        if not np.all(widths >= np.finfo(float).tiny):  # also rejects NaN
+        if not np.all(widths >= np.finfo(float).tiny):
             raise ConfigurationError(
                 f"graded partition M={M}, gamma={gamma:.4g}, Y={Y:.4g} has a first width of "
                 f"{widths[0]:.3e}, not a positive normal float; use fewer layers "

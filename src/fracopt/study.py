@@ -2,8 +2,8 @@
 
 Every study returns ConvergenceRecord objects that `emit_report` serializes
 to a CSV table (one row per mesh) and a JSON summary (fitted slopes, config
-echo, pass/fail flags).  Output formatting is fixed so identical
-configurations produce byte-identical files.
+echo, pass/fail flags, and in each row the certificate of the solves behind it).
+Output formatting is fixed so identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .fem import (
     assemble_trace_load,
     energy_error_galerkin,
     l2_trace_error,
-    solve_state,
 )
 from .manufactured import build_manufactured
 from .meshes import (
@@ -70,7 +69,7 @@ TRUNCATION_FLOOR_RTOL = 1e-14
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Knobs shared by all studies; `dof_targets` must be increasing."""
+    """Knobs shared by all studies; `dof_targets` must be increasing, each to a finer mesh."""
 
     s_values: Tuple[float, ...] = (0.5,)
     n: int = 2
@@ -86,8 +85,11 @@ class StudyConfig:
             raise ConfigurationError("s_values and dof_targets must not be empty")
         if self.scheme not in ("fully_discrete", "variational"):
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
-        if any(b <= a for a, b in zip(self.dof_targets, self.dof_targets[1:])):
-            raise ConfigurationError("dof_targets must be strictly increasing")
+        cells = [balanced_resolution(t, self.n) for t in self.dof_targets]
+        for a, b, ca, cb in zip(self.dof_targets, self.dof_targets[1:], cells, cells[1:]):
+            if not ca < cb:  # two targets on one mesh fit a slope through one abscissa
+                raise ConfigurationError(f"dof_targets must be strictly increasing, to finer "
+                                         f"meshes; {a} and {b} give {ca} and {cb} cells per side")
 
 
 @dataclass
@@ -111,16 +113,21 @@ class ConvergenceRecord:
         return fit_loglog_slope(xs, ys)
 
 
-def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:
-    """Least-squares slope of log(y) vs log(x); returns (slope, max |residual|)."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if len(xs) < 2 or np.any(ys <= 0.0):
+def _fit_line(x: Sequence[float], y: np.ndarray) -> Tuple[float, float]:
+    """Least-squares slope of y vs x and the largest |residual|; both NaN unless x has
+    two distinct values, since a line through one abscissa has no slope."""
+    if len(np.unique(x)) < 2:
         return math.nan, math.nan
-    A = np.column_stack([np.log(xs), np.ones_like(xs)])
-    coef, *_ = np.linalg.lstsq(A, np.log(ys), rcond=None)
-    resid = np.log(ys) - A @ coef
-    return float(coef[0]), float(np.max(np.abs(resid)))
+    coef = np.polyfit(x, y, 1)
+    return float(coef[0]), float(np.max(np.abs(y - np.polyval(coef, x))))
+
+
+def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:
+    """Least-squares slope of log(y) vs log(x); returns (slope, max |residual|), both
+    NaN unless the x take two distinct values and every y is positive."""
+    if np.any(np.asarray(ys) <= 0.0):
+        return math.nan, math.nan
+    return _fit_line(np.log(xs), np.log(ys))
 
 
 def _build_mesh(n: int, target: int, gamma: float, Y: float, s: float,
@@ -286,15 +293,15 @@ def run_oracle_check(cfg: StudyConfig) -> List[ConvergenceRecord]:
             op = assemble_stiffness(mesh, s)
             symbol_errors.append(abs(op.symbol[0] * lam**s - 1.0))
             t0 = time.perf_counter()
-            load = assemble_trace_load(mesh, datum)
-            V = solve_state(op, load)
-            err_l2 = l2_trace_error(V.trace(), exact_trace)
+            V, residual = op.solve(assemble_trace_load(mesh, datum))
             rec.rows.append({
                 "cells": mesh.n_cells,
                 "dofs": mesh.n_free,
-                "err_state_L2": err_l2,
+                "err_state_L2": l2_trace_error(V.trace(), exact_trace),
                 "err_extension_nodes": _extension_node_rms(V, s, lam, exact_trace_scale=1.0 / lam**s,
                                                            phi=phi, phi_scale=scale),
+                "certificate": {"state_residual_rel": residual,
+                                "profile_backward_error": op.profile_backward_error},
                 "wall_time_s": time.perf_counter() - t0,
             })
         rec.slopes["err_state_L2"], rec.slope_residuals["err_state_L2"] = rec.fit("err_state_L2")
@@ -334,8 +341,9 @@ def run_truncation_study(cfg: StudyConfig, Y_values: Sequence[float]) -> Converg
         raise ConfigurationError(f"truncation study runs the fully discrete scheme only, "
                                  f"got {cfg.scheme!r}")
     Y_values = sorted(float(Y) for Y in Y_values)
-    if len(set(Y_values)) < 2:
-        raise ConfigurationError(f"truncation study needs two distinct heights, got {Y_values}")
+    if len(Y_values) < 2 or len(set(Y_values)) < len(Y_values):
+        raise ConfigurationError(f"truncation study needs two distinct heights or more, none "
+                                 f"repeated; got {Y_values}")
     if Y_values[0] < 1.0:
         raise ConfigurationError("truncation study requires Y >= 1")
     s = _one_order(cfg, "truncation study")
@@ -362,15 +370,14 @@ def run_truncation_study(cfg: StudyConfig, Y_values: Sequence[float]) -> Converg
         if Y == ref_Y:  # above every row's height, so the first solve only
             Z_ref, tr_ref = Z, V.trace()
             continue
-        err_control = l2(Z.cell_values - Z_ref.cell_values)
-        err_state = l2_trace_error(V.trace(), tr_ref.evaluate)
         rec.rows.append({
             "Y": Y,
             "cells": mesh.n_cells,
             "dofs": mesh.n_free,
-            "err_control_L2": err_control,
-            "err_state_L2": err_state,
+            "err_control_L2": l2(Z.cell_values - Z_ref.cell_values),
+            "err_state_L2": l2_trace_error(V.trace(), tr_ref.evaluate),
             "iterations": rep.iterations,
+            "certificate": rep.certificate,
         })
 
     slope, rec.extras["fit_rows"] = _truncation_slope(
@@ -391,16 +398,13 @@ def _truncation_slope(Ys: Sequence[float], errs: Sequence[float],
     """Slope of log(err) vs Y and the rows it fits: the pre-floor prefix (two rows,
     then on while the error drops by 20 percent per row), ended at the first error
     not above `floor`, the rounding level.  The slope is None if fewer than two rows
-    are left."""
+    are left, or their heights are all one."""
     errs = np.asarray(errs, dtype=float)
     falls = np.append(errs[1:] < 0.8 * errs[:-1], False)  # row i + 1 drops below row i
     above = np.append(errs > floor, False)
     cut = min(max(2, 1 + int(np.argmin(falls))), int(np.argmin(above)))  # first False
-    if cut < 2:
-        return None, cut
-    A = np.column_stack([Ys[:cut], np.ones(cut)])
-    coef, *_ = np.linalg.lstsq(A, np.log(errs[:cut]), rcond=None)
-    return float(coef[0]), cut
+    slope, _ = _fit_line(Ys[:cut], np.log(errs[:cut]))
+    return (None if math.isnan(slope) else slope), cut
 
 
 def _one_order(cfg: StudyConfig, study: str) -> float:

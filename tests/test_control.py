@@ -5,6 +5,7 @@ uniqueness oracle is a rerun from a different feasible start.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,6 +68,14 @@ def test_project_box_idempotent_and_lipschitz(u, v):
 def test_bounds_must_be_ordered():
     with pytest.raises(ConfigurationError):
         BoxBounds(1.0, 0.0)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, math.inf), (-math.inf, 0.5),
+                                  (math.nan, 1.0)])
+def test_bounds_must_be_finite(a, b):
+    # the default start is the box midpoint, which an infinite bound leaves undefined
+    with pytest.raises(ConfigurationError, match="finite a <= b"):
+        BoxBounds(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +244,31 @@ def test_nonconverged_flag_on_tiny_cap():
     mp, problem, mesh = manufactured_setup(n=1, s=0.5, N=12, M=12)
     _, _, _, rep = solve_fully_discrete(problem, mesh, max_iterations=1, tol=1e-14)
     assert not rep.converged
+    assert solve_variational(problem, mesh, max_iterations=1, tol=0.0)[-1].converged is False
+
+
+@pytest.mark.parametrize("solve", [solve_fully_discrete, solve_variational])
+@pytest.mark.parametrize("tol", [math.nan, -1.0])
+def test_solvers_refuse_a_tolerance_below_zero_or_nan(solve, tol):
+    # no residual is <= such a tol, so a solve at its optimum would report converged=False
+    _, problem, mesh = manufactured_setup(n=1, s=0.5, N=8, M=8)
+    with pytest.raises(ConfigurationError, match="tol must be >= 0"):
+        solve(problem, mesh, tol=tol)
+
+
+def test_a_reduced_problem_for_another_problem_or_mesh_is_refused():
+    # the solvers read the bounds, mu and base mesh from (problem, mesh) and the rest from
+    # rp: a mismatched rp would solve another problem and report it converged
+    mp, problem, mesh = manufactured_setup(n=1, s=0.5, N=8, M=8, mu=1e-2)
+    Z, V, P, _ = solve_fully_discrete(problem, mesh)
+    equal_mesh = TensorMesh(mesh.base, mesh.extended)
+    for rp in (ReducedProblem(replace(problem, mu=1.0), mesh),
+               ReducedProblem(problem, equal_mesh)):
+        for call in (lambda: solve_fully_discrete(problem, mesh, rp=rp),
+                     lambda: solve_variational(problem, mesh, rp=rp),
+                     lambda: optimality_residuals(Z, V, P, problem, mesh, rp=rp)):
+            with pytest.raises(ConfigurationError, match="another problem or mesh"):
+                call()
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +409,13 @@ def test_problem_config_validation():
         ProblemConfig(s=1.5, u_d=ud, bounds=BoxBounds(0, 1))
     with pytest.raises(ConfigurationError):
         ProblemConfig(s=0.5, u_d=ud, bounds=BoxBounds(0, 1), mu=0.0)
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf])
+def test_problem_config_refuses_a_nonfinite_mu(mu):
+    # mu = nan would run both solvers to j = nan and converged=False
+    with pytest.raises(ConfigurationError, match="mu must be finite"):
+        ProblemConfig(s=0.5, u_d=lambda x: 0.0 * x, bounds=BoxBounds(0, 1), mu=mu)
 
 
 @pytest.mark.parametrize("n, N", [(1, 16), (2, 6)])

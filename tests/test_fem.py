@@ -36,7 +36,6 @@ from fracopt import (
     energy_error_galerkin,
     first_eigenvalue,
     l2_trace_error,
-    solve_state,
 )
 from fracopt import fem
 from fracopt.fem import weighted_interval_integrals
@@ -192,7 +191,7 @@ def test_assembly_uses_no_kronecker_products(monkeypatch):
         mesh = small_mesh(n=n, N=6, M=4, gamma=2.5)
         op = assemble_stiffness(mesh, 0.4)
         b = assemble_trace_load(mesh, lambda *x: np.ones_like(x[0]))
-        x, _ = op.solve(b)
+        x = op.solve(b)[0].free_values
         assert np.linalg.norm(op.apply(x) - padded(mesh, b)) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -300,7 +299,7 @@ def test_trace_block_is_the_load_on_the_trace_layer(n):
     Mx = M1 if n == 1 else sp.kron(M1, M1)
     b = assemble_trace_load(mesh, U.evaluate, quad=quad)
     assert np.linalg.norm(b - Mx @ U.values) <= 1e-14 * np.linalg.norm(b)
-    b = assemble_trace_load(mesh, rng.standard_normal((mesh.base.n_cells, quad.n_points)))
+    b = assemble_trace_load(mesh, rng.standard_normal((mesh.base.n_cells, len(quad.weights))))
     assert b.shape == (mesh.n_trace,)
 
 
@@ -322,16 +321,16 @@ def test_gauss_rule_is_cached_and_read_only(npts):
 def test_zero_load_zero_field():
     mesh = small_mesh(n=1, N=4, M=3)
     op = assemble_stiffness(mesh, 0.5)
-    V = solve_state(op, np.zeros(mesh.n_trace))
-    assert np.all(V.free_values == 0.0)
+    V, residual = op.solve(np.zeros(mesh.n_trace))
+    assert V.mesh is mesh and np.all(V.free_values == 0.0) and residual == 0.0
 
 
 def test_solve_linearity():
     mesh = small_mesh(n=1, N=6, M=5)
     op = assemble_stiffness(mesh, 0.3)
     b = assemble_trace_load(mesh, lambda x: np.sin(np.pi * x))
-    V1 = solve_state(op, b)
-    V2 = solve_state(op, 2.0 * b)
+    V1 = op.solve(b)[0]
+    V2 = op.solve(2.0 * b)[0]
     assert np.allclose(V2.free_values, 2.0 * V1.free_values, rtol=1e-9)
 
 
@@ -339,11 +338,11 @@ def test_solver_residual_contract():
     mesh = small_mesh(n=2, N=6, M=6, gamma=3.1)
     op = assemble_stiffness(mesh, 0.5)
     b = assemble_trace_load(mesh, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
-    x, residual = op.solve(b)
-    r = np.linalg.norm(op.apply(x) - padded(mesh, b)) / np.linalg.norm(b)
+    V, residual = op.solve(b)
+    assert V.mesh is mesh  # the field lives on the operator's own mesh
+    r = np.linalg.norm(op.apply(V.free_values) - padded(mesh, b)) / np.linalg.norm(b)
     assert r <= 1e-10
     assert residual == r  # the relative residual that solve returns is this one
-    np.testing.assert_array_equal(solve_state(op, b).free_values, x)
 
 
 def test_backward_error_clause_accepts_a_solve_on_a_sweep_mesh():
@@ -360,7 +359,7 @@ def test_backward_error_clause_accepts_a_solve_on_a_sweep_mesh():
     norm1 = abs(ref).sum(axis=0).max()
     assert abs(op.norm1 - norm1) <= 1e-15 * norm1
     b = assemble_trace_load(mesh, lambda x: np.sin(np.pi * x))
-    x, _ = op.solve(b)  # raises SolverError if the contract fails
+    x = op.solve(b)[0].free_values  # raises SolverError if the contract fails
     r, bnorm = np.linalg.norm(padded(mesh, b) - ref @ x), np.linalg.norm(b)
     assert r > fem.SOLVER_RTOL * bnorm
     assert r <= fem.BACKWARD_ERROR_TOL * (norm1 * np.linalg.norm(x) + bnorm)
@@ -376,7 +375,7 @@ def test_solve_matches_sparse_direct_reference(n, N, M, c, s, graded):
     rng = np.random.default_rng(7)
     # random cellwise load: excites every base mode, asymmetric in x1, x2
     b = assemble_trace_load(mesh, cell_load(mesh, rng.uniform(-1.0, 1.0, mesh.base.n_cells)))
-    x, _ = op.solve(b)
+    x = op.solve(b)[0].free_values
     ref = spsolve(sp.csc_matrix(dense(op)), padded(mesh, b))
     nt = mesh.n_trace
     assert np.linalg.norm(x[:nt] - ref[:nt]) <= 1e-10 * np.linalg.norm(ref[:nt])
@@ -447,8 +446,9 @@ def test_assembly_is_bit_identical_to_per_mode_reference(n, N, M, s):
     assert op.mass_modes.strides == ref.mass_modes.strides
     b = assemble_trace_load(mesh, cell_load(mesh, np.random.default_rng(7).uniform(
         -1.0, 1.0, mesh.base.n_cells)))
-    (x, residual), (x_ref, residual_ref) = op.solve(b), ref.solve(b)
-    np.testing.assert_array_equal(x, x_ref)
+    (V, residual), (V_ref, residual_ref) = op.solve(b), ref.solve(b)
+    x = V.free_values
+    np.testing.assert_array_equal(x, V_ref.free_values)
     assert residual == residual_ref
     # the band products round as scipy.sparse's
     np.testing.assert_array_equal(op.apply(x), _sparse_factor_product(mesh, layer_ops, x))
@@ -524,8 +524,8 @@ def test_a_reused_assembly_solves_as_a_fresh_one_bit_for_bit(n):
     fem._assemble_parts.cache_clear()
     fresh = assemble_stiffness(first, 0.3)
     assert not assembled and fresh.profiles is not hit.profiles
-    (x_hit, res_hit), (x_fresh, res_fresh) = hit.solve(b), fresh.solve(b)
-    np.testing.assert_array_equal(x_hit, x_fresh)
+    (V_hit, res_hit), (V_fresh, res_fresh) = hit.solve(b), fresh.solve(b)
+    np.testing.assert_array_equal(V_hit.free_values, V_fresh.free_values)
     assert (res_hit, hit.norm1, hit.profile_backward_error) == (
         res_fresh, fresh.norm1, fresh.profile_backward_error)
 
@@ -624,7 +624,7 @@ def test_assembly_solves_unit_trace_load_or_rejects_grading(s, M):
             return
         assert np.isfinite(op.profiles).all()
         b = assemble_trace_load(mesh, cell_load(mesh, np.ones(mesh.base.n_cells)))
-        x, _ = op.solve(b)  # raises SolverError if the residual contract fails
+        x = op.solve(b)[0].free_values  # raises SolverError if the residual contract fails
     assert np.isfinite(x).all()
 
 
@@ -644,7 +644,7 @@ def test_galerkin_orthogonality():
     mesh = small_mesh(n=1, N=8, M=8, gamma=2.5)
     op = assemble_stiffness(mesh, 0.6)
     b = assemble_trace_load(mesh, lambda x: np.sin(2 * np.pi * x))
-    V = solve_state(op, b)
+    V = op.solve(b)[0]
     residual = op.apply(V.free_values) - padded(mesh, b)
     assert np.max(np.abs(residual)) <= 1e-9 * np.linalg.norm(b)
 
@@ -654,8 +654,8 @@ def test_adjoint_pairing_symmetry():
     op = assemble_stiffness(mesh, 0.45)
     b1 = assemble_trace_load(mesh, lambda x: np.sin(np.pi * x))
     b2 = assemble_trace_load(mesh, lambda x: x * (1 - x))
-    u1 = solve_state(op, b1)
-    u2 = solve_state(op, b2)
+    u1 = op.solve(b1)[0]
+    u2 = op.solve(b2)[0]
     # a(u1, u2) both ways through the symmetric operator
     u, v = u1.free_values, u2.free_values
     assert u @ op.apply(v) == pytest.approx(v @ op.apply(u), rel=1e-12)
@@ -667,7 +667,7 @@ def test_adjoint_pairing_symmetry():
 def test_zero_mismatch_zero_adjoint():
     mesh = small_mesh(n=1, N=4, M=3)
     op = assemble_stiffness(mesh, 0.5)
-    P = solve_state(op, assemble_trace_load(mesh, lambda x: np.zeros_like(x)))
+    P = op.solve(assemble_trace_load(mesh, lambda x: np.zeros_like(x)))[0]
     assert np.all(P.free_values == 0.0)
 
 
@@ -676,7 +676,7 @@ def test_nonnegative_load_nonnegative_trace():
     mesh = small_mesh(n=1, N=8, M=6, gamma=2.2)
     op = assemble_stiffness(mesh, 0.5)
     b = assemble_trace_load(mesh, lambda x: np.ones_like(x))
-    V = solve_state(op, b)
+    V = op.solve(b)[0]
     assert V.trace().values.min() >= -1e-12
 
 
@@ -734,7 +734,7 @@ def test_energy_error_scales_linearly_in_ds():
     mesh = small_mesh(n=1, N=8, M=6)
     op = assemble_stiffness(mesh, 0.5)
     b = assemble_trace_load(mesh, lambda x: np.sin(np.pi * x))
-    V = solve_state(op, b)
+    V = op.solve(b)[0]
     lam = math.pi**2
     exact = lambda x: lam**-0.5 * np.sin(np.pi * x)
     data = lambda x: np.sin(np.pi * x)
@@ -762,7 +762,7 @@ def test_state_solution_matches_spectral_reference():
         mesh = TensorMesh(BasePartition(1, N), GradedPartition(N, 3.1, 4.0))
         op = assemble_stiffness(mesh, 0.5)
         b = assemble_trace_load(mesh, lambda x: np.sin(np.pi * x))
-        V = solve_state(op, b)
+        V = op.solve(b)[0]
         errs.append(l2_trace_error(V.trace(), lambda x: lam**-0.5 * np.sin(np.pi * x)))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] <= 2e-3
@@ -779,7 +779,7 @@ def test_trace_error_meets_proven_rate():
         mesh = TensorMesh(BasePartition(1, N), GradedPartition(M, 3.1, 6.0))
         op = assemble_stiffness(mesh, s)
         b = assemble_trace_load(mesh, lambda x: np.sin(np.pi * x))
-        V = solve_state(op, b)
+        V = op.solve(b)[0]
         errs.append(l2_trace_error(V.trace(), lambda x: lam**-s * np.sin(np.pi * x)))
         cells.append(mesh.n_cells)
     slope = np.polyfit(np.log(cells), np.log(errs), 1)[0]

@@ -56,7 +56,6 @@ from fracopt import (
     run_rate_study,
     run_truncation_study,
     solve_fully_discrete,
-    solve_state,
     solve_variational,
 )
 
@@ -80,7 +79,7 @@ def solve_state_problem(s):
     mesh = benchmark_mesh(2, s, 25_000, 50_000)
     _, phi = eigenpair((1, 1), 2)
     op = assemble_stiffness(mesh, s)
-    V = solve_state(op, assemble_trace_load(mesh, lambda *x: phi(*x) / 2.0))
+    V, _ = op.solve(assemble_trace_load(mesh, lambda *x: phi(*x) / 2.0))
     return {"profile0": op.profiles[0], "symbol": op.symbol, "state": V.trace().values}
 
 
@@ -92,7 +91,7 @@ def solve_control_problem(scheme, mu):
     if scheme == "fully_discrete":
         Z, V, P, rep = solve_fully_discrete(problem, mesh, tol=TOL,
                                             max_iterations=MAX_ITERATIONS, rp=rp)
-        control = np.repeat(Z.cell_values[:, None], rp.quad.n_points, axis=1)
+        control = np.repeat(Z.cell_values[:, None], len(rp.quad.weights), axis=1)
         adjoint = P.trace().values
     else:
         g, V, rep = solve_variational(problem, mesh, tol=TOL, max_iterations=MAX_ITERATIONS,
@@ -188,7 +187,7 @@ def test_control_problem_keeps_its_numbers(golden, name):
 
     quad = rp.quad
     norm = lambda values: math.sqrt(quad.integrate(values * values))
-    control = np.reshape(golden[f"{name}/control"], (-1, quad.n_points))
+    control = np.reshape(golden[f"{name}/control"], (-1, len(quad.weights)))
     d_iterates, d_controls = control_distance_bound(scheme, mu,
                                                     max(golden[f"{name}/symbol"]))
     assert norm(outputs["control"] - control) <= d_controls
@@ -198,7 +197,7 @@ def test_control_problem_keeps_its_numbers(golden, name):
     # equals G_ref (fully discrete) or lies within tol of it (variational).
     p = TraceField(rp.mesh.base, np.asarray(golden[f"{name}/adjoint"]))
     if scheme == "fully_discrete":
-        restricted = np.repeat(p.cell_averages()[:, None], quad.n_points, axis=1)
+        restricted = np.repeat(p.cell_averages()[:, None], len(quad.weights), axis=1)
     else:
         restricted = p.at_quadrature(quad)
     grad_norm = norm(mu * control + restricted) + mu * TOL

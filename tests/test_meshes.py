@@ -84,6 +84,16 @@ def test_graded_rejects_bad_input():
         GradedPartition(4, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("gamma, Y, message", [
+    (math.nan, 1.0, "grading exponent"), (math.inf, 1.0, "grading exponent"),
+    (2.0, math.nan, "truncation height Y"), (2.0, math.inf, "truncation height Y"),
+], ids=["gamma-nan", "gamma-inf", "Y-nan", "Y-inf"])
+def test_graded_refuses_a_nonfinite_grading_or_height_by_name(gamma, Y, message):
+    # named as what they are, not as a first width of nan
+    with pytest.raises(ConfigurationError, match=f"{message} must be finite"):
+        GradedPartition(4, gamma, Y)
+
+
 def test_tensor_mesh_counts_n1():
     mesh = TensorMesh(BasePartition(1, 4), GradedPartition(3, 2.0, 1.0))
     assert mesh.n_cells == 12

@@ -120,6 +120,12 @@ def test_fit_handles_degenerate_input():
     assert math.isnan(slope)
 
 
+def test_a_line_through_one_abscissa_has_no_slope():
+    # a least-squares line through one abscissa is not unique: it has no slope
+    assert all(math.isnan(v) for v in fit_loglog_slope([10.0, 10.0], [1.0, 2.0]))
+    assert study._truncation_slope([1.0, 1.0], [1e-2, 1e-4], 0.0) == (None, 2)
+
+
 def test_rate_fit_stability_drop_coarsest():
     cfg = StudyConfig(s_values=(0.5,), n=1, dof_targets=(256, 1024, 4096, 16384))
     rec = run_oracle_check(cfg)[0]
@@ -517,6 +523,22 @@ def test_rate_rows_carry_the_exit_certificate(run, scheme):
         assert cert["state_residual_rel"] <= 1e-10 and cert["adjoint_residual_rel"] <= 1e-10
 
 
+@pytest.mark.parametrize("argv, keys", [
+    (["oracle-check", "--dofs", "64,256"], {"state_residual_rel", "profile_backward_error"}),
+    (["truncation", "--dofs", "256", "--truncation-Y", "1.0,1.2"],
+     {"state_residual_rel", "adjoint_residual_rel", "trace_gap", "profile_backward_error"}),
+], ids=["oracle", "truncation"])
+def test_cli_rows_carry_the_certificate_of_their_solves(argv, keys, tmp_path):
+    out = str(tmp_path / "run")
+    main(argv + ["--n", "1", "--s", "0.5", "--out", out])
+    with open(out + ".json") as fh:
+        rows = [row for rec in json.load(fh)["records"] for row in rec["rows"]]
+    assert rows
+    for row in rows:
+        assert set(row["certificate"]) == keys
+        assert row["certificate"]["state_residual_rel"] <= 1e-10
+
+
 def test_cli_truncation_n2_passes_at_its_defaults(tmp_path, capsys):
     # the default heights fit the decay at n=2 as at n=1
     rc = main(["truncation", "--n", "2", "--out", str(tmp_path / "tr")])
@@ -593,7 +615,16 @@ def run_refused(argv, tmp_path, capsys):
      "truncation study runs one fractional order, got 2: 0.2, 0.5"),
     (["compare-refinement", "--n", "1", "--dofs", "256", "--s", "0.2,0.5"],
      "compare-refinement runs one fractional order, got 2: 0.2, 0.5"),
-], ids=["dofs", "no-s", "one-height", "scheme", "truncation-two-orders", "compare-two-orders"])
+    # two targets on one mesh write two equal rows, and a fit through them has no slope
+    (["oracle-check", "--n", "1", "--dofs", "256,260"],
+     "256 and 260 give 16 and 16 cells per side"),
+    (["control-rates", "--n", "1", "--dofs", "256,260", "--scheme", "variational"],
+     "256 and 260 give 16 and 16 cells per side"),
+    (["truncation", "--n", "1", "--dofs", "256", "--truncation-Y", "1,1,2"], "none repeated"),
+    (["control-rates", "--n", "1", "--dofs", "256", "--tol", "nan"], "tol must be >= 0"),
+    (["control-rates", "--n", "1", "--dofs", "256", "--tol", "-1"], "tol must be >= 0"),
+], ids=["dofs", "no-s", "one-height", "scheme", "truncation-two-orders", "compare-two-orders",
+        "oracle-one-mesh", "rates-one-mesh", "repeated-height", "tol-nan", "tol-negative"])
 def test_cli_reports_invalid_input_in_one_line(argv, message, tmp_path, capsys):
     err = run_refused(argv, tmp_path, capsys)
     assert err.startswith("fracopt: error: ") and message in err

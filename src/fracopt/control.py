@@ -4,9 +4,11 @@ Two discretizations of the control space: piecewise constants per base cell
 (fully discrete) and the variational approach where the control is never
 meshed but represented through the clamped adjoint trace.  Both solve the
 same first-order system z = proj(-tr P / mu) with one projected descent
-loop on the control values at the load quadrature points.  The schemes
-differ only in the restriction of the adjoint trace to their control space,
-the step of the fixed-point residual, and the step length t of the search:
+loop, on the control in its scheme's space: one value per base cell (fully
+discrete) or the values at the load quadrature points (variational).  The
+schemes differ only in that space, with its maps to and from the sine modes
+of the base mesh and the restriction of the adjoint trace to it, the step of
+the fixed-point residual, and the step length t of the search:
 each iteration moves to the cost-minimizing point on the segment towards
 proj(G - t g), with t = 1/mu (variational, the target proj(-tr P / mu)) or
 the adaptive Barzilai-Borwein step (fully discrete).  Every iterate is
@@ -201,9 +203,16 @@ class ReducedProblem:
             restricted, step = self.at_points(p), 1.0 / mu
         else:
             raise ConfigurationError(f"unknown scheme {scheme!r}")
-        g = mu * G + restricted
-        target = project_box(G - step * g, self.problem.bounds)
-        return g, target, math.sqrt(self.quad.integrate((G - target) ** 2))
+        return self.fixed_point(G, restricted, step, self.quad.integrate)
+
+    def fixed_point(self, x: np.ndarray, restricted: np.ndarray, step: float,
+                    integrate: Callable):
+        """Gradient g = mu x + restricted for control values x and the adjoint trace
+        restricted to their space, the target proj(x - step g) and the residual
+        ||x - target||_L2, `integrate` the integral of values in that space."""
+        g = self.problem.mu * x + restricted
+        target = project_box(x - step * g, self.problem.bounds)
+        return g, target, math.sqrt(integrate((x - target) ** 2))
 
     def evaluate(self, G: np.ndarray, scheme: str, v_hat: Optional[np.ndarray] = None
                  ) -> Tuple[FeField, FeField, ReducedCostReport]:
@@ -238,66 +247,97 @@ class ReducedProblem:
             certificate=certificate)
 
 
-def _descend(rp: ReducedProblem, z0: Optional[ControlField], scheme: str, tol: float,
+@dataclass(frozen=True)
+class _ControlSpace:
+    """Where a scheme's loop keeps its control x, and the maps between x and the sine modes
+    of the base mesh: `load_modes(dx)`, Q B of the load of an increment dx;
+    `restrict(p_hat)`, the trace with sine modes p_hat restricted to the space;
+    `integrate(values)`, the integral of a function given by its values there;
+    `at_points(x)`, the values of x at the load quadrature points, where the start and the
+    exit take them; and `step`, the t of the fixed-point residual ||x - proj(x - t g)||."""
+
+    load_modes: Callable
+    restrict: Callable
+    integrate: Callable
+    at_points: Callable
+    step: float
+
+
+def _control_space(rp: ReducedProblem, scheme: str) -> _ControlSpace:
+    """Fully discrete: one value per base cell, mapped to and from the sine modes through
+    W = Q B (CylinderOperator.load_modes_of_cells, cell_averages_of_modes).  Variational:
+    the values at the points, through the load assembly and the interpolation there."""
+    op = rp.op
+    if scheme == "fully_discrete":
+        volume = rp.mesh.base.cell_volume
+        return _ControlSpace(op.load_modes_of_cells, op.cell_averages_of_modes,
+                             lambda values: volume * float(values.sum()),
+                             rp.cell_point_values, 1.0)
+    return _ControlSpace(rp.load_modes, lambda p_hat: rp.at_points(op.to_modes(p_hat)),
+                         rp.quad.integrate, lambda G: G, 1.0 / rp.problem.mu)
+
+
+def _descend(rp: ReducedProblem, x: np.ndarray, scheme: str, tol: float,
              max_iterations: int) -> Tuple[np.ndarray, FeField, FeField, ReducedCostReport]:
-    """Projected descent on the control values G at the load quadrature points.
+    """Projected descent from the feasible control x of the scheme's space (_control_space):
+    one value per base cell, fully discrete; the values at the load quadrature points,
+    variational.
 
-    A scheme fixes its gradient and fixed-point residual (rp.optimality) and
-    the step length t of the search: 1/mu, variational (the target is then
-    proj(-tr P / mu)); the adaptive Barzilai-Borwein step, fully discrete
-    (_bb_step).  Shared: each iteration solves once for the state of the
-    increment towards target = proj(G - t g), prices the segment exactly
-    (_price) and moves to its cost-minimizing point theta = min(1, -slope /
-    (2 curvature)).  The loop stops unconverged rather than take a step that
-    does not lower the cost (slope >= 0).  Starts from z0, by default the
-    box midpoint.
+    A scheme fixes, besides its space, the step length t of the search: 1/mu,
+    variational (the target is then proj(-tr P / mu)); the adaptive Barzilai-Borwein
+    step, fully discrete (_bb_step).  Shared: each iteration solves once for the state of
+    the increment towards target = proj(x - t g), prices the segment exactly (_price) and
+    moves to its cost-minimizing point theta = min(1, -slope / (2 curvature)).  The loop
+    stops unconverged rather than take a step that does not lower the cost (slope >= 0).
 
-    The loop runs in sine modes, where the trace solve is the scaling by
-    profiles[0] (rp.trace_solve) and the trace mass matrix B A = M is
-    diag(mass_modes), B the load assembly and A the interpolation to the
-    points (their rule is exact on products of Q1 functions).  The state
-    trace is v = Q v_hat; the mismatch r = A v - u_d has the load
-    rho = Q B r = mass_modes v_hat - Q B u_d, and the adjoint trace is
-    Q (profiles[0] rho).  These iterates only steer, choosing the final G.
-    The report, the state and the adjoint come from the checked exit solves
-    of rp.evaluate, given Q v_hat (initial state plus accepted increments) to
-    match against the certified state; so the trace gap check covers every
-    accepted intermediate solve.
+    The loop runs in sine modes, where the trace solve is the scaling by profiles[0]
+    (rp.trace_solve) and the trace mass matrix B A = M is diag(mass_modes), B the load
+    assembly and A the interpolation to the points (their rule is exact on products of Q1
+    functions).  The state trace is v = Q v_hat; the mismatch r = A v - u_d has the load
+    rho = Q B r = mass_modes v_hat - Q B u_d, and the adjoint trace has the modes
+    profiles[0] rho, which the space restricts; so a fully discrete iteration handles
+    arrays of cell and mode size only.  The start's state load, forcing included, is
+    assembled at the points, as the exit's is: at small mu the exit iterate is sensitive
+    to the start's rounding.  These iterates only steer, choosing the final x.  The
+    report, the state and the adjoint come from the checked exit solves of rp.evaluate,
+    independent of the space's maps: given Q v_hat (initial state plus accepted
+    increments), its trace gap check covers every accepted intermediate solve and the
+    load map, and its fixed-point residual restricts the certified adjoint itself.
     """
     if not tol >= 0.0:
         raise ConfigurationError(f"tolerance tol must be >= 0, got {tol}")
+    if not max_iterations >= 0:
+        raise ConfigurationError(f"max_iterations must be >= 0, got {max_iterations}")
     t_start, solves_before = time.perf_counter(), rp.n_state_solves
-    op, bounds = rp.op, rp.problem.bounds
-    if z0 is None:
-        z0 = ControlField.constant(rp.mesh.base, 0.5 * (bounds.a + bounds.b))
-    G = rp.cell_point_values(project_box(z0.cell_values, bounds)).copy()
+    op, bounds, space = rp.op, rp.problem.bounds, _control_space(rp, scheme)
+    G = space.at_points(x)
     v_hat = rp.trace_solve(rp.load_modes(rp.load(G)))
-    r = rp.mismatch(op.to_modes(v_hat))
-    j = rp.cost(G, r)
+    j = rp.cost(G, rp.mismatch(op.to_modes(v_hat)))
     history = [j]
     iterations, previous = 0, None
     while True:
         rho = op.mass_modes * v_hat - rp.ud_modes
-        adjoint_trace = op.to_modes(rp.trace_solve(rho))
-        g, target, fp_res = rp.optimality(G, adjoint_trace, scheme)
+        g, target, fp_res = rp.fixed_point(x, space.restrict(rp.trace_solve(rho)), space.step,
+                                           space.integrate)
         if fp_res <= tol or iterations == max_iterations:
             break
         iterations += 1
         if scheme == "fully_discrete":
-            target = project_box(G - _bb_step(rp, G, g, previous) * g, bounds)
-        dG = target - G
-        d_hat, slope, curvature = _price(rp, rho, G, dG)
+            target = project_box(x - _bb_step(space, rp.problem.mu, x, g, previous) * g, bounds)
+        dx = target - x
+        d_hat, slope, curvature = _price(rp, space, rho, x, dx)
         if not slope < 0.0:
             break  # no point of the segment lowers the cost; keep the last iterate
         theta = min(1.0, -slope / (2.0 * curvature))
-        previous = G, g
-        G = G + theta * dG
+        previous = x, g
+        x = x + theta * dx
         v_hat = v_hat + theta * d_hat
         j += theta * (slope + theta * curvature)
         history.append(j)
     loop_solves = rp.n_state_solves - solves_before
 
-    V, P, report = rp.evaluate(G, scheme, v_hat)  # the report counts the loop's solves only
+    # the report counts the loop's solves only
+    V, P, report = rp.evaluate(space.at_points(x), scheme, v_hat)
     report.iterations, report.cost_history, report.n_state_solves = (
         iterations, history, loop_solves)
     report.converged = report.vi_residual <= tol
@@ -307,7 +347,7 @@ def _descend(rp: ReducedProblem, z0: Optional[ControlField], scheme: str, tol: f
                "(adjoint), trace gap %.2e, %.3f s", scheme, iterations, loop_solves,
                cert["state_residual_rel"], cert["adjoint_residual_rel"], cert["trace_gap"],
                report.wall_time)
-    return G, V, P, report
+    return x, V, P, report
 
 
 def _reduced_problem(problem: ProblemConfig, mesh: TensorMesh, rp: Optional[ReducedProblem]):
@@ -325,31 +365,32 @@ def _residual(rp: ReducedProblem, x: np.ndarray, point_values: np.ndarray):
     return r, r / nb if nb > 0 else r
 
 
-def _price(rp: ReducedProblem, rho: np.ndarray, G: np.ndarray, dG: np.ndarray):
-    """Solve for the state trace of the increment dG, d_hat in sine modes.  The cost of
-    G + theta dG is j + theta (slope + theta curvature), slope = rho . d_hat + mu int G dG
-    and 2 curvature = mass_modes . d_hat^2 + mu int dG^2: exact, and free of the
+def _price(rp: ReducedProblem, space: _ControlSpace, rho: np.ndarray, x: np.ndarray,
+           dx: np.ndarray):
+    """Solve for the state trace of the increment dx, d_hat in sine modes.  The cost of
+    x + theta dx is j + theta (slope + theta curvature), slope = rho . d_hat + mu int x dx
+    and 2 curvature = mass_modes . d_hat^2 + mu int dx^2: exact, and free of the
     cancellation of differencing two costs near the optimum, so the search needs no
     further trial."""
-    d_hat = rp.trace_solve(rp.load_modes(dG))
+    d_hat = rp.trace_solve(space.load_modes(dx))
     mu = rp.problem.mu
-    slope = float(rho @ d_hat) + mu * rp.quad.integrate(G * dG)
-    curvature = 0.5 * (float(rp.op.mass_modes @ (d_hat * d_hat)) + mu * rp.quad.integrate(dG * dG))
+    slope = float(rho @ d_hat) + mu * space.integrate(x * dx)
+    curvature = 0.5 * (float(rp.op.mass_modes @ (d_hat * d_hat)) + mu * space.integrate(dx * dx))
     return d_hat, slope, curvature
 
 
-def _bb_step(rp: ReducedProblem, G: np.ndarray, g: np.ndarray, previous) -> float:
-    """Adaptive Barzilai-Borwein step from the last move, previous = (G, g) before it:
-    with s, y the changes of G and g, BB1 = <s,s>/<s,y> and BB2 = <s,y>/<y,y> in the
-    L2 product at the points, BB2 where it is below BB_SHORT_STEP_RATIO BB1, else BB1.
+def _bb_step(space: _ControlSpace, mu: float, x: np.ndarray, g: np.ndarray, previous) -> float:
+    """Adaptive Barzilai-Borwein step from the last move, previous = (x, g) before it:
+    with s, y the changes of x and g, BB1 = <s,s>/<s,y> and BB2 = <s,y>/<y,y> in the
+    L2 product of the space, BB2 where it is below BB_SHORT_STEP_RATIO BB1, else BB1.
     1/mu at the first iteration and where <s,y> <= 0."""
     if previous is not None:
-        s, y = G - previous[0], g - previous[1]
-        sy = rp.quad.integrate(s * y)
+        s, y = x - previous[0], g - previous[1]
+        sy = space.integrate(s * y)
         if sy > 0.0:
-            bb1, bb2 = rp.quad.integrate(s * s) / sy, sy / rp.quad.integrate(y * y)
+            bb1, bb2 = space.integrate(s * s) / sy, sy / space.integrate(y * y)
             return bb2 if bb2 < BB_SHORT_STEP_RATIO * bb1 else bb1
-    return 1.0 / rp.problem.mu
+    return 1.0 / mu
 
 
 def solve_fully_discrete(
@@ -365,12 +406,14 @@ def solve_fully_discrete(
     Stops when the unit-step fixed-point residual ||Z - proj(Z - g)||_L2
     drops below `tol`.  Step rule: the cost-minimizing point on the segment
     towards proj(Z - t g), t the adaptive Barzilai-Borwein step (1/mu at the
-    first iteration); no accepted step raises the cost.
+    first iteration); no accepted step raises the cost.  Starts from z0, by default
+    the box midpoint; the loop keeps one value per cell.
     """
-    rp = _reduced_problem(problem, mesh, rp)
-    G, V, P, report = _descend(rp, z0, "fully_discrete", tol, max_iterations)
-    # one point per cell: re-averaging constant values would round them
-    return ControlField(mesh.base, G[:, 0]), V, P, report
+    rp, bounds = _reduced_problem(problem, mesh, rp), problem.bounds
+    z = (project_box(z0.cell_values, bounds) if z0 is not None
+         else np.full(mesh.base.n_cells, 0.5 * (bounds.a + bounds.b)))
+    z, V, P, report = _descend(rp, z, "fully_discrete", tol, max_iterations)
+    return ControlField(mesh.base, z), V, P, report
 
 
 class VariationalControl:
@@ -403,10 +446,11 @@ def solve_variational(
     G lives at the load quadrature points; the loop stops when
     ||G - proj(-tr P / mu)||_L2 drops below `tol`.  Step rule: the
     cost-minimizing point on the segment towards proj(-tr P / mu), so no
-    accepted step raises the cost.
+    accepted step raises the cost.  Starts from the box midpoint.
     """
-    rp = _reduced_problem(problem, mesh, rp)
-    _, V, P, report = _descend(rp, None, "variational", tol, max_iterations)
+    rp, bounds = _reduced_problem(problem, mesh, rp), problem.bounds
+    G = np.full(rp.ud_q.shape, 0.5 * (bounds.a + bounds.b))
+    _, V, P, report = _descend(rp, G, "variational", tol, max_iterations)
     return VariationalControl(problem.bounds, problem.mu, P.trace()), V, report
 
 

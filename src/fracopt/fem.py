@@ -17,6 +17,9 @@ y.  A load enters only as a Neumann datum on the face y=0, so it is one value pe
 node of that layer (assemble_trace_load), and the trace response to it is diagonal
 in sine modes, which is all the optimizer loop needs; the fields that leave the
 loop are solved in full and checked: `solve` returns each as a field with its residual.
+A piecewise-constant load reaches the sine modes without the points: W = Q B, cached per
+base mesh next to the sine matrix (_sine_maps), maps cell values to the modes of their
+load, and its transpose maps modes to the cell averages of their trace.
 Assembly keeps its last result: an operator on an equal mesh and order is built around
 the same read-only arrays, so consecutive problems on one mesh assemble once, and one
 assembly (chiefly its profiles, n_free doubles) stays alive after its caller drops it.
@@ -235,6 +238,21 @@ def _column_norm1(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
+def _sine_maps(m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The orthonormal DST-I matrix Q of the uniform 1D mesh with m interior nodes (Q @ Q = I)
+    and W = Q B, (m, m + 1), B the load of a unit constant on each cell: h/2 on the two
+    interior nodes beside it; cached, so read-only."""
+    k = np.arange(1, m + 1)
+    Q = math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+    W = np.zeros((m, m + 1))
+    W[:, :-1] = Q  # cell c lies between the interior nodes c - 1 and c
+    W[:, 1:] += Q
+    W *= 0.5 / (m + 1)
+    Q.flags.writeable = W.flags.writeable = False
+    return Q, W
+
+
+@functools.lru_cache(maxsize=8)
 def _base_symbols(n: int, m: int, stiff: Tuple[float, float], mass: Tuple[float, float]):
     """Sine modes of the uniform base mesh with m interior nodes per direction and interior
     factors S1, M1 of Toeplitz bands `stiff`, `mass`; cached, so read-only.  Returns the
@@ -242,8 +260,7 @@ def _base_symbols(n: int, m: int, stiff: Tuple[float, float], mass: Tuple[float,
     Mx symbols sigma, tau of the distinct y-systems: at n=2, sigma_kl = tau_k sigma_l +
     sigma_k tau_l and tau_kl = tau_k tau_l are symmetric in (k, l) bit for bit, so only k <= l
     is listed; `first` is the base mode k m + l of each system, `system` the reverse map."""
-    k = np.arange(1, m + 1)
-    Q = math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+    Q = _sine_maps(m)[0]
     S1Q, M1Q = (_band_apply(np.full(m, d), np.full(m - 1, o), Q) for d, o in (stiff, mass))
     # strided diagonal views: a contiguous tau rounds the loop's dot products with
     # mass_modes (control._price) differently, and moves the variational iterates' last bits
@@ -255,7 +272,7 @@ def _base_symbols(n: int, m: int, stiff: Tuple[float, float], mass: Tuple[float,
         system[k, l] = system[l, k] = np.arange(len(k))
         mass_modes, system = np.outer(tau, tau).ravel(), system.ravel()
         sigma, tau = tau[k] * sigma[l] + sigma[k] * tau[l], tau[k] * tau[l]
-    for a in (Q, mass_modes, sigma, tau, first, system):
+    for a in (mass_modes, sigma, tau, first, system):
         a.flags.writeable = False
     return Q, mass_modes, sigma, tau, first, system
 
@@ -296,6 +313,7 @@ class CylinderOperator:
         self.mesh = mesh
         self._layer_bands = layer_bands  # (diagonal, off) of T_t, the y-factor of N_t
         self._sine = sine  # per base direction
+        self._cell_sine = _sine_maps(len(sine))[1]  # W = Q B, per base direction
         self.mass_modes = mass_modes  # diagonal of the base mass matrix in sine modes
         self.profiles = profiles
         # largest backward error of the profiles' tridiagonal solves, checked at assembly
@@ -334,6 +352,27 @@ class CylinderOperator:
             return layers @ Q
         m = len(Q)
         return (Q @ layers.reshape(-1, m, m) @ Q).reshape(layers.shape)
+
+    def load_modes_of_cells(self, z: np.ndarray) -> np.ndarray:
+        """Sine modes of the trace load of cell values z, one per base cell (x1 fastest):
+        W z at n=1 and W Z W^T at n=2, Z the grid of cell values.  The same as `to_modes` of
+        `assemble_trace_load` at the points, up to rounding, without visiting them."""
+        W = self._cell_sine
+        if self.mesh.n == 1:
+            return W @ z
+        N = W.shape[1]
+        return (W @ z.reshape(N, N) @ W.T).ravel()
+
+    def cell_averages_of_modes(self, p_hat: np.ndarray) -> np.ndarray:
+        """Cell averages of the trace with sine modes p_hat, the transpose of
+        `load_modes_of_cells` over the cell volume: W^T p_hat / |cell| at n=1 and
+        W^T P W / |cell| at n=2, P the grid of modes.  The same as
+        `TraceField.cell_averages` of `to_modes(p_hat)`, up to rounding."""
+        W, volume = self._cell_sine, self.mesh.base.cell_volume
+        if self.mesh.n == 1:
+            return (p_hat @ W) / volume
+        m = len(W)
+        return (W.T @ p_hat.reshape(m, m) @ W).ravel() / volume
 
     def residual(self, x: np.ndarray, b: np.ndarray) -> float:
         """|K x - b|, the Euclidean norm of the residual of x for the trace load b,

@@ -69,7 +69,8 @@ TRUNCATION_FLOOR_RTOL = 1e-14
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Knobs shared by all studies; `dof_targets` must be increasing, each to a finer mesh."""
+    """Knobs shared by all studies; `s_values` must be distinct and `dof_targets` increasing,
+    each to a finer mesh."""
 
     s_values: Tuple[float, ...] = (0.5,)
     n: int = 2
@@ -83,6 +84,9 @@ class StudyConfig:
     def __post_init__(self):
         if not self.s_values or not self.dof_targets:
             raise ConfigurationError("s_values and dof_targets must not be empty")
+        if len(set(self.s_values)) < len(self.s_values):  # a repeated order solves its sweep again
+            raise ConfigurationError("s_values must not repeat an order, got "
+                                     + ", ".join(f"{s:g}" for s in self.s_values))
         if self.scheme not in ("fully_discrete", "variational"):
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
         cells = [balanced_resolution(t, self.n) for t in self.dof_targets]

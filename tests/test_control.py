@@ -256,6 +256,15 @@ def test_solvers_refuse_a_tolerance_below_zero_or_nan(solve, tol):
         solve(problem, mesh, tol=tol)
 
 
+@pytest.mark.parametrize("solve", [solve_fully_discrete, solve_variational])
+def test_solvers_refuse_a_negative_iteration_cap(solve):
+    # the loop stops where its count equals the cap, so a negative cap would be no cap
+    _, problem, mesh = manufactured_setup(n=1, s=0.5, N=8, M=8)
+    with pytest.raises(ConfigurationError, match="max_iterations must be >= 0, got -1"):
+        solve(problem, mesh, max_iterations=-1)
+    assert solve(problem, mesh, max_iterations=0, tol=0.0)[-1].iterations == 0
+
+
 def test_a_reduced_problem_for_another_problem_or_mesh_is_refused():
     # the solvers read the bounds, mu and base mesh from (problem, mesh) and the rest from
     # rp: a mismatched rp would solve another problem and report it converged
@@ -382,6 +391,48 @@ def test_inaccurate_trace_solves_fail_at_exit(monkeypatch):
         solve_variational(problem, mesh, rp=rp)
 
 
+def test_the_fully_discrete_loop_assembles_no_load(monkeypatch):
+    # the start's state load and the exit's state and adjoint loads are assembled at the
+    # points; each iteration maps cell values to sine modes and back through W = Q B
+    _, problem, mesh = manufactured_setup(n=1, s=0.5, N=16, M=16, mu=1e-2)
+    rp = ReducedProblem(problem, mesh)
+    assemble, calls = control.assemble_trace_load, []
+    monkeypatch.setattr(control, "assemble_trace_load",
+                        lambda *args, **kw: calls.append(args) or assemble(*args, **kw))
+    for cap in (1, 200):
+        calls.clear()
+        rep = solve_fully_discrete(problem, mesh, max_iterations=cap, rp=rp)[-1]
+        assert len(calls) == 3
+    assert rep.iterations > 1 and rep.converged
+
+
+@pytest.mark.parametrize("n, N", [(1, 16), (2, 6)])
+def test_a_wrong_cell_load_map_fails_at_exit(n, N):
+    # the exit assembles its state load at the points, so a wrong W in the loop's
+    # increments shows as a gap between the accumulated and the certified state trace
+    _, problem, mesh = manufactured_setup(n=n, s=0.5, N=N, M=N, mu=1e-2)
+    rp = ReducedProblem(problem, mesh)
+    W = rp.op._cell_sine.copy()  # the cached W is shared by every operator on this base mesh
+    W[1, 2] *= 1.5
+    rp.op._cell_sine = W
+    with pytest.raises(SolverError, match="accumulated state trace"):
+        solve_fully_discrete(problem, mesh, rp=rp)
+
+
+@pytest.mark.parametrize("n, N", [(1, 16), (2, 6)])
+def test_a_wrong_cell_restriction_leaves_the_solve_unconverged(n, N):
+    # a restriction that is not the transpose of the load map steers the loop off the
+    # cost's gradient, so it stops where no step lowers the cost; the exit restricts the
+    # certified adjoint by TraceField.cell_averages and reports the residual left
+    _, problem, mesh = manufactured_setup(n=n, s=0.5, N=N, M=N, mu=1e-2)
+    rp = ReducedProblem(problem, mesh)
+    restrict = rp.op.cell_averages_of_modes
+    rp.op.cell_averages_of_modes = lambda p_hat: restrict(p_hat) * (1.0 + 1e-3)
+    rep = solve_fully_discrete(problem, mesh, rp=rp)[-1]
+    assert 0 < rep.iterations < 200  # stopped before the cap
+    assert rep.converged is False and rep.vi_residual > 1e-8
+
+
 def test_variational_close_to_fully_discrete():
     mp, problem, mesh = manufactured_setup(n=1, s=0.5, N=24, M=24)
     Zfd, *_ = solve_fully_discrete(problem, mesh)
@@ -421,21 +472,25 @@ def test_problem_config_refuses_a_nonfinite_mu(mu):
 @pytest.mark.parametrize("n, N", [(1, 16), (2, 6)])
 def test_modal_pricing_matches_point_space(n, N):
     # B A = M (the 3-point rule is exact for products of Q1 functions) and Q M Q is
-    # diag(mass_modes), so the loop prices and forms its adjoint load in sine modes
+    # diag(mass_modes), so the loop prices and forms its adjoint load in sine modes, on
+    # the control in its scheme's space: cell values or the values at the points
     _, problem, mesh = manufactured_setup(n=n, s=0.5, N=N, M=N, mu=1e-2)
     rp = ReducedProblem(problem, mesh)
     op, integrate, mu = rp.op, rp.quad.integrate, problem.mu
     rng = np.random.default_rng(11)
-    G = rng.uniform(problem.bounds.a, problem.bounds.b, rp.ud_q.shape)
-    dG = rng.uniform(-1.0, 1.0, rp.ud_q.shape)
-    v_hat = rp.trace_solve(rp.load_modes(G))
-    r = rp.mismatch(op.to_modes(v_hat))
-    rho, rho_ref = op.mass_modes * v_hat - rp.ud_modes, rp.load_modes(r)  # Q B r
-    assert np.linalg.norm(rho - rho_ref) <= 1e-13 * np.linalg.norm(rho_ref)
-    d_hat, slope, curvature = control._price(rp, rho, G, dG)
-    Ad = rp.at_points(op.to_modes(d_hat))
-    for modal, points in ((rho @ d_hat, integrate(r * Ad)),
-                          (op.mass_modes @ d_hat**2, integrate(Ad * Ad)),
-                          (slope, integrate(r * Ad + mu * G * dG)),
-                          (curvature, 0.5 * integrate(Ad * Ad + mu * dG * dG))):
-        assert abs(modal - points) <= 1e-13 * abs(points)
+    for scheme, shape in (("fully_discrete", mesh.base.n_cells), ("variational", rp.ud_q.shape)):
+        space = control._control_space(rp, scheme)
+        x = rng.uniform(problem.bounds.a, problem.bounds.b, shape)
+        dx = rng.uniform(-1.0, 1.0, shape)
+        G, dG = space.at_points(x), space.at_points(dx)
+        v_hat = rp.trace_solve(space.load_modes(x))
+        r = rp.mismatch(op.to_modes(v_hat))
+        rho, rho_ref = op.mass_modes * v_hat - rp.ud_modes, rp.load_modes(r)  # Q B r
+        assert np.linalg.norm(rho - rho_ref) <= 1e-13 * np.linalg.norm(rho_ref)
+        d_hat, slope, curvature = control._price(rp, space, rho, x, dx)
+        Ad = rp.at_points(op.to_modes(d_hat))
+        for modal, points in ((rho @ d_hat, integrate(r * Ad)),
+                              (op.mass_modes @ d_hat**2, integrate(Ad * Ad)),
+                              (slope, integrate(r * Ad + mu * G * dG)),
+                              (curvature, 0.5 * integrate(Ad * Ad + mu * dG * dG))):
+            assert abs(modal - points) <= 1e-13 * abs(points)

@@ -471,6 +471,37 @@ def test_base_symbols_are_cached_and_read_only(n):
 
 
 @pytest.mark.parametrize("n", [1, 2])
+def test_cell_sine_map_is_cached_and_read_only(n):
+    # one W = Q B per base mesh, shared by every operator on it
+    op = assemble_stiffness(small_mesh(n=n, N=6), 0.5)
+    Q, W = fem._sine_maps(5)
+    assert W is op._cell_sine and W.shape == (5, 6)
+    h = 1.0 / 6
+    assert Q is fem._base_symbols(n, 5, (2.0 / h, -1.0 / h), (2.0 * h / 3.0, h / 6.0))[0]
+    assert assemble_stiffness(small_mesh(n=n, N=6, M=5), 0.3)._cell_sine is W
+    for a in (Q, W):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0
+
+
+@pytest.mark.parametrize("n, N", [(1, 16), (1, 128), (2, 6), (2, 40)])
+def test_cell_maps_match_the_load_assembly_and_the_cell_averages(n, N):
+    # W z (W Z W^T) is the sine modes of the load of cell values z, and W^T p_hat / |cell|
+    # (W^T P W / |cell|) the cell averages of the trace with sine modes p_hat
+    mesh = small_mesh(n=n, N=N)
+    op = assemble_stiffness(mesh, 0.5)
+    rng = np.random.default_rng(17)
+    z = rng.uniform(-1.0, 1.0, mesh.base.n_cells)
+    load = op.to_modes(assemble_trace_load(mesh, cell_load(mesh, z)))
+    got = op.load_modes_of_cells(z)
+    assert np.linalg.norm(got - load) <= 1e-14 * np.linalg.norm(load)
+    p_hat = rng.standard_normal(mesh.base.n_interior)
+    averages = TraceField(mesh.base, op.to_modes(p_hat)).cell_averages()
+    got = op.cell_averages_of_modes(p_hat)
+    assert np.linalg.norm(got - averages) <= 1e-14 * np.linalg.norm(averages)
+
+
+@pytest.mark.parametrize("n", [1, 2])
 def test_equal_meshes_share_the_last_assembly(n):
     # consecutive problems on one mesh (a mu sweep, both schemes) assemble once
     mesh, twin = small_mesh(n=n, N=6, M=5), small_mesh(n=n, N=6, M=5)

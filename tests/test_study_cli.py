@@ -321,6 +321,12 @@ def test_study_config_validation():
         StudyConfig(scheme="newton")
 
 
+def test_study_config_refuses_a_repeated_order():
+    # a repeated order solves its sweep again and writes an equal record
+    with pytest.raises(ConfigurationError, match="must not repeat an order, got 0.5, 0.2, 0.5"):
+        StudyConfig(s_values=(0.5, 0.2, 0.5), n=1, dof_targets=(64,))
+
+
 # ---------------------------------------------------------------------------
 # reporting
 # ---------------------------------------------------------------------------
@@ -623,8 +629,11 @@ def run_refused(argv, tmp_path, capsys):
     (["truncation", "--n", "1", "--dofs", "256", "--truncation-Y", "1,1,2"], "none repeated"),
     (["control-rates", "--n", "1", "--dofs", "256", "--tol", "nan"], "tol must be >= 0"),
     (["control-rates", "--n", "1", "--dofs", "256", "--tol", "-1"], "tol must be >= 0"),
+    (["control-rates", "--n", "1", "--dofs", "64,256", "--s", "0.5,0.5"],
+     "s_values must not repeat an order, got 0.5, 0.5"),
 ], ids=["dofs", "no-s", "one-height", "scheme", "truncation-two-orders", "compare-two-orders",
-        "oracle-one-mesh", "rates-one-mesh", "repeated-height", "tol-nan", "tol-negative"])
+        "oracle-one-mesh", "rates-one-mesh", "repeated-height", "tol-nan", "tol-negative",
+        "repeated-order"])
 def test_cli_reports_invalid_input_in_one_line(argv, message, tmp_path, capsys):
     err = run_refused(argv, tmp_path, capsys)
     assert err.startswith("fracopt: error: ") and message in err

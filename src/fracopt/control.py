@@ -62,6 +62,7 @@ BB_SHORT_STEP_RATIO = 0.5
 # modal solves and the trace of the certified state; measured gaps stay below 1e-15.
 TRACE_GAP_RTOL = 1e-10
 VI_SAMPLES = 1000  # random feasible controls in the sampled check of optimality_residuals
+VI_BLOCK_VALUES = 32_768  # about this many sampled values are held at once (256 KiB)
 _log = logging.getLogger("fracopt")
 
 
@@ -479,6 +480,10 @@ def optimality_residuals(
     Reports the algebraic residuals of the state/adjoint systems and the
     smallest sampled value of (tr P + mu Z, Z_test - Z) over VI_SAMPLES random
     feasible piecewise-constant controls; nonnegative up to tolerance at an optimum.
+    The samples are drawn uniformly in the box from default_rng(seed), one control per
+    row, and streamed: consecutive blocks of about VI_BLOCK_VALUES values, Z subtracted in
+    place, with a running minimum; so the check holds one block (256 KiB, or one row if a
+    row is larger), not the VI_SAMPLES x n_cells sample, and draws the same stream.
     """
     rp = _reduced_problem(problem, mesh, rp)
     G = rp.cell_point_values(Z.cell_values)
@@ -486,12 +491,14 @@ def optimality_residuals(
     r_adj, rel_adj = _residual(rp, P.free_values, rp.mismatch(V.trace().values))
     g_points, _, fp = rp.optimality(G, P.trace().values, "fully_discrete")
     g = g_points[:, 0]  # one value per cell
-    rng = np.random.default_rng(seed)
-    samples = rng.uniform(problem.bounds.a, problem.bounds.b,
-                          size=(VI_SAMPLES, mesh.base.n_cells))
-    vi = float(np.min((samples - Z.cell_values) @ g) * mesh.base.cell_volume)
+    a, b, n_cells = problem.bounds.a, problem.bounds.b, mesh.base.n_cells
+    rng, rows, vi = np.random.default_rng(seed), max(1, VI_BLOCK_VALUES // n_cells), math.inf
+    for start in range(0, VI_SAMPLES, rows):
+        block = rng.uniform(a, b, size=(min(rows, VI_SAMPLES - start), n_cells))
+        block -= Z.cell_values
+        vi = float(np.minimum(vi, (block @ g).min()))  # a NaN stays
+    vi *= mesh.base.cell_volume
     # exact separable minimum over the box (equivalent to the projection test)
-    a, b = problem.bounds.a, problem.bounds.b
     vi_exact = float(np.minimum(g * (a - Z.cell_values), g * (b - Z.cell_values)).sum()
                      * mesh.base.cell_volume)
 

@@ -234,7 +234,8 @@ def _band_apply(diag: np.ndarray, off: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def _column_norm1(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Per-column 1-norm of the same T, summed (lower + diagonal) + upper."""
-    return np.abs(diag) + np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off])
+    zero = np.zeros(1)
+    return np.abs(diag) + np.abs(np.concatenate((off, zero))) + np.abs(np.concatenate((zero, off)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -419,8 +420,10 @@ def _assemble_parts(n: int, N: int, y_nodes: bytes, s: float):
     consts = FractionalConstants.from_order(s)
     with np.errstate(all="ignore"):  # non-finite integrals are rejected below
         scoef, m00, m01, m11 = weighted_interval_integrals(np.frombuffer(y_nodes), consts.alpha)
-        y_bands = ((np.r_[scoef, 0.0] + np.r_[0.0, scoef], -scoef),
-                   (np.r_[m00, 0.0] + np.r_[0.0, m11], m01))  # (diagonal, off) of Sy, My
+        zero = np.zeros(1)
+        # (diagonal, off) of Sy, My
+        y_bands = ((np.concatenate((scoef, zero)) + np.concatenate((zero, scoef)), -scoef),
+                   (np.concatenate((m00, zero)) + np.concatenate((zero, m11)), m01))
     if not all(np.isfinite(band).all() for pair in y_bands for band in pair):
         raise ConfigurationError("the weighted y-integrals overflow on this graded partition; "
                                  "use fewer layers or a weaker grading")

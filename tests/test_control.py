@@ -5,6 +5,7 @@ uniqueness oracle is a rerun from a different feasible start.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -213,6 +214,41 @@ def test_vi_detects_perturbed_control():
     # cannot isolate a single cell once other cells sit on active bounds
     assert res.vi_violation_exact < -1e-6
     assert res.fixed_point_residual > 1e-6
+
+
+def _vi_check_inputs(n, N, M):
+    """optimality_residuals' inputs at a random feasible control, and its gradient per cell."""
+    _, problem, mesh = manufactured_setup(n=n, s=0.5, N=N, M=M, mu=1e-2)
+    rp = ReducedProblem(problem, mesh)
+    bounds = problem.bounds
+    z = np.random.default_rng(3).uniform(bounds.a, bounds.b, mesh.base.n_cells)
+    V, P, rep = rp.evaluate(rp.cell_point_values(z), "fully_discrete")
+    return (ControlField(mesh.base, z), V, P, problem, mesh, rp), rep.gradient.cell_values
+
+
+@pytest.mark.parametrize("n, N, M, ulps", [(1, 16, 16, 0), (1, 128, 128, 0), (2, 100, 4, 8)])
+def test_the_sampled_vi_check_streams_the_one_shot_sample(n, N, M, ulps):
+    # the blocks draw the one-shot sample's stream row by row; a product over fewer rows may
+    # round differently in BLAS, so at n=2 (three rows a block) the minimum may move by ulps
+    args, g = _vi_check_inputs(n, N, M)
+    Z, problem, mesh, seed = args[0], args[3], args[4], 5
+    S = np.random.default_rng(seed).uniform(problem.bounds.a, problem.bounds.b,
+                                            size=(control.VI_SAMPLES, mesh.base.n_cells))
+    one_shot = float(np.min((S - Z.cell_values) @ g) * mesh.base.cell_volume)
+    vi = optimality_residuals(*args, seed=seed).vi_violation_min
+    assert abs(vi - one_shot) <= ulps * np.spacing(abs(one_shot))
+
+
+def test_the_sampled_vi_check_holds_one_block():
+    # 1000 x 10,000 samples are 80 MB; the check draws 256 KiB at a time
+    args, _ = _vi_check_inputs(2, 100, 4)
+    tracemalloc.start()
+    try:
+        optimality_residuals(*args, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_fully_discrete_converges_below_cost_rounding():
@@ -431,6 +467,32 @@ def test_a_wrong_cell_restriction_leaves_the_solve_unconverged(n, N):
     rep = solve_fully_discrete(problem, mesh, rp=rp)[-1]
     assert 0 < rep.iterations < 200  # stopped before the cap
     assert rep.converged is False and rep.vi_residual > 1e-8
+
+
+@pytest.mark.parametrize("n, N", [(1, 16), (2, 6)])
+def test_the_exit_maps_nothing_through_w(n, N, monkeypatch):
+    # the loop maps cell values to and from the sine modes through W = Q B; the exit
+    # (ReducedProblem.evaluate) assembles its loads at the points and restricts by
+    # TraceField.cell_averages, so a wrong W cannot certify itself
+    _, problem, mesh = manufactured_setup(n=n, s=0.5, N=N, M=N, mu=1e-2)
+    rp = ReducedProblem(problem, mesh)
+    calls, at_exit = [], []
+    for name in ("load_modes_of_cells", "cell_averages_of_modes"):
+        monkeypatch.setattr(rp.op, name, lambda x, f=getattr(rp.op, name), name=name:
+                            calls.append(name) or f(x))
+    evaluate = rp.evaluate
+
+    def exit_counting_its_calls(*args):
+        before = len(calls)
+        out = evaluate(*args)
+        at_exit.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(rp, "evaluate", exit_counting_its_calls)
+    rep = solve_fully_discrete(problem, mesh, rp=rp)[-1]
+    assert rep.converged and rep.iterations > 1
+    assert at_exit == [0]  # one exit, which calls neither map
+    assert {"load_modes_of_cells", "cell_averages_of_modes"} <= set(calls)  # the loop does
 
 
 def test_variational_close_to_fully_discrete():

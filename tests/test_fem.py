@@ -643,6 +643,34 @@ def test_inaccurate_profile_error_names_the_base_mode(monkeypatch):
         assemble_stiffness(mesh, 0.5)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("part", ["sine", "sigma"])
+def test_a_wrong_diagonalization_is_refused_by_the_first_solve(n, part, monkeypatch):
+    # the profiles solve whatever y-systems the symbols give, to machine precision, so
+    # assembly accepts them; only a residual taken independently of the sine modes (apply)
+    # sees that Q or sigma does not diagonalize K, and it refuses the first field solved
+    mesh = small_mesh(n=n, N=6, M=5)
+    symbols = fem._base_symbols
+    index = {"sine": 0, "sigma": 2}[part]
+
+    def wrong(*args):
+        out = list(symbols(*args))
+        out[index] = out[index].copy()
+        out[index].flat[1] *= 1.0 + 1e-6
+        return tuple(out)
+
+    fem._assemble_parts.cache_clear()
+    monkeypatch.setattr(fem, "_base_symbols", wrong)
+    try:
+        op = assemble_stiffness(mesh, 0.5)
+        b = assemble_trace_load(mesh, cell_load(mesh, np.random.default_rng(5).uniform(
+            -1.0, 1.0, mesh.base.n_cells)))  # every base mode
+        with pytest.raises(fem.SolverError, match="residual contract"):
+            op.solve(b)
+    finally:
+        fem._assemble_parts.cache_clear()  # the wrong assembly must not serve a later mesh
+
+
 @given(s=st.floats(0.005, 0.995), M=st.integers(2, 160))
 @settings(max_examples=60, deadline=None)
 def test_assembly_solves_unit_trace_load_or_rejects_grading(s, M):

@@ -10,11 +10,11 @@ Assembly is exact: the y-direction factors are integrated in closed form
 standard uniform-mesh mass/stiffness matrices, and the global operator on the
 free unknowns is applied from the 1D factors' bands, never assembled.  Each 1D
 factor is a symmetric tridiagonal held as its two bands in plain arrays, with
-one product (_band_apply) and one column norm (_column_norm1); scipy supplies
-only LAPACK's tridiagonal solver dgtsv.  The same tensor structure gives one
-exact solver: sine transforms in the base directions and tridiagonal solves in
-y.  A load enters only as a Neumann datum on the face y=0, so it is one value per
-node of that layer (assemble_trace_load), and the trace response to it is diagonal
+one product (_band_apply), one column norm (_column_norm1) and one solve of all
+the y-systems at once (_unit_profiles), so numpy is the only dependency.  The same
+tensor structure gives one exact solver: sine transforms in the base directions and
+tridiagonal solves in y.  A load enters only as a Neumann datum on the face y=0, so it
+is one value per node of that layer (assemble_trace_load), and the trace response to it is diagonal
 in sine modes, which is all the optimizer loop needs; the fields that leave the
 loop are solved in full and checked: `solve` returns each as a field with its residual.
 A piecewise-constant load reaches the sine modes without the points: W = Q B, cached per
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .meshes import BasePartition, TensorMesh
 from .spectral import ConfigurationError, FractionalConstants
@@ -297,8 +296,8 @@ class CylinderOperator:
     `norm1` is the exact ||K||_1.  The sine matrix Q diagonalizes the base factors (fast
     diagonalization, Lynch-Rice-Thomas), Q M Q = diag(mass_modes) for the base mass M:
     each base mode j leaves one SPD tridiagonal system (a_j My + b_j Sy) / d_s in y (the
-    modes (k, l), (l, k) share one), all solved at assembly in one tridiagonal sweep for a
-    unit load on the layer y=0; `profiles[:, j]` is the y-profile of mode j, rejected if
+    modes (k, l), (l, k) share one), all solved at assembly by one vectorized elimination
+    for a unit load on the layer y=0; `profiles[:, j]` is the y-profile of mode j, rejected if
     its backward error exceeds BACKWARD_ERROR_TOL.  Every load is a trace load, the
     block on the layer y=0 (assemble_trace_load): `solve` transforms it (`to_modes`),
     scales the profiles, transforms all layers back, checks the result with `apply`,
@@ -411,6 +410,25 @@ class CylinderOperator:
         return FeField(self.mesh, x), relative
 
 
+def _unit_profiles(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The solutions p_j of T_j p_j = e_0, one row each, T_j the symmetric tridiagonal with
+    diagonal diag[j] (M values) and off-diagonal off[j] (M - 1).  Gaussian elimination top
+    down without row interchanges, which an SPD T_j does not need, vectorized over the
+    systems one layer at a time; a zero pivot makes its profile non-finite, silently."""
+    d, e = diag.T.copy(), off.T  # layer-major
+    with np.errstate(all="ignore"):
+        fact = np.empty_like(e)
+        for i in range(len(e)):
+            fact[i] = e[i] / d[i]
+            d[i + 1] -= fact[i] * e[i]
+        p = np.ones_like(d)
+        np.cumprod(-fact, axis=0, out=p[1:])  # the eliminated load
+        p[-1] /= d[-1]
+        for i in range(len(e) - 1, -1, -1):
+            p[i] = (p[i] - e[i] * p[i + 1]) / d[i]
+    return p.T
+
+
 @functools.lru_cache(maxsize=1)
 def _assemble_parts(n: int, N: int, y_nodes: bytes, s: float):
     """Layer bands, sine matrix, mass_modes, profiles and their backward error of the
@@ -439,16 +457,16 @@ def _assemble_parts(n: int, N: int, y_nodes: bytes, s: float):
     Q, mass_modes, sigma, tau, first, system = _base_symbols(n, m, (sd, so), (md, mo))
     a = (sigma / consts.d_s)[:, None]  # My coefficient per system
     b = (tau / consts.d_s)[:, None]  # Sy coefficient
-    # all systems in one tridiagonal, M layers each; off[:, -1] = 0 decouples them
-    diag, off = (a * my + b * sy).ravel(), np.zeros((len(a), M))
+    # one system per row, M layers each; off[:, -1] = 0 decouples the rows when raveled
+    diag, off = a * my + b * sy, np.zeros((len(a), M))
     off[:, :-1] = a * my_up + b * sy_up
-    band, p = off.ravel()[:-1], np.zeros(diag.size)
-    p[::M] = 1.0  # unit load on the trace layer of every system
-    *_, p, info = dgtsv(band, diag, band, p, overwrite_b=True)
-    if info or not np.isfinite(p).all():
-        raise ConfigurationError(f"the y-profiles are singular (LAPACK info {info}) or not finite "
-                                 "on this graded partition; use fewer layers or a weaker grading")
-    # per system j: |T_j p_j - e_0| / (|T_j|_1 |p_j| + 1), from the same bands
+    p = _unit_profiles(diag, off[:, :-1])
+    if not np.isfinite(p).all():
+        raise ConfigurationError("the y-profiles are singular or not finite on this graded "
+                                 "partition; use fewer layers or a weaker grading")
+    # per system j: |T_j p_j - e_0| / (|T_j|_1 |p_j| + 1), from the same bands, all systems
+    # in one tridiagonal
+    diag, band, p = diag.ravel(), off.ravel()[:-1], p.ravel()
     Tp = _band_apply(diag, band, p)
     Tp[::M] -= 1.0
     rnorm, p = np.linalg.norm(Tp.reshape(off.shape), axis=1), p.reshape(off.shape)
@@ -466,7 +484,7 @@ def _assemble_parts(n: int, N: int, y_nodes: bytes, s: float):
 
 def assemble_stiffness(mesh: TensorMesh, s: float) -> CylinderOperator:
     """Assemble (1/d_s) int y^alpha grad w . grad phi on free DOFs; the y-profiles come
-    from one LAPACK tridiagonal sweep over the distinct base-mode systems.  The last
+    from one elimination over the distinct base-mode systems (_unit_profiles).  The last
     assembly is kept: a call with an equal base mesh, y-partition and s reuses its
     read-only arrays in an operator on this mesh."""
     if mesh.n_free == 0:

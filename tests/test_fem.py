@@ -16,6 +16,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import spsolve
 
 from fracopt import (
@@ -437,7 +438,7 @@ def _sparse_factor_product(mesh, layer_ops, x):
 @pytest.mark.parametrize("n, N, M", [(1, 12, 9), (2, 7, 6)])
 @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
 def test_assembly_is_bit_identical_to_per_mode_reference(n, N, M, s):
-    # one tridiagonal sweep over the distinct systems changes no bit of the operator
+    # one elimination over the distinct systems changes no bit of the operator
     mesh = small_mesh(n=n, N=N, M=M, gamma=default_grading(s), Y=2.0)
     op, (ref, layer_ops) = assemble_stiffness(mesh, s), _per_mode_reference(mesh, s)
     for name in ("profiles", "mass_modes", "norm1"):
@@ -588,49 +589,94 @@ def test_symbol_of_lowest_mode_approaches_fractional_eigenvalue(s):
     assert errors[1] < errors[0]
 
 
+def _profiles_and_lapack(monkeypatch, n, target, s, graded=True):
+    """Assembly on the sweep mesh of `target` cells at order s and, for the y-systems it
+    solves (one row each), its unit profiles and LAPACK's dgtsv solution of all of them
+    as one tridiagonal, the solver the elimination replaces."""
+    M = balanced_resolution(target, n)
+    Y = choose_truncation(s, first_eigenvalue(n), target, n)
+    mesh = TensorMesh(BasePartition(n, M), GradedPartition(M, default_grading(s) if graded
+                                                           else 1.0, Y))
+    solve, seen = fem._unit_profiles, []
+
+    def recorded(diag, off):
+        seen.append((diag, off, solve(diag, off)))
+        return seen[-1][2]
+
+    fem._assemble_parts.cache_clear()
+    monkeypatch.setattr(fem, "_unit_profiles", recorded)
+    op = assemble_stiffness(mesh, s)
+    (diag, off, p), = seen
+    band = np.zeros(diag.shape)
+    band[:, :-1] = off
+    band, load = band.ravel()[:-1], np.zeros(diag.size)
+    load[::diag.shape[1]] = 1.0
+    *_, ref, info = dgtsv(band, diag.ravel(), band, load)
+    assert info == 0
+    return op, p, ref.reshape(diag.shape)
+
+
+@pytest.mark.parametrize("n, target, s, graded", [
+    (1, 16_384, 0.5, True), (2, 3_000, 0.5, True), (1, 16_384, 0.1, False),
+    (2, 3_000, 0.2, False)])
+def test_unit_profiles_match_lapack_bit_for_bit(n, target, s, graded, monkeypatch):
+    # at s >= 0.5 and on uniform meshes dgtsv interchanges no rows, and the elimination
+    # rounds as it does
+    _, p, ref = _profiles_and_lapack(monkeypatch, n, target, s, graded)
+    np.testing.assert_array_equal(p, ref)
+
+
+@pytest.mark.parametrize("n, target", [(1, 1_024), (1, 16_384), (2, 3_000)])
+@pytest.mark.parametrize("s", [0.1, 0.2])
+def test_unit_profiles_match_lapack_on_strongly_graded_meshes(n, target, s, monkeypatch):
+    # at s <= 0.2, dgtsv swaps rows at rounding-level ties in the weakly dominant rows of
+    # the lowest modes; without the swaps the profiles agree to rounding and stay accepted
+    op, p, ref = _profiles_and_lapack(monkeypatch, n, target, s)
+    rel = np.abs(p - ref).max(axis=1) / np.abs(ref).max(axis=1)
+    assert rel.max() <= 1e-10
+    assert op.profile_backward_error <= fem.BACKWARD_ERROR_TOL
+
+
 def test_assembly_rejects_nonfinite_profiles(monkeypatch):
     # no partition with finite y-integrals is known to get here; a tridiagonal
     # solve that breaks down must still be reported, not solved with
-    fem._assemble_parts.cache_clear()  # a kept assembly of this mesh would skip the sweep
-    monkeypatch.setattr(fem, "dgtsv", lambda dl, d, du, b, **kw: (dl, d, du, b * np.nan, 0))
+    fem._assemble_parts.cache_clear()  # a kept assembly of this mesh would skip the elimination
+    monkeypatch.setattr(fem, "_unit_profiles", lambda diag, off: np.full(diag.shape, np.nan))
     with pytest.raises(ConfigurationError, match="profiles"):
         assemble_stiffness(small_mesh(), 0.5)
 
 
 def test_assembly_rejects_singular_profile_systems(monkeypatch):
-    # LAPACK reports an exactly zero pivot through info and leaves the load finite;
-    # that is a configuration error, not a profile to check or a bare LinAlgError
-    solve = fem.dgtsv
-
-    def zeroed(dl, d, du, b, **kw):
-        return solve(0 * dl, 0 * d, 0 * du, b, **kw)
-
+    # an exactly zero pivot is a configuration error, not a profile to check, and the
+    # elimination that meets it lets no floating-point warning escape
+    solve = fem._unit_profiles
     fem._assemble_parts.cache_clear()
-    monkeypatch.setattr(fem, "dgtsv", zeroed)
-    with pytest.raises(ConfigurationError, match=r"singular \(LAPACK info 1\)"):
-        assemble_stiffness(small_mesh(), 0.5)
+    monkeypatch.setattr(fem, "_unit_profiles", lambda diag, off: solve(0 * diag, 0 * off))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="singular"):
+            assemble_stiffness(small_mesh(), 0.5)
 
 
-def _scale_profiles(monkeypatch, M, system=slice(None)):
-    """Scale the profiles the tridiagonal sweep returns by 1 + 1e-12: those of one
-    system, or of all (M layers each)."""
-    solve = fem.dgtsv
+def _scale_profiles(monkeypatch, system=slice(None)):
+    """Scale the profiles the elimination returns, one row per system, by 1 + 1e-12:
+    those of one system, or of all."""
+    solve = fem._unit_profiles
 
-    def scaled(*args, **kw):
-        *bands, p, info = solve(*args, **kw)
-        p.reshape(-1, M)[system] *= 1.0 + 1e-12
-        return (*bands, p, info)
+    def scaled(diag, off):
+        p = solve(diag, off)
+        p[system] *= 1.0 + 1e-12
+        return p
 
-    monkeypatch.setattr(fem, "dgtsv", scaled)
+    monkeypatch.setattr(fem, "_unit_profiles", scaled)
 
 
 def test_assembly_rejects_inaccurate_profiles(monkeypatch):
     # profiles off by 1e-12 relative have a backward error far above 5e-15
-    mesh = small_mesh()
     fem._assemble_parts.cache_clear()
-    _scale_profiles(monkeypatch, mesh.extended.M)
+    _scale_profiles(monkeypatch)
     with pytest.raises(fem.SolverError, match="backward error"):
-        assemble_stiffness(mesh, 0.5)
+        assemble_stiffness(small_mesh(), 0.5)
 
 
 def test_inaccurate_profile_error_names_the_base_mode(monkeypatch):
@@ -638,7 +684,7 @@ def test_inaccurate_profile_error_names_the_base_mode(monkeypatch):
     # so system 7 is mode (1, 3), base mode 1 * 5 + 3 = 8 (and its mirror (3, 1))
     mesh = small_mesh(n=2, N=6, M=4)
     fem._assemble_parts.cache_clear()
-    _scale_profiles(monkeypatch, mesh.extended.M, system=7)
+    _scale_profiles(monkeypatch, system=7)
     with pytest.raises(fem.SolverError, match="the y-profile of base mode 8 has backward error"):
         assemble_stiffness(mesh, 0.5)
 

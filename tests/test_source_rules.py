@@ -2,7 +2,9 @@
 
 Library code reports through the `fracopt` logger, so only the CLI may call
 `print`; and it raises ConfigurationError or SolverError with a message rather
-than a bare `assert`, which `python -O` strips.  It runs on numpy alone:
+than a bare `assert`, which `python -O` strips.  Its tridiagonals are held as
+their bands, so it imports nothing from scipy.sparse, and `import fracopt`
+leaves scipy.special unloaded.  More broadly it runs on numpy alone:
 no source imports scipy, which the tests keep as their oracle, and a fresh
 interpreter with scipy blocked imports fracopt, assembles and solves, and
 loads no scipy module; scipy.linalg alone adds about 150 ms to every fresh
@@ -48,6 +50,28 @@ def test_no_print_outside_the_cli_and_no_assert(path):
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                   and node.func.id == "print"]
     assert not found, f"{path.name}: {found}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_scipy_sparse_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = [(node.lineno, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names]
+    modules += [(node.lineno, f"{node.module}.{alias.name}") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module for alias in node.names]
+    found = [f"line {line}: {name}" for line, name in modules
+             if (name + ".").startswith("scipy.sparse.")]
+    assert not found, f"{path.name}: {found}"
+
+
+def test_importing_fracopt_does_not_load_scipy_special():
+    # a fresh interpreter: this test process has scipy.special loaded already
+    src = str(ROOT / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, fracopt; print(sorted(m for m in sys.modules if 'scipy.special' in m))"
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_the_library_imports_no_scipy_and_runs_without_it():

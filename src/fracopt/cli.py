@@ -14,7 +14,7 @@ import logging
 import sys
 from typing import Dict, Optional, Sequence, Tuple
 
-from .spectral import ConfigurationError
+from .spectral import DIMENSIONS, ConfigurationError
 from .study import (
     StudyConfig,
     emit_report,
@@ -72,7 +72,7 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
         p.add_argument("--s", type=_parse_floats,
                        default="0.05" if name == "compare-refinement" else "0.5",
                        help="comma-separated fractional orders")
-        p.add_argument("--n", type=int, default=2, choices=(1, 2))
+        p.add_argument("--n", type=int, default=2, choices=DIMENSIONS)
         p.add_argument("--dofs", type=_parse_ints, default=None,
                        help="comma-separated cell targets (default set by --n)")
         p.add_argument("--gamma", type=float, default=None,

@@ -106,11 +106,8 @@ class BaseQuadrature:
         # physical points, shape (#cells, nq, n)
         self.points = base.cell_origins[:, None, :] + h * self.ref_points[None, :, :]
 
-    def coords(self) -> Tuple[np.ndarray, ...]:
-        return tuple(self.points[:, :, d] for d in range(self.base.n))
-
     def eval_callable(self, fn: Callable) -> np.ndarray:
-        vals = np.asarray(fn(*self.coords()), dtype=float)
+        vals = np.asarray(fn(*np.moveaxis(self.points, -1, 0)), dtype=float)
         return np.broadcast_to(vals, self.points.shape[:2])
 
     def integrate(self, values: np.ndarray) -> float:
@@ -257,21 +254,23 @@ def _base_symbols(n: int, m: int, stiff: Tuple[float, float], mass: Tuple[float,
     """Sine modes of the uniform base mesh with m interior nodes per direction and interior
     factors S1, M1 of Toeplitz bands `stiff`, `mass`; cached, so read-only.  Returns the
     orthonormal DST-I matrix Q (Q @ Q = I; Q S1 Q, Q M1 Q diagonal), mass_modes, and the Sx,
-    Mx symbols sigma, tau of the distinct y-systems: at n=2, sigma_kl = tau_k sigma_l +
-    sigma_k tau_l and tau_kl = tau_k tau_l are symmetric in (k, l) bit for bit, so only k <= l
-    is listed; `first` is the base mode k m + l of each system, `system` the reverse map."""
+    Mx symbols sigma, tau of the distinct y-systems.  Base mode (k_1, .., k_n), slowest axis
+    first, has tau = prod_d tau_{k_d} and sigma = sum_d sigma_{k_d} prod_{e != d} tau_{k_e},
+    which a permutation of the k_d leaves bit for bit, so only the nondecreasing index tuples
+    are listed; `first` is the base mode of each system, `system` the reverse map."""
     Q = _sine_maps(m)[0]
     S1Q, M1Q = (_band_apply(np.full(m, d), np.full(m - 1, o), Q) for d, o in (stiff, mass))
-    # strided diagonal views: a contiguous tau rounds the loop's dot products with
-    # mass_modes (control._price) differently, and moves the variational iterates' last bits
-    sigma, tau = np.diag(Q @ S1Q), np.diag(Q @ M1Q)
-    mass_modes, first, system = tau, np.arange(m), np.arange(m)
-    if n == 2:
-        k, l = np.triu_indices(m)
-        first, system = k * m + l, np.empty((m, m), dtype=np.intp)
-        system[k, l] = system[l, k] = np.arange(len(k))
-        mass_modes, system = np.outer(tau, tau).ravel(), system.ravel()
-        sigma, tau = tau[k] * sigma[l] + sigma[k] * tau[l], tau[k] * tau[l]
+    # strided diagonal views: a contiguous mass_modes rounds the loop's dot products with it
+    # (control._price) differently at n=1, and moves the variational iterates' last bits
+    sigma1, tau1 = np.diag(Q @ S1Q), np.diag(Q @ M1Q)
+    mass_modes = functools.reduce(np.multiply.outer, (tau1,) * n).reshape(-1)  # a view at n=1
+    modes = np.indices((m,) * n).reshape(n, -1)
+    key = np.ravel_multi_index(np.sort(modes, axis=0), (m,) * n)  # the mode of the sorted tuple
+    first = np.flatnonzero(key == np.arange(key.size))
+    system = np.searchsorted(first, key)
+    taus, sigmas = tau1[modes[:, first]], sigma1[modes[:, first]]
+    tau = taus.prod(axis=0)
+    sigma = sum(sigmas[d] * np.delete(taus, d, axis=0).prod(axis=0) for d in range(n))
     for a in (mass_modes, sigma, tau, first, system):
         a.flags.writeable = False
     return Q, mass_modes, sigma, tau, first, system
@@ -286,25 +285,34 @@ def _neighbour_sum(X: np.ndarray, axis: int) -> np.ndarray:
     return E
 
 
+def _separable(x: np.ndarray, left: np.ndarray, right: np.ndarray, n: int) -> np.ndarray:
+    """`left` applied along each axis of the n-dimensional base grid of x but x1, then
+    `right` from the right along x1, its last axis (x1 fastest); each row of a stacked x."""
+    X = x.reshape((-1,) + (len(right),) * n)
+    for axis in range(1, n):
+        X = np.swapaxes(left @ np.swapaxes(X, axis, -2), axis, -2)
+    return (X @ right).reshape(x.shape[:-1] + (-1,))
+
+
 class CylinderOperator:
     """Bilinear form a_Y over the free unknowns, applied matrix-free, with its exact solver.
 
-    K = (My (x) Sx + Sy (x) Mx) / d_s on a uniform base mesh.  The interior
-    base factors are Toeplitz, S1 = (2I - E)/h and M1 = h(4I + E)/6 with E the neighbour
-    sum, so K = sum_t T_t (x) N_t with N_0 = I, N_1 = E_1 (+ E_2), N_2 = E_1 E_2 and each
-    T_t a y-tridiagonal: `apply` computes K x with one shift-sum per base direction, and
-    `norm1` is the exact ||K||_1.  The sine matrix Q diagonalizes the base factors (fast
-    diagonalization, Lynch-Rice-Thomas), Q M Q = diag(mass_modes) for the base mass M:
-    each base mode j leaves one SPD tridiagonal system (a_j My + b_j Sy) / d_s in y (the
-    modes (k, l), (l, k) share one), all solved at assembly by one vectorized elimination
-    for a unit load on the layer y=0; `profiles[:, j]` is the y-profile of mode j, rejected if
-    its backward error exceeds BACKWARD_ERROR_TOL.  Every load is a trace load, the
-    block on the layer y=0 (assemble_trace_load): `solve` transforms it (`to_modes`),
-    scales the profiles, transforms all layers back, checks the result with `apply`,
-    independent of both, and returns the field with its relative residual.  So the trace
-    response is diagonal in sine modes, profiles[0]: the optimizer loop iterates there
-    and certifies its outputs through `solve` (control._descend).  The graded
-    y-direction is never diagonalized; its mass matrix is too badly conditioned.
+    K = (My (x) Sx + Sy (x) Mx) / d_s on a uniform base mesh.  The interior base factors
+    are Toeplitz, S1 = (2I - E)/h and M1 = h(4I + E)/6 with E the neighbour sum, so
+    K = sum_t T_t (x) N_t with N_t the t-th elementary symmetric polynomial of E_1, .., E_n
+    and each T_t a y-tridiagonal: `apply` computes K x with one shift-sum per base
+    direction, and `norm1` is the exact ||K||_1.  The sine matrix Q diagonalizes the base
+    factors (fast diagonalization, Lynch-Rice-Thomas), Q M Q = diag(mass_modes) for the
+    base mass M: each base mode j leaves one SPD tridiagonal system (a_j My + b_j Sy) / d_s
+    in y (modes whose index tuples sort alike share one), all solved at assembly by one
+    vectorized elimination for a unit load on the layer y=0; `profiles[:, j]` is the
+    y-profile of mode j, rejected if its backward error exceeds BACKWARD_ERROR_TOL.  Every
+    load is a trace load, the block on the layer y=0 (assemble_trace_load): `solve`
+    transforms it (`to_modes`), scales the profiles, transforms all layers back, checks the
+    result with `apply`, independent of both, and returns the field with its relative
+    residual.  So the trace response is diagonal in sine modes, profiles[0]: the optimizer
+    loop iterates there and certifies its outputs through `solve` (control._descend).  The
+    graded y-direction is never diagonalized; its mass matrix is too badly conditioned.
     """
 
     def __init__(self, mesh: TensorMesh, layer_bands: Tuple[Tuple[np.ndarray, np.ndarray], ...],
@@ -347,32 +355,20 @@ class CylinderOperator:
 
     def to_modes(self, layers: np.ndarray) -> np.ndarray:
         """Sine transform of a layer, or of each row, in every base direction; an involution."""
-        Q = self._sine
-        if self.mesh.n == 1:
-            return layers @ Q
-        m = len(Q)
-        return (Q @ layers.reshape(-1, m, m) @ Q).reshape(layers.shape)
+        return _separable(layers, self._sine, self._sine, self.mesh.n)
 
     def load_modes_of_cells(self, z: np.ndarray) -> np.ndarray:
-        """Sine modes of the trace load of cell values z, one per base cell (x1 fastest):
-        W z at n=1 and W Z W^T at n=2, Z the grid of cell values.  The same as `to_modes` of
-        `assemble_trace_load` at the points, up to rounding, without visiting them."""
-        W = self._cell_sine
-        if self.mesh.n == 1:
-            return W @ z
-        N = W.shape[1]
-        return (W @ z.reshape(N, N) @ W.T).ravel()
+        """Sine modes of the trace load of cell values z, one per base cell (x1 fastest), or of
+        each row: W along every base axis.  The same as `to_modes` of `assemble_trace_load` at
+        the points, up to rounding, without visiting them."""
+        return _separable(z, self._cell_sine, self._cell_sine.T, self.mesh.n)
 
     def cell_averages_of_modes(self, p_hat: np.ndarray) -> np.ndarray:
-        """Cell averages of the trace with sine modes p_hat, the transpose of
-        `load_modes_of_cells` over the cell volume: W^T p_hat / |cell| at n=1 and
-        W^T P W / |cell| at n=2, P the grid of modes.  The same as
-        `TraceField.cell_averages` of `to_modes(p_hat)`, up to rounding."""
-        W, volume = self._cell_sine, self.mesh.base.cell_volume
-        if self.mesh.n == 1:
-            return (p_hat @ W) / volume
-        m = len(W)
-        return (W.T @ p_hat.reshape(m, m) @ W).ravel() / volume
+        """Cell averages of the trace with sine modes p_hat, or of each row: the transpose of
+        `load_modes_of_cells` over the cell volume.  The same as `TraceField.cell_averages` of
+        `to_modes(p_hat)`, up to rounding."""
+        W = self._cell_sine
+        return _separable(p_hat, W.T, W, self.mesh.n) / self.mesh.base.cell_volume
 
     def residual(self, x: np.ndarray, b: np.ndarray) -> float:
         """|K x - b|, the Euclidean norm of the residual of x for the trace load b,
@@ -448,12 +444,13 @@ def _assemble_parts(n: int, N: int, y_nodes: bytes, s: float):
     M, m, h = len(scoef), N - 1, 1.0 / N
     (sy, sy_up), (my, my_up) = ((d[:M], o[:M - 1]) for d, o in y_bands)  # free layers
     sd, so, md, mo = 2.0 / h, -1.0 / h, 2.0 * h / 3.0, h / 6.0  # interior S1, M1 (Toeplitz)
-    stiff, mass = ((sd, so), (md, mo)) if n == 1 else (  # coefficients of N_t in Sx, Mx
-        (2.0 * sd * md, sd * mo + so * md, 2.0 * so * mo), (md * md, md * mo, mo * mo))
+    # coefficients of N_t in Sx = sum_d S1_d prod_{e != d} M1_e and Mx = prod_d M1_d
+    stiff = tuple(t * so * math.prod((mo,) * (t - 1) + (md,) * (n - t))
+                  + (n - t) * sd * math.prod((mo,) * t + (md,) * (n - 1 - t)) for t in range(n + 1))
+    mass = tuple(math.prod((mo,) * t + (md,) * (n - t)) for t in range(n + 1))
     layer_bands = tuple(((a * my + b * sy) / consts.d_s, (a * my_up + b * sy_up) / consts.d_s)
                         for a, b in zip(stiff, mass))
-    # free unknown (layer, node) -> layer*m^n + node; interior node (i, j) -> j*m + i,
-    # x1 fastest; base mode (k, l) alike
+    # free unknown (layer, node) -> layer*m^n + node, x1 fastest in node and base mode
     Q, mass_modes, sigma, tau, first, system = _base_symbols(n, m, (sd, so), (md, mo))
     a = (sigma / consts.d_s)[:, None]  # My coefficient per system
     b = (tau / consts.d_s)[:, None]  # Sy coefficient

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .control import BoxBounds, ProblemConfig
-from .spectral import ConfigurationError
+from .spectral import ConfigurationError, check_dimension
 
 __all__ = ["ManufacturedProblem", "build_manufactured"]
 
@@ -52,8 +52,7 @@ class ManufacturedProblem:
 def build_manufactured(s: float, n: int = 2, mu: float = 1.0) -> ManufacturedProblem:
     if not 0.0 < s < 1.0:
         raise ConfigurationError(f"s must be in (0,1), got {s}")
-    if n not in (1, 2):
-        raise ConfigurationError(f"dimension n must be 1 or 2, got {n}")
+    check_dimension(n)
     lam = 4.0 * n * math.pi**2  # mode (2, .., 2)
 
     def ubar(*x):

@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .spectral import ConfigurationError
+from .spectral import ConfigurationError, check_dimension
 
 __all__ = [
     "BasePartition",
@@ -31,8 +31,7 @@ __all__ = [
 
 def first_eigenvalue(n: int) -> float:
     """Smallest Dirichlet eigenvalue on (0,1)^n: n*pi^2."""
-    if n not in (1, 2):
-        raise ConfigurationError(f"dimension n must be 1 or 2, got {n}")
+    check_dimension(n)
     return n * math.pi**2
 
 
@@ -47,7 +46,7 @@ def _lattice(points_per_side: int, n: int) -> np.ndarray:
 
 
 class BasePartition:
-    """Uniform structured partition of (0,1)^n, n in {1, 2}.
+    """Uniform structured partition of (0,1)^n, n in spectral.DIMENSIONS.
 
     The single definition of the numbering: node (i_1, .., i_n) of the grid
     is i_1 + i_2 (N+1) + .., x1 fastest (`node_numbers`), and so are the
@@ -57,8 +56,7 @@ class BasePartition:
     """
 
     def __init__(self, n: int, cells_per_side: int):
-        if n not in (1, 2):
-            raise ConfigurationError(f"dimension n must be 1 or 2, got {n}")
+        check_dimension(n)
         if cells_per_side < 1:
             raise ConfigurationError(f"cells_per_side must be >= 1, got {cells_per_side}")
         self.n = n
@@ -153,8 +151,7 @@ class TensorMesh:
 
 def balanced_resolution(target_dofs: int, n: int) -> int:
     """Cells per base side and layer count M, one number: M^(n+1) ~ target."""
-    if n not in (1, 2):
-        raise ConfigurationError(f"dimension n must be 1 or 2, got {n}")
+    check_dimension(n)
     if target_dofs < 2 ** (n + 1):
         raise ConfigurationError(f"target_dofs must be >= {2**(n+1)} for n={n}")
     return max(1, round(target_dofs ** (1.0 / (n + 1))))

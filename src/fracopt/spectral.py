@@ -18,6 +18,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 Mode = Tuple[int, ...]
+DIMENSIONS = (1, 2)  # the base domains (0,1)^n the solver covers
 
 __all__ = [
     "FractionalConstants",
@@ -29,6 +30,12 @@ __all__ = [
 
 class ConfigurationError(ValueError):
     """Raised for unsupported domains, orders or mesh parameters."""
+
+
+def check_dimension(n: int) -> None:
+    """Refuse a base dimension n outside DIMENSIONS."""
+    if n not in DIMENSIONS:
+        raise ConfigurationError(f"dimension n must be one of {DIMENSIONS}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -59,8 +66,7 @@ class FractionalConstants:
 
 
 def _check_mode(modes: Mode, n: int) -> None:
-    if n not in (1, 2):
-        raise ConfigurationError(f"dimension n must be 1 or 2, got {n}")
+    check_dimension(n)
     if len(modes) != n or any((not isinstance(k, (int, np.integer))) or k < 1 for k in modes):
         raise ConfigurationError(f"invalid eigenindex {modes!r} for n={n}")
 

@@ -387,6 +387,15 @@ def test_solve_matches_sparse_direct_reference(n, N, M, c, s, graded):
     assert np.linalg.norm(t - x[:nt]) <= 1e-13 * np.linalg.norm(x[:nt])
 
 
+def _literal_coefficients(n, N):
+    """Coefficients of N_t in Sx and Mx on the base mesh of N cells per side, written out
+    per dimension: the reference for fem's formulas in n."""
+    h = 1.0 / N
+    sd, so, md, mo = 2.0 / h, -1.0 / h, 2.0 * h / 3.0, h / 6.0
+    return ((sd, so), (md, mo)) if n == 1 else (
+        (2.0 * sd * md, sd * mo + so * md, 2.0 * so * mo), (md * md, md * mo, mo * mo))
+
+
 def _per_mode_reference(mesh, s, c=0.0):
     """The operator assembled mode by mode: y-bands from weighted_interval_integrals,
     textbook base factors and their symbols diag(Q S1 Q), diag(Q M1 Q), and one
@@ -398,8 +407,7 @@ def _per_mode_reference(mesh, s, c=0.0):
     Sy, My = extended_direction_matrices(mesh.extended.nodes, consts.alpha)
     (sy, sy_up), (my, my_up) = ((A.diagonal()[:M], A.diagonal(1)[:M - 1]) for A in (Sy, My))
     sd, so, md, mo = 2.0 / h, -1.0 / h, 2.0 * h / 3.0, h / 6.0
-    stiff, mass = ((sd, so), (md, mo)) if mesh.n == 1 else (
-        (2.0 * sd * md, sd * mo + so * md, 2.0 * so * mo), (md * md, md * mo, mo * mo))
+    stiff, mass = _literal_coefficients(mesh.n, N)
     layer_bands = [(((a + c * b) * my + b * sy) / consts.d_s,
                     ((a + c * b) * my_up + b * sy_up) / consts.d_s) for a, b in zip(stiff, mass)]
     k = np.arange(1, m + 1)
@@ -500,6 +508,63 @@ def test_cell_maps_match_the_load_assembly_and_the_cell_averages(n, N):
     averages = TraceField(mesh.base, op.to_modes(p_hat)).cell_averages()
     got = op.cell_averages_of_modes(p_hat)
     assert np.linalg.norm(got - averages) <= 1e-14 * np.linalg.norm(averages)
+
+
+def _literal_symbols(n, m, stiff, mass):
+    """_base_symbols written out per dimension: at n=2 the systems k <= l by triu_indices
+    and mass_modes by np.outer."""
+    Q = fem._sine_maps(m)[0]
+    S1Q, M1Q = (fem._band_apply(np.full(m, d), np.full(m - 1, o), Q) for d, o in (stiff, mass))
+    sigma, tau = np.diag(Q @ S1Q), np.diag(Q @ M1Q)
+    mass_modes, first, system = tau, np.arange(m), np.arange(m)
+    if n == 2:
+        k, l = np.triu_indices(m)
+        first, system = k * m + l, np.empty((m, m), dtype=np.intp)
+        system[k, l] = system[l, k] = np.arange(len(k))
+        mass_modes, system = np.outer(tau, tau).ravel(), system.ravel()
+        sigma, tau = tau[k] * sigma[l] + sigma[k] * tau[l], tau[k] * tau[l]
+    return Q, mass_modes, sigma, tau, first, system
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", [3, 16, 33, 99, 127])
+def test_the_maps_and_symbols_in_n_are_the_per_dimension_forms_bit_for_bit(n, m):
+    # one code path for every n rounds as the n=1 and n=2 expressions it replaced; a
+    # flattened n=2 transform, (Q @ X).reshape(L m, m) @ Q, differs by 4-6e-16 at m=99
+    N, rng = m + 1, np.random.default_rng(m)
+    op = assemble_stiffness(small_mesh(n=n, N=N, M=2), 0.5)
+    Q, W, volume = op._sine, op._cell_sine, op.mesh.base.cell_volume
+    for rows in ((), (3,)):  # one layer, and a stack of them
+        x, z = rng.standard_normal(rows + (m**n,)), rng.standard_normal(rows + (N**n,))
+        if n == 1:
+            want = (x @ Q, W @ z if not rows else (W @ z.T).T, (x @ W) / volume)
+        else:
+            X, Z = x.reshape(-1, m, m), z.reshape(-1, N, N)
+            want = ((Q @ X @ Q).reshape(x.shape), (W @ Z @ W.T).reshape(x.shape),
+                    (W.T @ X @ W).reshape(z.shape) / volume)
+        got = (op.to_modes(x), op.load_modes_of_cells(z), op.cell_averages_of_modes(x))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
+    stiff, mass = _literal_coefficients(1, N)  # the bands of S1, M1
+    got, want = fem._base_symbols(n, m, stiff, mass), _literal_symbols(n, m, stiff, mass)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert got[1].strides == want[1].strides  # mass_modes: the loop's dot products round by it
+
+
+@pytest.mark.parametrize("n, N", [(1, 4), (1, 128), (2, 4), (2, 100), (2, 953)])
+def test_the_layer_bands_take_the_literal_coefficients_bit_for_bit(n, N):
+    # N=953 is the smallest n=2 base mesh where mo**2 (pow) rounds apart from mo * mo; a
+    # first layer thinner than h carries that difference into the bands
+    mesh, s = small_mesh(n=n, N=N, M=2, gamma=default_grading(0.1), Y=2.0), 0.1
+    consts = FractionalConstants.from_order(s)
+    Sy, My = extended_direction_matrices(mesh.extended.nodes, consts.alpha)
+    (sy, sy_up), (my, my_up) = ((A.diagonal()[:2], A.diagonal(1)[:1]) for A in (Sy, My))
+    want = [((a * my + b * sy) / consts.d_s, (a * my_up + b * sy_up) / consts.d_s)
+            for a, b in zip(*_literal_coefficients(n, N))]
+    got = assemble_stiffness(mesh, s)._layer_bands
+    assert len(got) == n + 1
+    for (d, o), (d_want, o_want) in zip(got, want):
+        assert np.array_equal(d, d_want) and np.array_equal(o, o_want)
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -105,6 +105,24 @@ def test_the_library_imports_no_scipy_and_runs_without_it():
     assert result.stdout.strip() == "[]"
 
 
+def test_the_operator_compares_no_dimension_with_a_number():
+    # fem is one code path for every base dimension: formulas in n, not branches on it
+    path = ROOT / "src" / "fracopt" / "fem.py"
+
+    def is_n(node):
+        return getattr(node, "id", None) == "n" or getattr(node, "attr", None) == "n"
+
+    def is_number(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(is_number(e) for e in node.elts)
+        return isinstance(node, ast.Constant) and isinstance(node.value, int)
+
+    found = [f"line {node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Compare) and any(map(is_n, [node.left, *node.comparators]))
+             and any(map(is_number, [node.left, *node.comparators]))]
+    assert not found, f"fem.py compares the dimension with a number: {found}"
+
+
 def test_readme_command_line_names_the_parsers_commands_and_flags():
     from fracopt.cli import build_parser
 

@@ -14,12 +14,27 @@ from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from fracopt import (
+    BasePartition,
     ConfigurationError,
     FractionalConstants,
+    balanced_resolution,
     bessel_K,
+    build_manufactured,
     eigenpair,
     extension_profile,
+    first_eigenvalue,
 )
+
+
+@pytest.mark.parametrize("entry", [
+    first_eigenvalue, lambda n: BasePartition(n, 4), lambda n: balanced_resolution(1000, n),
+    lambda n: eigenpair((1,) * n, n), lambda n: build_manufactured(0.5, n),
+], ids=["first_eigenvalue", "BasePartition", "balanced_resolution", "eigenpair",
+        "build_manufactured"])
+@pytest.mark.parametrize("n", [0, 3])
+def test_every_entry_point_refuses_a_dimension_outside_the_rule(entry, n):
+    with pytest.raises(ConfigurationError, match="dimension n must be one of"):
+        entry(n)
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +100,6 @@ def test_eigenpair_rejects_bad_input():
         eigenpair((0,), 1)
     with pytest.raises(ConfigurationError):
         eigenpair((1, 1), 1)
-    with pytest.raises(ConfigurationError):
-        eigenpair((1, 1, 1), 3)
     _, phi = eigenpair((1, 2), 2)  # the evaluator takes one coordinate per dimension
     with pytest.raises((TypeError, ValueError)):
         phi(0.5)

@@ -16,7 +16,10 @@ feasible, and no accepted step raises the cost.  The loop keeps its state,
 adjoint and trial increments in the sine modes of the base mesh, where the
 trace solve and the trace mass matrix are diagonal; the state and adjoint
 it returns, and the cost and fixed-point residual taken from them, are
-solved in full and certified against the stiffness operator.  A non-finite
+solved in full and certified against the stiffness operator by
+ReducedProblem.evaluate, the one code that certifies a control;
+optimality_residuals adds only the minima of the variational inequality of a
+fully discrete control over the box, sampled and exact.  A non-finite
 mu or bound, a tol below 0 or NaN, or an rp of another problem or mesh is refused.
 """
 
@@ -95,10 +98,6 @@ class ControlField:
                 f"control needs {self.base.n_cells} cell values, got {self.cell_values.shape}"
             )
 
-    @classmethod
-    def constant(cls, base: BasePartition, value: float) -> "ControlField":
-        return cls(base, np.full(base.n_cells, float(value)))
-
 
 @dataclass(frozen=True)
 class ProblemConfig:
@@ -141,8 +140,8 @@ class ReducedCostReport:
 
 class ReducedProblem:
     """Shared machinery: assembled operator, quadrature data, and the only definitions
-    of the cost (`cost`), the gradient and fixed-point residual (`optimality`) and the
-    certified evaluation at a control (`evaluate`).
+    of the cost (`cost`), the gradient and fixed-point residual (`fixed_point`) and the
+    certified evaluation at a control (`evaluate`), the one code that certifies a control.
 
     The misfit integral, the adjoint load and the per-cell gradient all use
     the same degree-4-exact rule, which makes the discrete gradient exact
@@ -190,22 +189,6 @@ class ReducedProblem:
         """J = (||r||^2 + mu ||G||^2) / 2 for control values G and mismatch r at the points."""
         return 0.5 * self.quad.integrate(r * r + self.problem.mu * G * G)
 
-    def optimality(self, G: np.ndarray, p: np.ndarray, scheme: str):
-        """Gradient g = mu G + restrict(p) at the points for control values G there and
-        adjoint trace p, the fixed-point target proj(G - step g) and the residual
-        ||G - target||_L2.  The scheme fixes restrict and step: cell averages (exact for
-        the multilinear trace, at every point of the cell) and 1, fully discrete; the
-        values at the points and 1/mu, variational."""
-        mu = self.problem.mu
-        if scheme == "fully_discrete":
-            restricted, step = self.cell_point_values(
-                TraceField(self.mesh.base, p).cell_averages()), 1.0
-        elif scheme == "variational":
-            restricted, step = self.at_points(p), 1.0 / mu
-        else:
-            raise ConfigurationError(f"unknown scheme {scheme!r}")
-        return self.fixed_point(G, restricted, step, self.quad.integrate)
-
     def fixed_point(self, x: np.ndarray, restricted: np.ndarray, step: float,
                     integrate: Callable):
         """Gradient g = mu x + restricted for control values x and the adjoint trace
@@ -224,7 +207,14 @@ class ReducedProblem:
         with V and P, and the profiles' backward error.  The state is affine in G, so
         `v_hat`, the state trace in sine modes that the optimizer loop accumulated for G,
         must equal tr V up to rounding; a relative gap above TRACE_GAP_RTOL raises
-        SolverError."""
+        SolverError.
+
+        The gradient is g = mu G + restrict(tr P) at the points, and the fixed-point residual
+        ||G - proj(G - step g)||_L2 (fixed_point).  The scheme fixes restrict and step: cell
+        averages (exact for the multilinear trace, at every point of the cell) and 1, fully
+        discrete; the values at the points and 1/mu, variational."""
+        if scheme not in ("fully_discrete", "variational"):
+            raise ConfigurationError(f"unknown scheme {scheme!r}")
         op, quad = self.op, self.quad
         V, state_res = op.solve(assemble_trace_load(self.mesh, self.load(G), quad=quad))
         v_cert = V.trace().values
@@ -240,7 +230,13 @@ class ReducedProblem:
         if v_hat is not None:
             certificate["trace_gap"] = gap
         certificate["profile_backward_error"] = op.profile_backward_error
-        g, _, fp_res = self.optimality(G, P.trace().values, scheme)
+        p = P.trace().values
+        if scheme == "fully_discrete":
+            restricted, step = self.cell_point_values(
+                TraceField(self.mesh.base, p).cell_averages()), 1.0
+        else:
+            restricted, step = self.at_points(p), 1.0 / self.problem.mu
+        g, _, fp_res = self.fixed_point(G, restricted, step, quad.integrate)
         cells = (g[:, 0] if scheme == "fully_discrete"  # constant per cell: averaging rounds it
                  else g @ quad.weights / self.mesh.base.cell_volume)
         return V, P, ReducedCostReport(
@@ -358,14 +354,6 @@ def _reduced_problem(problem: ProblemConfig, mesh: TensorMesh, rp: Optional[Redu
     return rp if rp is not None else ReducedProblem(problem, mesh)
 
 
-def _residual(rp: ReducedProblem, x: np.ndarray, point_values: np.ndarray):
-    """|b - K x| and its relative value (absolute for b = 0), b the load of
-    the values at the points."""
-    b = assemble_trace_load(rp.mesh, point_values, quad=rp.quad)
-    r, nb = rp.op.residual(x, b), float(np.linalg.norm(b))
-    return r, r / nb if nb > 0 else r
-
-
 def _price(rp: ReducedProblem, space: _ControlSpace, rho: np.ndarray, x: np.ndarray,
            dx: np.ndarray):
     """Solve for the state trace of the increment dx, d_hat in sine modes.  The cost of
@@ -457,13 +445,8 @@ def solve_variational(
 
 @dataclass
 class OptimalityResiduals:
-    state_residual: float
-    state_residual_rel: float
-    adjoint_residual: float
-    adjoint_residual_rel: float
     vi_violation_min: float
     vi_violation_exact: float
-    fixed_point_residual: float
 
 
 def optimality_residuals(
@@ -475,22 +458,20 @@ def optimality_residuals(
     rp: Optional[ReducedProblem] = None,
     seed: int = 0,
 ) -> OptimalityResiduals:
-    """Certify first-order optimality of a fully-discrete solve.
-
-    Reports the algebraic residuals of the state/adjoint systems and the
-    smallest sampled value of (tr P + mu Z, Z_test - Z) over VI_SAMPLES random
-    feasible piecewise-constant controls; nonnegative up to tolerance at an optimum.
+    """The variational inequality (g, Z_test - Z) >= 0 of a fully discrete control Z with
+    adjoint P, g = mu Z + the cell averages of tr P, by its minimum over the box: sampled,
+    the smallest value over VI_SAMPLES random feasible piecewise-constant controls, and
+    exact, the separable minimum; nonnegative up to tolerance at an optimum.  The solves
+    behind Z are certified by the report of the solver (ReducedProblem.evaluate), so V is
+    not read, and an rp, if given, is only checked to be this problem's on this mesh.
     The samples are drawn uniformly in the box from default_rng(seed), one control per
     row, and streamed: consecutive blocks of about VI_BLOCK_VALUES values, Z subtracted in
     place, with a running minimum; so the check holds one block (256 KiB, or one row if a
     row is larger), not the VI_SAMPLES x n_cells sample, and draws the same stream.
     """
-    rp = _reduced_problem(problem, mesh, rp)
-    G = rp.cell_point_values(Z.cell_values)
-    r_state, rel_state = _residual(rp, V.free_values, rp.load(G))
-    r_adj, rel_adj = _residual(rp, P.free_values, rp.mismatch(V.trace().values))
-    g_points, _, fp = rp.optimality(G, P.trace().values, "fully_discrete")
-    g = g_points[:, 0]  # one value per cell
+    if rp is not None:
+        _reduced_problem(problem, mesh, rp)
+    g = problem.mu * Z.cell_values + TraceField(mesh.base, P.trace().values).cell_averages()
     a, b, n_cells = problem.bounds.a, problem.bounds.b, mesh.base.n_cells
     rng, rows, vi = np.random.default_rng(seed), max(1, VI_BLOCK_VALUES // n_cells), math.inf
     for start in range(0, VI_SAMPLES, rows):
@@ -501,13 +482,4 @@ def optimality_residuals(
     # exact separable minimum over the box (equivalent to the projection test)
     vi_exact = float(np.minimum(g * (a - Z.cell_values), g * (b - Z.cell_values)).sum()
                      * mesh.base.cell_volume)
-
-    return OptimalityResiduals(
-        state_residual=r_state,
-        state_residual_rel=rel_state,
-        adjoint_residual=r_adj,
-        adjoint_residual_rel=rel_adj,
-        vi_violation_min=vi,
-        vi_violation_exact=vi_exact,
-        fixed_point_residual=fp,
-    )
+    return OptimalityResiduals(vi_violation_min=vi, vi_violation_exact=vi_exact)

@@ -370,18 +370,13 @@ class CylinderOperator:
         W = self._cell_sine
         return _separable(p_hat, W.T, W, self.mesh.n) / self.mesh.base.cell_volume
 
-    def residual(self, x: np.ndarray, b: np.ndarray) -> float:
-        """|K x - b|, the Euclidean norm of the residual of x for the trace load b,
-        formed in place on the trace rows."""
+    def _contract_met(self, x: np.ndarray, b: np.ndarray, bnorm: float) -> Tuple[bool, float]:
+        """Residual contract and residual norm |K x - b|, formed in place on the trace rows:
+        relative residual below tolerance, or the solution exact to machine backward error
+        (the relative residual cannot be evaluated below eps*|K||x|/|b| in double precision)."""
         r = self.apply(x)
         r[: self.mesh.n_trace] -= b
-        return float(np.linalg.norm(r))
-
-    def _contract_met(self, x: np.ndarray, b: np.ndarray, bnorm: float) -> Tuple[bool, float]:
-        """Residual contract and residual norm: relative residual below tolerance,
-        or the solution exact to machine backward error (the relative residual
-        cannot be evaluated below eps*|K||x|/|b| in double precision)."""
-        rnorm = self.residual(x, b)
+        rnorm = float(np.linalg.norm(r))
         if rnorm <= SOLVER_RTOL * bnorm:
             return True, rnorm
         eta = rnorm / (self.norm1 * float(np.linalg.norm(x)) + bnorm)

@@ -278,7 +278,7 @@ def test_zero_load_vector():
 def test_load_refuses_cell_values_and_controls(n):
     # a load is a callable or its values at the points; per-cell data must be spread to them
     mesh = small_mesh(n=n, N=4, M=3)
-    Z = ControlField.constant(mesh.base, 1.0)
+    Z = ControlField(mesh.base, np.full(mesh.base.n_cells, 1.0))
     quad = fem.BaseQuadrature(mesh.base, 3)
     for r, shape in ((Z, r"\(\)"), (Z.cell_values, rf"\({mesh.base.n_cells},\)"),
                      (cell_load(mesh, Z.cell_values).T, "")):

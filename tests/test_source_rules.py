@@ -8,7 +8,8 @@ leaves scipy.special unloaded.  More broadly it runs on numpy alone:
 no source imports scipy, which the tests keep as their oracle, and a fresh
 interpreter with scipy blocked imports fracopt, assembles and solves, and
 loads no scipy module; scipy.linalg alone adds about 150 ms to every fresh
-process, and import time bounds a run's setup.  The
+process, and import time bounds a run's setup.  In control only
+ReducedProblem.evaluate solves, so a control is certified on one path.  The
 README's command-line section names exactly the CLI's subcommands and flags,
 so a removed one cannot stay documented.  Every name a module exports in
 `__all__` has a use outside the tests: in the library beyond its own
@@ -121,6 +122,29 @@ def test_the_operator_compares_no_dimension_with_a_number():
              if isinstance(node, ast.Compare) and any(map(is_n, [node.left, *node.comparators]))
              and any(map(is_number, [node.left, *node.comparators]))]
     assert not found, f"fem.py compares the dimension with a number: {found}"
+
+
+def test_control_certifies_a_control_on_one_path():
+    # ReducedProblem.evaluate makes the checked state and adjoint solves and keeps their
+    # residuals as the certificate; no other control code solves, applies K or forms a
+    # residual, so nothing works the certificate out a second time
+    path = ROOT / "src" / "fracopt" / "control.py"
+    calls = []  # (enclosing class and function, method, line)
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in ("solve", "residual", "apply")):
+                calls.append((scope, child.func.attr, child.lineno))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+    visit(ast.parse(path.read_text()), "")
+    assert ("ReducedProblem.evaluate", "solve") in {call[:2] for call in calls}
+    stray = [f"line {line}: {scope or 'module'} calls .{method}("
+             for scope, method, line in calls
+             if (scope, method) != ("ReducedProblem.evaluate", "solve")]
+    assert not stray, f"control.py certifies off the exit evaluation: {stray}"
 
 
 def test_readme_command_line_names_the_parsers_commands_and_flags():

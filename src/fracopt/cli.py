@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from typing import Dict, Optional, Sequence, Tuple
 
+from .control import SCHEMES
 from .spectral import DIMENSIONS, ConfigurationError
 from .study import (
     StudyConfig,
@@ -81,11 +83,9 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
                        default="1,2,3,4,5" if name == "truncation" else None,
                        help="height override (comma list = heights of the truncation study)")
         p.add_argument("--tol", type=float, default=1e-8, help="optimizer fixed-point tolerance")
-        p.add_argument("--seed", type=int, default=0, help="seed for the VI sampling check")
         p.add_argument("--out", default=f"fracopt_{name.replace('-', '_')}",
                        help="output prefix for .csv/.json")
-        p.add_argument("--scheme", default="fully_discrete",
-                       choices=("fully_discrete", "variational"))
+        p.add_argument("--scheme", default="fully_discrete", choices=SCHEMES)
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--verbose", action="store_true", help="debug log to stderr")
     return parser, commands
@@ -117,9 +117,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if Y and len(Y) > 1:
             raise ConfigurationError(f"{args.command} runs at one height, got {len(Y)} in "
                                      f"--truncation-Y")
+        # refused before the study runs; "d/." resolves only where d is a directory
+        if not os.access(os.path.join(os.path.dirname(args.out), "."), os.W_OK):
+            raise ConfigurationError(f"--out {args.out}: its directory is missing or read-only")
         cfg = StudyConfig(s_values=args.s, n=args.n, gamma=args.gamma, tol=args.tol,
                           dof_targets=args.dofs or _default_dofs(args.command, args.n),
-                          truncation_Y=Y[0] if Y else None, scheme=args.scheme, seed=args.seed)
+                          truncation_Y=Y[0] if Y else None, scheme=args.scheme)
         if args.command == "control-rates":
             records = run_rate_study(cfg)
         elif args.command == "oracle-check":

@@ -6,9 +6,10 @@ meshed but represented through the clamped adjoint trace.  Both solve the
 same first-order system z = proj(-tr P / mu) with one projected descent
 loop, on the control in its scheme's space: one value per base cell (fully
 discrete) or the values at the load quadrature points (variational).  The
-schemes differ only in that space, with its maps to and from the sine modes
-of the base mesh and the restriction of the adjoint trace to it, the step of
-the fixed-point residual, and the step length t of the search:
+schemes, named in SCHEMES, differ only in what _control_space fixes: that
+space, with its maps to and from the sine modes of the base mesh and the
+restriction of the adjoint trace to it, the step of the fixed-point residual,
+the step length t of the search and the report's gradient per cell:
 each iteration moves to the cost-minimizing point on the segment towards
 proj(G - t g), with t = 1/mu (variational, the target proj(-tr P / mu)) or
 the adaptive Barzilai-Borwein step (fully discrete).  Every iterate is
@@ -61,6 +62,7 @@ __all__ = [
 # The fully discrete search takes the short Barzilai-Borwein step where it is
 # below this fraction of the long one (the adaptive rule of Zhou, Gao and Dai, 2006).
 BB_SHORT_STEP_RATIO = 0.5
+SCHEMES = ("fully_discrete", "variational")  # the control schemes (_control_space)
 # Relative gap allowed between the state trace accumulated over the loop's
 # modal solves and the trace of the certified state; measured gaps stay below 1e-15.
 TRACE_GAP_RTOL = 1e-10
@@ -77,6 +79,12 @@ class BoxBounds:
     def __post_init__(self):
         if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a <= self.b):
             raise ConfigurationError(f"box bounds need finite a <= b, got ({self.a}, {self.b})")
+
+
+def check_scheme(scheme: str) -> None:
+    """Refuse a scheme name outside SCHEMES."""
+    if scheme not in SCHEMES:
+        raise ConfigurationError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
 
 
 def project_box(v, bounds: BoxBounds):
@@ -210,11 +218,9 @@ class ReducedProblem:
         SolverError.
 
         The gradient is g = mu G + restrict(tr P) at the points, and the fixed-point residual
-        ||G - proj(G - step g)||_L2 (fixed_point).  The scheme fixes restrict and step: cell
-        averages (exact for the multilinear trace, at every point of the cell) and 1, fully
-        discrete; the values at the points and 1/mu, variational."""
-        if scheme not in ("fully_discrete", "variational"):
-            raise ConfigurationError(f"unknown scheme {scheme!r}")
+        ||G - proj(G - step g)||_L2 (fixed_point).  The scheme's space (_control_space),
+        built before any solve, fixes restrict, step and the gradient's cell values."""
+        space = _control_space(self, scheme)
         op, quad = self.op, self.quad
         V, state_res = op.solve(assemble_trace_load(self.mesh, self.load(G), quad=quad))
         v_cert = V.trace().values
@@ -230,62 +236,79 @@ class ReducedProblem:
         if v_hat is not None:
             certificate["trace_gap"] = gap
         certificate["profile_backward_error"] = op.profile_backward_error
-        p = P.trace().values
-        if scheme == "fully_discrete":
-            restricted, step = self.cell_point_values(
-                TraceField(self.mesh.base, p).cell_averages()), 1.0
-        else:
-            restricted, step = self.at_points(p), 1.0 / self.problem.mu
-        g, _, fp_res = self.fixed_point(G, restricted, step, quad.integrate)
-        cells = (g[:, 0] if scheme == "fully_discrete"  # constant per cell: averaging rounds it
-                 else g @ quad.weights / self.mesh.base.cell_volume)
+        restricted = space.at_points(space.restrict_nodes(P.trace().values))
+        g, _, fp_res = self.fixed_point(G, restricted, space.step, quad.integrate)
         return V, P, ReducedCostReport(
-            j=self.cost(G, r), gradient=ControlField(self.mesh.base, cells), vi_residual=fp_res,
-            certificate=certificate)
+            j=self.cost(G, r), gradient=ControlField(self.mesh.base, space.cell_gradient(g)),
+            vi_residual=fp_res, certificate=certificate)
 
 
 @dataclass(frozen=True)
 class _ControlSpace:
-    """Where a scheme's loop keeps its control x, and the maps between x and the sine modes
-    of the base mesh: `load_modes(dx)`, Q B of the load of an increment dx;
-    `restrict(p_hat)`, the trace with sine modes p_hat restricted to the space;
+    """All that a scheme fixes: where its loop keeps the control x, and the maps between x
+    and the sine modes of the base mesh: `load_modes(dx)`, Q B of the load of an increment
+    dx; `restrict(p_hat)`, the trace with sine modes p_hat restricted to the space;
     `integrate(values)`, the integral of a function given by its values there;
     `at_points(x)`, the values of x at the load quadrature points, where the start and the
-    exit take them; and `step`, the t of the fixed-point residual ||x - proj(x - t g)||."""
+    exit take them; `step`, the t of the fixed-point residual ||x - proj(x - t g)||;
+    `search(x, g, target, previous)`, the end of the segment the loop prices (_descend);
+    and the exit's `restrict_nodes(p)`, the trace with node values p restricted to the space
+    without the loop's maps, and `cell_gradient(g)`, the per-cell gradient from g at the points."""
 
     load_modes: Callable
     restrict: Callable
     integrate: Callable
     at_points: Callable
     step: float
+    search: Callable
+    restrict_nodes: Callable
+    cell_gradient: Callable
 
 
 def _control_space(rp: ReducedProblem, scheme: str) -> _ControlSpace:
     """Fully discrete: one value per base cell, mapped to and from the sine modes through
-    W = Q B (CylinderOperator.load_modes_of_cells, cell_averages_of_modes).  Variational:
-    the values at the points, through the load assembly and the interpolation there."""
-    op = rp.op
+    W = Q B (CylinderOperator.load_modes_of_cells, cell_averages_of_modes), step 1, the
+    Barzilai-Borwein search and the exit's cell averages.  Variational: the values at the
+    points, through the load assembly and the interpolation there, step 1/mu and its target
+    proj(-tr P / mu) as the search's.  check_scheme refuses any other scheme."""
+    check_scheme(scheme)
+    op, mu, volume = rp.op, rp.problem.mu, rp.mesh.base.cell_volume
     if scheme == "fully_discrete":
-        volume = rp.mesh.base.cell_volume
-        return _ControlSpace(op.load_modes_of_cells, op.cell_averages_of_modes,
-                             lambda values: volume * float(values.sum()),
-                             rp.cell_point_values, 1.0)
+        def integrate(values):
+            return volume * float(values.sum())
+
+        def search(x, g, target, previous):
+            """proj(x - t g), t the adaptive Barzilai-Borwein step from the last move, previous
+            = (x, g) before it: with s, y the changes of x and g, BB1 = <s,s>/<s,y> and BB2 =
+            <s,y>/<y,y> in the L2 product of the space, BB2 where it is below BB_SHORT_STEP_RATIO
+            BB1, else BB1; 1/mu at the first iteration and where <s,y> <= 0."""
+            t = 1.0 / mu
+            if previous is not None:
+                s, y = x - previous[0], g - previous[1]
+                sy = integrate(s * y)
+                if sy > 0.0:
+                    bb1, bb2 = integrate(s * s) / sy, sy / integrate(y * y)
+                    t = bb2 if bb2 < BB_SHORT_STEP_RATIO * bb1 else bb1
+            return project_box(x - t * g, rp.problem.bounds)
+
+        return _ControlSpace(op.load_modes_of_cells, op.cell_averages_of_modes, integrate,
+                             rp.cell_point_values, 1.0, search,
+                             lambda p: TraceField(rp.mesh.base, p).cell_averages(),
+                             lambda g: g[:, 0])  # constant per cell: averaging rounds it
     return _ControlSpace(rp.load_modes, lambda p_hat: rp.at_points(op.to_modes(p_hat)),
-                         rp.quad.integrate, lambda G: G, 1.0 / rp.problem.mu)
+                         rp.quad.integrate, lambda G: G, 1.0 / mu,
+                         lambda x, g, target, previous: target, rp.at_points,
+                         lambda g: g @ rp.quad.weights / volume)
 
 
 def _descend(rp: ReducedProblem, x: np.ndarray, scheme: str, tol: float,
              max_iterations: int) -> Tuple[np.ndarray, FeField, FeField, ReducedCostReport]:
-    """Projected descent from the feasible control x of the scheme's space (_control_space):
-    one value per base cell, fully discrete; the values at the load quadrature points,
-    variational.
+    """Projected descent from the feasible control x of the scheme's space (_control_space).
 
-    A scheme fixes, besides its space, the step length t of the search: 1/mu,
-    variational (the target is then proj(-tr P / mu)); the adaptive Barzilai-Borwein
-    step, fully discrete (_bb_step).  Shared: each iteration solves once for the state of
-    the increment towards target = proj(x - t g), prices the segment exactly (_price) and
-    moves to its cost-minimizing point theta = min(1, -slope / (2 curvature)).  The loop
-    stops unconverged rather than take a step that does not lower the cost (slope >= 0).
+    Each iteration solves once for the state of the increment towards the target of the
+    space's search, proj(x - t g), prices the segment exactly (_price) and moves to its
+    cost-minimizing point theta = min(1, -slope / (2 curvature)).  The loop stops
+    unconverged rather than take a step that does not lower the cost (slope >= 0).
 
     The loop runs in sine modes, where the trace solve is the scaling by profiles[0]
     (rp.trace_solve) and the trace mass matrix B A = M is diag(mass_modes), B the load
@@ -306,7 +329,7 @@ def _descend(rp: ReducedProblem, x: np.ndarray, scheme: str, tol: float,
     if not max_iterations >= 0:
         raise ConfigurationError(f"max_iterations must be >= 0, got {max_iterations}")
     t_start, solves_before = time.perf_counter(), rp.n_state_solves
-    op, bounds, space = rp.op, rp.problem.bounds, _control_space(rp, scheme)
+    op, space = rp.op, _control_space(rp, scheme)
     G = space.at_points(x)
     v_hat = rp.trace_solve(rp.load_modes(rp.load(G)))
     j = rp.cost(G, rp.mismatch(op.to_modes(v_hat)))
@@ -319,9 +342,7 @@ def _descend(rp: ReducedProblem, x: np.ndarray, scheme: str, tol: float,
         if fp_res <= tol or iterations == max_iterations:
             break
         iterations += 1
-        if scheme == "fully_discrete":
-            target = project_box(x - _bb_step(space, rp.problem.mu, x, g, previous) * g, bounds)
-        dx = target - x
+        dx = space.search(x, g, target, previous) - x
         d_hat, slope, curvature = _price(rp, space, rho, x, dx)
         if not slope < 0.0:
             break  # no point of the segment lowers the cost; keep the last iterate
@@ -366,20 +387,6 @@ def _price(rp: ReducedProblem, space: _ControlSpace, rho: np.ndarray, x: np.ndar
     slope = float(rho @ d_hat) + mu * space.integrate(x * dx)
     curvature = 0.5 * (float(rp.op.mass_modes @ (d_hat * d_hat)) + mu * space.integrate(dx * dx))
     return d_hat, slope, curvature
-
-
-def _bb_step(space: _ControlSpace, mu: float, x: np.ndarray, g: np.ndarray, previous) -> float:
-    """Adaptive Barzilai-Borwein step from the last move, previous = (x, g) before it:
-    with s, y the changes of x and g, BB1 = <s,s>/<s,y> and BB2 = <s,y>/<y,y> in the
-    L2 product of the space, BB2 where it is below BB_SHORT_STEP_RATIO BB1, else BB1.
-    1/mu at the first iteration and where <s,y> <= 0."""
-    if previous is not None:
-        s, y = x - previous[0], g - previous[1]
-        sy = space.integrate(s * y)
-        if sy > 0.0:
-            bb1, bb2 = space.integrate(s * s) / sy, sy / space.integrate(y * y)
-            return bb2 if bb2 < BB_SHORT_STEP_RATIO * bb1 else bb1
-    return 1.0 / mu
 
 
 def solve_fully_discrete(

@@ -17,9 +17,9 @@ tridiagonal solves in y.  A load enters only as a Neumann datum on the face y=0,
 is one value per node of that layer (assemble_trace_load), and the trace response to it is diagonal
 in sine modes, which is all the optimizer loop needs; the fields that leave the
 loop are solved in full and checked: `solve` returns each as a field with its residual.
-A piecewise-constant load reaches the sine modes without the points: W = Q B, cached per
-base mesh next to the sine matrix (_sine_maps), maps cell values to the modes of their
-load, and its transpose maps modes to the cell averages of their trace.
+A piecewise-constant load reaches the sine modes without the points: W = Q B maps cell
+values to the modes of their load, and its transpose maps modes to the cell averages of
+their trace.  One cache entry per base mesh holds Q, W and the base symbols (_base_symbols).
 Assembly keeps its last result: an operator on an equal mesh and order is built around
 the same read-only arrays, so consecutive problems on one mesh assemble once, and one
 assembly (chiefly its profiles, n_free doubles) stays alive after its caller drops it.
@@ -235,30 +235,22 @@ def _column_norm1(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _sine_maps(m: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The orthonormal DST-I matrix Q of the uniform 1D mesh with m interior nodes (Q @ Q = I)
-    and W = Q B, (m, m + 1), B the load of a unit constant on each cell: h/2 on the two
-    interior nodes beside it; cached, so read-only."""
+def _base_symbols(n: int, m: int, stiff: Tuple[float, float], mass: Tuple[float, float]):
+    """Sine modes of the uniform base mesh with m interior nodes per direction and interior
+    factors S1, M1 of Toeplitz bands `stiff`, `mass`; cached, so read-only.  Returns the
+    orthonormal DST-I matrix Q (Q @ Q = I; Q S1 Q, Q M1 Q diagonal), W = Q B, (m, m + 1), B
+    the load of a unit constant on each cell (h/2 on the two interior nodes beside it),
+    mass_modes, and the Sx, Mx symbols sigma, tau of the distinct y-systems.  Base mode
+    (k_1, .., k_n), slowest axis first, has tau = prod_d tau_{k_d} and sigma = sum_d
+    sigma_{k_d} prod_{e != d} tau_{k_e}, which a permutation of the k_d leaves bit for bit,
+    so only the nondecreasing index tuples are listed; `first` is the base mode of each
+    system, `system` the reverse map."""
     k = np.arange(1, m + 1)
     Q = math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
     W = np.zeros((m, m + 1))
     W[:, :-1] = Q  # cell c lies between the interior nodes c - 1 and c
     W[:, 1:] += Q
     W *= 0.5 / (m + 1)
-    Q.flags.writeable = W.flags.writeable = False
-    return Q, W
-
-
-@functools.lru_cache(maxsize=8)
-def _base_symbols(n: int, m: int, stiff: Tuple[float, float], mass: Tuple[float, float]):
-    """Sine modes of the uniform base mesh with m interior nodes per direction and interior
-    factors S1, M1 of Toeplitz bands `stiff`, `mass`; cached, so read-only.  Returns the
-    orthonormal DST-I matrix Q (Q @ Q = I; Q S1 Q, Q M1 Q diagonal), mass_modes, and the Sx,
-    Mx symbols sigma, tau of the distinct y-systems.  Base mode (k_1, .., k_n), slowest axis
-    first, has tau = prod_d tau_{k_d} and sigma = sum_d sigma_{k_d} prod_{e != d} tau_{k_e},
-    which a permutation of the k_d leaves bit for bit, so only the nondecreasing index tuples
-    are listed; `first` is the base mode of each system, `system` the reverse map."""
-    Q = _sine_maps(m)[0]
     S1Q, M1Q = (_band_apply(np.full(m, d), np.full(m - 1, o), Q) for d, o in (stiff, mass))
     # strided diagonal views: a contiguous mass_modes rounds the loop's dot products with it
     # (control._price) differently at n=1, and moves the variational iterates' last bits
@@ -271,9 +263,9 @@ def _base_symbols(n: int, m: int, stiff: Tuple[float, float], mass: Tuple[float,
     taus, sigmas = tau1[modes[:, first]], sigma1[modes[:, first]]
     tau = taus.prod(axis=0)
     sigma = sum(sigmas[d] * np.delete(taus, d, axis=0).prod(axis=0) for d in range(n))
-    for a in (mass_modes, sigma, tau, first, system):
+    for a in (Q, W, mass_modes, sigma, tau, first, system):
         a.flags.writeable = False
-    return Q, mass_modes, sigma, tau, first, system
+    return Q, W, mass_modes, sigma, tau, first, system
 
 
 def _neighbour_sum(X: np.ndarray, axis: int) -> np.ndarray:
@@ -316,12 +308,12 @@ class CylinderOperator:
     """
 
     def __init__(self, mesh: TensorMesh, layer_bands: Tuple[Tuple[np.ndarray, np.ndarray], ...],
-                 sine: np.ndarray, mass_modes: np.ndarray, profiles: np.ndarray,
-                 profile_backward_error: float):
+                 sine: np.ndarray, cell_sine: np.ndarray, mass_modes: np.ndarray,
+                 profiles: np.ndarray, profile_backward_error: float):
         self.mesh = mesh
         self._layer_bands = layer_bands  # (diagonal, off) of T_t, the y-factor of N_t
         self._sine = sine  # per base direction
-        self._cell_sine = _sine_maps(len(sine))[1]  # W = Q B, per base direction
+        self._cell_sine = cell_sine  # W = Q B, per base direction
         self.mass_modes = mass_modes  # diagonal of the base mass matrix in sine modes
         self.profiles = profiles
         # largest backward error of the profiles' tridiagonal solves, checked at assembly
@@ -422,7 +414,7 @@ def _unit_profiles(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _assemble_parts(n: int, N: int, y_nodes: bytes, s: float):
-    """Layer bands, sine matrix, mass_modes, profiles and their backward error of the
+    """Layer bands, sine matrix, W, mass_modes, profiles and their backward error of the
     operator on the base mesh of N cells per side in dimension n and the y-partition with
     nodes `y_nodes` (their float64 bytes).  Keyed on these values, so an equal mesh hits;
     one entry, whose arrays are read-only; a refusal is not cached, so every call raises it."""
@@ -446,7 +438,7 @@ def _assemble_parts(n: int, N: int, y_nodes: bytes, s: float):
     layer_bands = tuple(((a * my + b * sy) / consts.d_s, (a * my_up + b * sy_up) / consts.d_s)
                         for a, b in zip(stiff, mass))
     # free unknown (layer, node) -> layer*m^n + node, x1 fastest in node and base mode
-    Q, mass_modes, sigma, tau, first, system = _base_symbols(n, m, (sd, so), (md, mo))
+    Q, W, mass_modes, sigma, tau, first, system = _base_symbols(n, m, (sd, so), (md, mo))
     a = (sigma / consts.d_s)[:, None]  # My coefficient per system
     b = (tau / consts.d_s)[:, None]  # Sy coefficient
     # one system per row, M layers each; off[:, -1] = 0 decouples the rows when raveled
@@ -471,7 +463,7 @@ def _assemble_parts(n: int, N: int, y_nodes: bytes, s: float):
     profiles = np.take(p.T, system, axis=1)  # (layer, base mode), C order
     for arr in (profiles, *sum(layer_bands, ())):
         arr.flags.writeable = False
-    return layer_bands, Q, mass_modes, profiles, float(eta[worst])
+    return layer_bands, Q, W, mass_modes, profiles, float(eta[worst])
 
 
 def assemble_stiffness(mesh: TensorMesh, s: float) -> CylinderOperator:

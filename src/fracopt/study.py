@@ -21,6 +21,7 @@ from .control import (
     ControlField,
     ProblemConfig,
     ReducedProblem,
+    check_scheme,
     optimality_residuals,
     solve_fully_discrete,
     solve_variational,
@@ -87,8 +88,7 @@ class StudyConfig:
         if len(set(self.s_values)) < len(self.s_values):  # a repeated order solves its sweep again
             raise ConfigurationError("s_values must not repeat an order, got "
                                      + ", ".join(f"{s:g}" for s in self.s_values))
-        if self.scheme not in ("fully_discrete", "variational"):
-            raise ConfigurationError(f"unknown scheme {self.scheme!r}")
+        check_scheme(self.scheme)
         cells = [balanced_resolution(t, self.n) for t in self.dof_targets]
         for a, b, ca, cb in zip(self.dof_targets, self.dof_targets[1:], cells, cells[1:]):
             if not ca < cb:  # two targets on one mesh fit a slope through one abscissa
@@ -465,25 +465,22 @@ def emit_report(records: Sequence[ConvergenceRecord], out_prefix: str,
     """Write {prefix}.csv (one row per mesh) and {prefix}.json (summary)."""
     csv_path = f"{out_prefix}.csv"
     json_path = f"{out_prefix}.json"
-    try:
-        lines = [",".join(CSV_COLUMNS)]
-        for rec in records:
-            for row in rec.rows:  # a row's own mode, gamma or Y overrides the record's
-                values = {**vars(rec), **row}
-                lines.append(",".join(_fmt(values.get(c)) for c in CSV_COLUMNS))
-        with open(csv_path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+    lines = [",".join(CSV_COLUMNS)]
+    for rec in records:
+        for row in rec.rows:  # a row's own mode, gamma or Y overrides the record's
+            values = {**vars(rec), **row}
+            lines.append(",".join(_fmt(values.get(c)) for c in CSV_COLUMNS))
+    with open(csv_path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
-        summary = {
-            "config": asdict(config),
-            "records": [asdict(rec) for rec in records],
-            "all_checks_passed": all(
-                flag for rec in records for flag in rec.checks.values()
-            ),
-        }
-        with open(json_path, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"failed to write study report to {out_prefix!r}: {exc}") from exc
+    summary = {
+        "config": asdict(config),
+        "records": [asdict(rec) for rec in records],
+        "all_checks_passed": all(
+            flag for rec in records for flag in rec.checks.values()
+        ),
+    }
+    with open(json_path, "w") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return csv_path, json_path

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracopt import control
+from fracopt.cli import main
 from fracopt.fem import BaseQuadrature, assemble_trace_load
 from fracopt import (
     BasePartition,
@@ -25,6 +26,7 @@ from fracopt import (
     ProblemConfig,
     ReducedProblem,
     SolverError,
+    StudyConfig,
     TensorMesh,
     build_manufactured,
     choose_truncation,
@@ -519,6 +521,26 @@ def test_optimality_rejects_an_unknown_scheme():
     G = rp.cell_point_values(np.zeros(mesh.base.n_cells))
     with pytest.raises(ConfigurationError, match="unknown scheme"):
         rp.evaluate(G, "fully-discrete")
+
+
+def test_every_entry_point_refuses_an_unknown_scheme(monkeypatch, capsys):
+    # the names are listed once (control.SCHEMES) and refused by one function, with one
+    # message; evaluate refuses before it solves
+    _, problem, mesh = manufactured_setup()
+    rp = ReducedProblem(problem, mesh)
+    monkeypatch.setattr(rp.op, "solve", lambda b: pytest.fail("evaluate solved"))
+    G = rp.cell_point_values(np.zeros(mesh.base.n_cells))
+    messages = []
+    for entry in (lambda: StudyConfig(scheme="newton"), lambda: rp.evaluate(G, "newton")):
+        with pytest.raises(ConfigurationError, match="unknown scheme 'newton'") as refused:
+            entry()
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1] and all(name in messages[0] for name in control.SCHEMES)
+    with pytest.raises(SystemExit) as refused:
+        main(["control-rates", "--scheme", "newton"])
+    err = capsys.readouterr().err
+    assert refused.value.code == 2 and "invalid choice: 'newton'" in err
+    assert all(name in err for name in control.SCHEMES)
 
 
 def test_problem_config_validation():

@@ -424,7 +424,8 @@ def _per_mode_reference(mesh, s, c=0.0):
         up = a * my_up + b * sy_up
         banded = np.stack([np.r_[0.0, up], a * my + b * sy, np.r_[up, 0.0]])
         profiles[:, j] = solve_banded((1, 1), banded, np.eye(M)[0])
-    op = fem.CylinderOperator(mesh, layer_bands, Q, tau, profiles, 0.0)
+    W = 0.5 / N * (np.pad(Q, ((0, 0), (0, 1))) + np.pad(Q, ((0, 0), (1, 0))))  # Q B
+    op = fem.CylinderOperator(mesh, layer_bands, Q, W, tau, profiles, 0.0)
     return op, [sp.diags([up, d, up], [-1, 0, 1]) for d, up in layer_bands]
 
 
@@ -472,7 +473,7 @@ def test_base_symbols_are_cached_and_read_only(n):
     op = assemble_stiffness(small_mesh(n=n, N=6), 0.5)
     h = 1.0 / 6
     symbols = fem._base_symbols(n, 5, (2.0 / h, -1.0 / h), (2.0 * h / 3.0, h / 6.0))
-    assert symbols[1] is op.mass_modes
+    assert symbols[2] is op.mass_modes
     assert assemble_stiffness(small_mesh(n=n, N=6, M=5), 0.3).mass_modes is op.mass_modes
     for a in symbols:
         with pytest.raises(ValueError, match="read-only"):
@@ -481,12 +482,11 @@ def test_base_symbols_are_cached_and_read_only(n):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_cell_sine_map_is_cached_and_read_only(n):
-    # one W = Q B per base mesh, shared by every operator on it
+    # one W = Q B per base mesh, cached with Q and the symbols, shared by every operator on it
     op = assemble_stiffness(small_mesh(n=n, N=6), 0.5)
-    Q, W = fem._sine_maps(5)
-    assert W is op._cell_sine and W.shape == (5, 6)
     h = 1.0 / 6
-    assert Q is fem._base_symbols(n, 5, (2.0 / h, -1.0 / h), (2.0 * h / 3.0, h / 6.0))[0]
+    Q, W = fem._base_symbols(n, 5, (2.0 / h, -1.0 / h), (2.0 * h / 3.0, h / 6.0))[:2]
+    assert W is op._cell_sine and W.shape == (5, 6) and Q is op._sine
     assert assemble_stiffness(small_mesh(n=n, N=6, M=5), 0.3)._cell_sine is W
     for a in (Q, W):
         with pytest.raises(ValueError, match="read-only"):
@@ -513,7 +513,9 @@ def test_cell_maps_match_the_load_assembly_and_the_cell_averages(n, N):
 def _literal_symbols(n, m, stiff, mass):
     """_base_symbols written out per dimension: at n=2 the systems k <= l by triu_indices
     and mass_modes by np.outer."""
-    Q = fem._sine_maps(m)[0]
+    k = np.arange(1, m + 1)
+    Q = math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+    W = 0.5 / (m + 1) * (np.pad(Q, ((0, 0), (0, 1))) + np.pad(Q, ((0, 0), (1, 0))))  # Q B
     S1Q, M1Q = (fem._band_apply(np.full(m, d), np.full(m - 1, o), Q) for d, o in (stiff, mass))
     sigma, tau = np.diag(Q @ S1Q), np.diag(Q @ M1Q)
     mass_modes, first, system = tau, np.arange(m), np.arange(m)
@@ -523,7 +525,7 @@ def _literal_symbols(n, m, stiff, mass):
         system[k, l] = system[l, k] = np.arange(len(k))
         mass_modes, system = np.outer(tau, tau).ravel(), system.ravel()
         sigma, tau = tau[k] * sigma[l] + sigma[k] * tau[l], tau[k] * tau[l]
-    return Q, mass_modes, sigma, tau, first, system
+    return Q, W, mass_modes, sigma, tau, first, system
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -548,7 +550,7 @@ def test_the_maps_and_symbols_in_n_are_the_per_dimension_forms_bit_for_bit(n, m)
     stiff, mass = _literal_coefficients(1, N)  # the bands of S1, M1
     got, want = fem._base_symbols(n, m, stiff, mass), _literal_symbols(n, m, stiff, mass)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert got[1].strides == want[1].strides  # mass_modes: the loop's dot products round by it
+    assert got[2].strides == want[2].strides  # mass_modes: the loop's dot products round by it
 
 
 @pytest.mark.parametrize("n, N", [(1, 4), (1, 128), (2, 4), (2, 100), (2, 953)])
@@ -762,7 +764,7 @@ def test_a_wrong_diagonalization_is_refused_by_the_first_solve(n, part, monkeypa
     # sees that Q or sigma does not diagonalize K, and it refuses the first field solved
     mesh = small_mesh(n=n, N=6, M=5)
     symbols = fem._base_symbols
-    index = {"sine": 0, "sigma": 2}[part]
+    index = {"sine": 0, "sigma": 3}[part]
 
     def wrong(*args):
         out = list(symbols(*args))

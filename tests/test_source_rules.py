@@ -147,6 +147,35 @@ def test_control_certifies_a_control_on_one_path():
     assert not stray, f"control.py certifies off the exit evaluation: {stray}"
 
 
+def test_only_the_control_space_compares_a_scheme_with_a_name():
+    # _control_space is the one definition of a scheme: the loop and the exit read what
+    # differs from the space it returns, and check_scheme, which it calls, refuses a name
+    # outside SCHEMES
+    path = ROOT / "src" / "fracopt" / "control.py"
+
+    def is_scheme(node):
+        return getattr(node, "id", None) == "scheme" or getattr(node, "attr", None) == "scheme"
+
+    def is_name(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(is_name(e) for e in node.elts)
+        return ((isinstance(node, ast.Constant) and isinstance(node.value, str))
+                or getattr(node, "id", None) == "SCHEMES")
+
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            operands = [child.left, *child.comparators] if isinstance(child, ast.Compare) else []
+            if any(map(is_scheme, operands)) and any(map(is_name, operands)):
+                found.append((scope, child.lineno))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+    visit(ast.parse(path.read_text()), "")
+    assert {scope for scope, _ in found} == {"_control_space", "check_scheme"}, found
+
+
 def test_readme_command_line_names_the_parsers_commands_and_flags():
     from fracopt.cli import build_parser
 

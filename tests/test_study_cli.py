@@ -601,7 +601,7 @@ def test_config_file_parsing(tmp_path):
 def run_refused(argv, tmp_path, capsys):
     """stderr of a CLI run that must refuse its input: one line, exit status 2, no report."""
     with pytest.raises(SystemExit) as refused:
-        main(argv + ["--out", str(tmp_path / "refused")])
+        main(argv + ([] if "--out" in argv else ["--out", str(tmp_path / "refused")]))
     assert refused.value.code == 2
     assert not (tmp_path / "refused.csv").exists()
     err = capsys.readouterr().err
@@ -629,9 +629,12 @@ def run_refused(argv, tmp_path, capsys):
     (["control-rates", "--n", "1", "--dofs", "256", "--tol", "-1"], "tol must be >= 0"),
     (["control-rates", "--n", "1", "--dofs", "64,256", "--s", "0.5,0.5"],
      "s_values must not repeat an order, got 0.5, 0.5"),
+    # refused before the study runs, not by a traceback after it
+    (["oracle-check", "--n", "1", "--dofs", "64,256", "--out", "/nonexistent/dir/x"],
+     "--out /nonexistent/dir/x: its directory is missing or read-only"),
 ], ids=["dofs", "no-s", "one-height", "scheme", "truncation-two-orders", "compare-two-orders",
         "oracle-one-mesh", "rates-one-mesh", "repeated-height", "tol-nan", "tol-negative",
-        "repeated-order"])
+        "repeated-order", "unwritable-out"])
 def test_cli_reports_invalid_input_in_one_line(argv, message, tmp_path, capsys):
     err = run_refused(argv, tmp_path, capsys)
     assert err.startswith("fracopt: error: ") and message in err

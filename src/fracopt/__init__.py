@@ -8,57 +8,11 @@ one projected descent loop in either a fully discrete (piecewise-constant
 control) or variational (undiscretized control) formulation.
 """
 
-from .control import (
-    BoxBounds,
-    ControlField,
-    OptimalityResiduals,
-    ProblemConfig,
-    ReducedCostReport,
-    ReducedProblem,
-    VariationalControl,
-    optimality_residuals,
-    project_box,
-    solve_fully_discrete,
-    solve_variational,
-)
-from .fem import (
-    CylinderOperator,
-    FeField,
-    InconsistencyError,
-    SolverError,
-    TraceField,
-    assemble_stiffness,
-    assemble_trace_load,
-    energy_error_galerkin,
-    l2_trace_error,
-)
-from .manufactured import ManufacturedProblem, build_manufactured
-from .meshes import (
-    BasePartition,
-    GradedPartition,
-    TensorMesh,
-    balanced_resolution,
-    choose_truncation,
-    default_grading,
-    first_eigenvalue,
-    make_graded_partition,
-)
-from .spectral import (
-    ConfigurationError,
-    FractionalConstants,
-    bessel_K,
-    eigenpair,
-    extension_profile,
-)
-from .study import (
-    ConvergenceRecord,
-    StudyConfig,
-    emit_report,
-    fit_loglog_slope,
-    run_compare_refinement,
-    run_oracle_check,
-    run_rate_study,
-    run_truncation_study,
-)
+from .control import *
+from .fem import *
+from .manufactured import *
+from .meshes import *
+from .spectral import *
+from .study import *
 
 __version__ = "0.1.0"

@@ -43,7 +43,7 @@ from .fem import (
     assemble_trace_load,
 )
 from .meshes import BasePartition, TensorMesh
-from .spectral import ConfigurationError
+from .spectral import ConfigurationError, check_order
 
 __all__ = [
     "BoxBounds",
@@ -123,8 +123,7 @@ class ProblemConfig:
     forcing: Optional[Callable] = None
 
     def __post_init__(self):
-        if not 0.0 < self.s < 1.0:
-            raise ConfigurationError(f"s must be in (0,1), got {self.s}")
+        check_order(self.s)
         if not 0.0 < self.mu < math.inf:
             raise ConfigurationError(f"regularization mu must be finite and > 0, got {self.mu}")
 

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .control import BoxBounds, ProblemConfig
-from .spectral import ConfigurationError, check_dimension
+from .spectral import check_dimension, check_order
 
 __all__ = ["ManufacturedProblem", "build_manufactured"]
 
@@ -50,8 +50,7 @@ class ManufacturedProblem:
 
 
 def build_manufactured(s: float, n: int = 2, mu: float = 1.0) -> ManufacturedProblem:
-    if not 0.0 < s < 1.0:
-        raise ConfigurationError(f"s must be in (0,1), got {s}")
+    check_order(s)
     check_dimension(n)
     lam = 4.0 * n * math.pi**2  # mode (2, .., 2)
 

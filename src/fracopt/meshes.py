@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .spectral import ConfigurationError, check_dimension
+from .spectral import ConfigurationError, check_dimension, check_order
 
 __all__ = [
     "BasePartition",
@@ -25,7 +25,6 @@ __all__ = [
     "choose_truncation",
     "default_grading",
     "first_eigenvalue",
-    "make_graded_partition",
 ]
 
 
@@ -36,6 +35,7 @@ def first_eigenvalue(n: int) -> float:
 
 
 def default_grading(s: float) -> float:
+    check_order(s)
     # strict inequality gamma > 3/(2s) required; 0.1 is the chosen offset
     return 3.0 / (2.0 * s) + 0.1
 
@@ -87,9 +87,10 @@ class BasePartition:
 
 
 class GradedPartition:
-    """Partition of [0, Y] with nodes y_k = (k/M)^gamma * Y, or a cut of one (`below`)."""
+    """Partition of [0, Y] with nodes y_k = (k/M)^gamma * Y, or a cut of one (`below`);
+    warns if gamma is too weak for the order s, when s is given."""
 
-    def __init__(self, M: int, gamma: float, Y: float):
+    def __init__(self, M: int, gamma: float, Y: float, s: float | None = None):
         if M < 1:
             raise ConfigurationError(f"number of intervals M must be >= 1, got {M}")
         if not 0.0 < Y < math.inf:
@@ -105,6 +106,9 @@ class GradedPartition:
                 f"{widths[0]:.3e}, not a positive normal float; use fewer layers "
                 "or a weaker grading"
             )
+        if s is not None and gamma <= 3.0 / (2.0 * s):
+            warnings.warn(f"grading gamma={gamma:.3g} does not exceed 3/(2s)={3/(2*s):.3g}; "
+                          "the graded-mesh convergence rate is not guaranteed", stacklevel=2)
 
     def below(self, Y: float) -> "GradedPartition":
         """Partition of [0, Y] by this partition's nodes below Y, closed by a node at Y."""
@@ -114,18 +118,6 @@ class GradedPartition:
         part.nodes = np.append(self.nodes[self.nodes < Y], Y)
         part.M = len(part.nodes) - 1
         return part
-
-
-def make_graded_partition(M: int, gamma: float, Y: float, s: float | None = None) -> GradedPartition:
-    """Build the graded partition; warns if gamma is too weak for the given s."""
-    part = GradedPartition(M, gamma, Y)
-    if s is not None and gamma <= 3.0 / (2.0 * s):
-        warnings.warn(
-            f"grading gamma={gamma:.3g} does not exceed 3/(2s)={3/(2*s):.3g}; "
-            "the graded-mesh convergence rate is not guaranteed",
-            stacklevel=2,
-        )
-    return part
 
 
 class TensorMesh:

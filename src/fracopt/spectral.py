@@ -21,8 +21,8 @@ Mode = Tuple[int, ...]
 DIMENSIONS = (1, 2)  # the base domains (0,1)^n the solver covers
 
 __all__ = [
+    "ConfigurationError",
     "FractionalConstants",
-    "bessel_K",
     "eigenpair",
     "extension_profile",
 ]
@@ -38,6 +38,12 @@ def check_dimension(n: int) -> None:
         raise ConfigurationError(f"dimension n must be one of {DIMENSIONS}, got {n}")
 
 
+def check_order(s: float) -> None:
+    """Refuse a fractional order s outside (0,1), NaN included."""
+    if not 0.0 < s < 1.0:
+        raise ConfigurationError(f"fractional order s must be in (0,1), got {s}")
+
+
 @dataclass(frozen=True)
 class FractionalConstants:
     """Order s with the derived quantities alpha = 1-2s, d_s and c_s."""
@@ -49,8 +55,7 @@ class FractionalConstants:
 
     @classmethod
     def from_order(cls, s: float) -> "FractionalConstants":
-        if not 0.0 < s < 1.0:
-            raise ConfigurationError(f"fractional order s must be in (0,1), got {s}")
+        check_order(s)
         alpha = 1.0 - 2.0 * s
         d_s = 2.0**alpha * math.gamma(1.0 - s) / math.gamma(s)
         c_s = 2.0 ** (1.0 - s) / math.gamma(s)

@@ -37,14 +37,20 @@ from .fem import (
 from .manufactured import build_manufactured
 from .meshes import (
     BasePartition,
+    GradedPartition,
     TensorMesh,
     balanced_resolution,
     choose_truncation,
     default_grading,
     first_eigenvalue,
-    make_graded_partition,
 )
-from .spectral import ConfigurationError, FractionalConstants, eigenpair, extension_profile
+from .spectral import (
+    ConfigurationError,
+    FractionalConstants,
+    check_order,
+    eigenpair,
+    extension_profile,
+)
 
 __all__ = [
     "ConvergenceRecord",
@@ -85,6 +91,8 @@ class StudyConfig:
     def __post_init__(self):
         if not self.s_values or not self.dof_targets:
             raise ConfigurationError("s_values and dof_targets must not be empty")
+        for s in self.s_values:
+            check_order(s)
         if len(set(self.s_values)) < len(self.s_values):  # a repeated order solves its sweep again
             raise ConfigurationError("s_values must not repeat an order, got "
                                      + ", ".join(f"{s:g}" for s in self.s_values))
@@ -138,7 +146,7 @@ def _build_mesh(n: int, target: int, gamma: float, Y: float, s: float,
                 warn_grading: bool) -> TensorMesh:
     M = balanced_resolution(target, n)
     base = BasePartition(n, M)
-    ext = make_graded_partition(M, gamma, Y, s=s if warn_grading else None)
+    ext = GradedPartition(M, gamma, Y, s=s if warn_grading else None)
     return TensorMesh(base, ext)
 
 
@@ -356,7 +364,7 @@ def run_truncation_study(cfg: StudyConfig, Y_values: Sequence[float]) -> Converg
     N = balanced_resolution(max(cfg.dof_targets), cfg.n)
     base = BasePartition(cfg.n, N)
     ref_Y = 2.0 * Y_values[-1] + 2.0
-    ref_part = make_graded_partition(4 * N, gamma, ref_Y, s=s if mode == "anisotropic" else None)
+    ref_part = GradedPartition(4 * N, gamma, ref_Y, s=s if mode == "anisotropic" else None)
     rec = ConvergenceRecord("truncation", s, cfg.n, mode, cfg.scheme, gamma, ref_Y)
 
     def l2(cell_values):

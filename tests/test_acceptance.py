@@ -24,7 +24,6 @@ from fracopt import (
     StudyConfig,
     TensorMesh,
     assemble_stiffness,
-    bessel_K,
     build_manufactured,
     choose_truncation,
     extension_profile,
@@ -36,6 +35,7 @@ from fracopt import (
     run_truncation_study,
     solve_fully_discrete,
 )
+from fracopt.spectral import bessel_K
 
 from direction_matrices import base_direction_matrices
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from fracopt import (
     choose_truncation,
     default_grading,
     first_eigenvalue,
-    make_graded_partition,
 )
 from fracopt.fem import BaseQuadrature, TraceField
 
@@ -29,12 +29,12 @@ def width_ratio(part):
 
 
 def test_graded_nodes_example():
-    part = make_graded_partition(2, 2.0, 1.0)
+    part = GradedPartition(2, 2.0, 1.0)
     assert np.allclose(part.nodes, [0.0, 0.25, 1.0])
 
 
 def test_gamma_one_is_uniform():
-    part = make_graded_partition(4, 1.0, 2.0)
+    part = GradedPartition(4, 1.0, 2.0)
     assert np.allclose(part.nodes, [0.0, 0.5, 1.0, 1.5, 2.0])
     assert width_ratio(part) == pytest.approx(1.0)
 
@@ -46,7 +46,10 @@ def test_default_grading_offset():
 
 def test_weak_grading_warns():
     with pytest.warns(UserWarning):
-        make_graded_partition(8, 2.0, 1.0, s=0.5)
+        part = GradedPartition(8, 2.0, 1.0, s=0.5)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error")
+        part.below(0.5)  # a cut of a warned partition is not warned of again
 
 
 @given(M=st.integers(1, 200), gamma=st.floats(1.0, 12.0), Y=st.floats(0.1, 50.0))

@@ -22,7 +22,9 @@ resolves, so a library change cannot break the benchmark alone.
 
 import ast
 import importlib
+import importlib.util
 import inspect
+import json
 import os
 import pathlib
 import re
@@ -234,6 +236,31 @@ def test_every_exported_name_is_used_outside_the_tests():
     assert not unused, f"exported for the tests only: {unused}"
 
 
+def test_the_package_reexports_each_modules_all_and_names_nothing_itself():
+    # a module's `__all__` is the one declaration of its public names; a list in
+    # `__init__.py` as well could disagree with it
+    import fracopt
+
+    declared = []
+    for path in SOURCES:
+        if path.name != "__init__.py":
+            declared += getattr(importlib.import_module(f"fracopt.{path.stem}"), "__all__", [])
+    assert len(declared) == len(set(declared)), "a name is declared in two modules"
+    public = {name for name in vars(fracopt) if not name.startswith("_")}
+    submodules = {name for name in public if inspect.ismodule(getattr(fracopt, name))}
+    assert submodules <= {path.stem for path in SOURCES}
+    missing, undeclared = set(declared) - public, public - submodules - set(declared)
+    assert not (missing or undeclared), f"not in the package: {missing}, not declared: {undeclared}"
+    tree = ast.parse((ROOT / "src" / "fracopt" / "__init__.py").read_text())
+    bound = [f"line {node.lineno}" for node in tree.body
+             if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))
+             and not (isinstance(node, ast.ImportFrom) and node.level == 1
+                      and [a.name for a in node.names] == ["*"])
+             and not (isinstance(node, ast.Assign)
+                      and [getattr(t, "id", None) for t in node.targets] == ["__version__"])]
+    assert not bound, f"__init__.py binds a name of its own: {bound}"
+
+
 def _resolve(node: ast.AST, roots: dict):
     """(text, object) of an attribute chain rooted at a fracopt import, such as
     `study.StudyConfig`; the object is None where a name does not resolve.  None for any
@@ -421,3 +448,18 @@ def test_the_benchmark_uses_only_library_names_that_resolve():
         "ManufacturedProblem.u_exact", "ManufacturedProblem.z_exact"}
     broken = [f"{name}:{line}: {text}" for name, line, text, obj in uses if obj is None]
     assert not broken, f"the benchmark uses library names that do not resolve: {broken}"
+
+
+def test_every_benchmark_problem_returns_its_reference_keys(tmp_path, monkeypatch):
+    # perfbench reads the rows the studies return by key, which no name check sees: run
+    # each workload's problems on the tiny warm-up mesh
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    problems = [p for ps in workloads.WORKLOADS.values() for p in workloads.warmup_problems(ps)]
+    assert len(problems) == len(reference)
+    for p in problems:
+        outputs = workloads.solve(p, 0, str(tmp_path / p.id))
+        assert set(outputs) == set(reference[p.id]), p.id

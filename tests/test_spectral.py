@@ -7,6 +7,7 @@ at s = 1/2.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,15 +16,19 @@ from scipy.optimize import brentq
 
 from fracopt import (
     BasePartition,
+    BoxBounds,
     ConfigurationError,
     FractionalConstants,
+    ProblemConfig,
+    StudyConfig,
     balanced_resolution,
-    bessel_K,
     build_manufactured,
+    default_grading,
     eigenpair,
     extension_profile,
     first_eigenvalue,
 )
+from fracopt.spectral import bessel_K
 
 
 @pytest.mark.parametrize("entry", [
@@ -57,10 +62,16 @@ def test_constants_formulas(s):
     assert c.c_s == pytest.approx(2.0 ** (1 - s) / math.gamma(s), rel=1e-12)
 
 
-def test_constants_reject_bad_order():
-    for s in (0.0, 1.0, -0.3, 2.0):
-        with pytest.raises(ConfigurationError):
-            FractionalConstants.from_order(s)
+@pytest.mark.parametrize("entry", [
+    FractionalConstants.from_order, default_grading, lambda s: build_manufactured(s, 1),
+    lambda s: ProblemConfig(s=s, u_d=np.sin, bounds=BoxBounds(0.0, 0.5)),
+    lambda s: StudyConfig(s_values=(0.5, s), n=1, dof_targets=(64,)),
+], ids=["from_order", "default_grading", "build_manufactured", "ProblemConfig", "StudyConfig"])
+@pytest.mark.parametrize("s", [0.0, 1.0, -0.3, 2.0, math.nan])
+def test_every_entry_point_refuses_an_order_outside_the_rule(entry, s):
+    message = f"fractional order s must be in (0,1), got {s}"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        entry(s)
 
 
 # ---------------------------------------------------------------------------

@@ -632,9 +632,14 @@ def run_refused(argv, tmp_path, capsys):
     # refused before the study runs, not by a traceback after it
     (["oracle-check", "--n", "1", "--dofs", "64,256", "--out", "/nonexistent/dir/x"],
      "--out /nonexistent/dir/x: its directory is missing or read-only"),
+    # these two ended in a ZeroDivisionError traceback in default_grading
+    (["oracle-check", "--n", "1", "--dofs", "64,256", "--s", "0"],
+     "fractional order s must be in (0,1), got 0.0"),
+    (["compare-refinement", "--n", "1", "--dofs", "256", "--s", "0"],
+     "fractional order s must be in (0,1), got 0.0"),
 ], ids=["dofs", "no-s", "one-height", "scheme", "truncation-two-orders", "compare-two-orders",
         "oracle-one-mesh", "rates-one-mesh", "repeated-height", "tol-nan", "tol-negative",
-        "repeated-order", "unwritable-out"])
+        "repeated-order", "unwritable-out", "oracle-order-0", "compare-order-0"])
 def test_cli_reports_invalid_input_in_one_line(argv, message, tmp_path, capsys):
     err = run_refused(argv, tmp_path, capsys)
     assert err.startswith("fracopt: error: ") and message in err

@@ -19,10 +19,12 @@ in sine modes, which is all the optimizer loop needs; the fields that leave the
 loop are solved in full and checked: `solve` returns each as a field with its residual.
 A piecewise-constant load reaches the sine modes without the points: W = Q B maps cell
 values to the modes of their load, and its transpose maps modes to the cell averages of
-their trace.  One cache entry per base mesh holds Q, W and the base symbols (_base_symbols).
-Assembly keeps its last result: an operator on an equal mesh and order is built around
-the same read-only arrays, so consecutive problems on one mesh assemble once, and one
-assembly (chiefly its profiles, n_free doubles) stays alive after its caller drops it.
+their trace.  One cache entry per base mesh holds Q, W and the base symbols (_base_symbols),
+and one per base mesh and point count its quadrature rule (_base_rule).  `solve` and `apply`
+run in blocks of layers (_blocks) into the one field they return.  Assembly keeps its last
+result: an operator on an equal mesh and order is built around the same read-only arrays,
+so consecutive problems on one mesh assemble once, and one assembly (chiefly its profiles,
+n_free doubles) stays alive after its caller drops it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,6 +55,9 @@ __all__ = [
 ]
 
 SOLVER_RTOL = 1e-10
+# bytes of a block of layers with its halo in `solve` and `apply`, below glibc's 128 KiB mmap
+# threshold: its arrays reuse heap memory, not fresh pages faulted in on every call
+_BLOCK_BYTES = 127 * 1024
 # backward error |b - Kx| / (|K|_1 |x| + |b|) of a solution exact to machine precision
 BACKWARD_ERROR_TOL = 5e-15
 _log = logging.getLogger("fracopt")
@@ -84,27 +89,38 @@ def _gauss_01(npts: int) -> Tuple[np.ndarray, np.ndarray]:
     return xi, w
 
 
+@functools.lru_cache(maxsize=8)
+def _base_rule(n: int, N: int, npts: int) -> Tuple[np.ndarray, ...]:
+    """Reference points, weights, Q1 shape values (2^n, nq) and physical points (#cells, nq, n)
+    of the npts-point Gauss rule per cell of the base mesh of N cells per side in dimension n;
+    cached, so read-only."""
+    base = BasePartition(n, N)
+    xi, w = _gauss_01(npts)
+    idx = np.indices((npts,) * n).reshape(n, -1).T  # points x1 slowest
+    ref_points = xi[idx]
+    weights = w[idx].prod(axis=1)
+    for _ in range(n):
+        weights *= base.h  # h per axis, not h**n, which rounds differently
+    shapes = np.array(base.corner_shapes(ref_points))
+    points = base.cell_origins[:, None, :] + base.h * ref_points[None, :, :]
+    for a in (ref_points, weights, shapes, points):
+        a.flags.writeable = False
+    return ref_points, weights, shapes, points
+
+
 class BaseQuadrature:
     """Tensor Gauss rule per base cell plus Q1 shape values at the points.
 
     npts points per direction integrate polynomials of degree 2*npts-1
     exactly; npts=3 covers the degree-4 contract for loads and npts=4 the
-    degree-7 contract for the error identity.
+    degree-7 contract for the error identity.  Rules on equal base meshes share one
+    read-only set of arrays (_base_rule), built once per (n, N, npts).
     """
 
     def __init__(self, base: BasePartition, npts: int):
         self.base = base
-        xi, w = _gauss_01(npts)
-        h = base.h
-        idx = np.indices((npts,) * base.n).reshape(base.n, -1).T  # points x1 slowest
-        self.ref_points = xi[idx]
-        self.ref_points.flags.writeable = False
-        self.weights = w[idx].prod(axis=1)
-        for _ in range(base.n):
-            self.weights *= h  # h per axis, not h**n, which rounds differently
-        self.shapes = np.array(base.corner_shapes(self.ref_points))  # (2^n, nq)
-        # physical points, shape (#cells, nq, n)
-        self.points = base.cell_origins[:, None, :] + h * self.ref_points[None, :, :]
+        self.ref_points, self.weights, self.shapes, self.points = _base_rule(
+            base.n, base.cells_per_side, npts)
 
     def eval_callable(self, fn: Callable) -> np.ndarray:
         vals = np.asarray(fn(*np.moveaxis(self.points, -1, 0)), dtype=float)
@@ -218,13 +234,16 @@ def weighted_interval_integrals(nodes: np.ndarray, alpha: float):
     return q0 / h2, m00, m01, m11
 
 
-def _band_apply(diag: np.ndarray, off: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _band_apply(diag: np.ndarray, off: np.ndarray, X: np.ndarray,
+                out: Optional[np.ndarray] = None, work: Optional[np.ndarray] = None) -> np.ndarray:
     """T X along the first axis of X, T the symmetric tridiagonal with bands (diag, off);
-    each row sums (diagonal + lower) + upper."""
+    each row sums (diagonal + lower) + upper.  Into `out` if given (X's shape), with the
+    off-diagonal products in `work` (X[1:]'s shape)."""
     d, o = (band.reshape((-1,) + (1,) * (X.ndim - 1)) for band in (diag, off))
-    TX = d * X
-    TX[1:] += o * X[:-1]
-    TX[:-1] += o * X[1:]
+    TX = np.multiply(d, X, out=out)
+    work = np.empty_like(X[1:]) if work is None else work
+    TX[1:] += np.multiply(o, X[:-1], out=work)
+    TX[:-1] += np.multiply(o, X[1:], out=work)
     return TX
 
 
@@ -270,10 +289,10 @@ def _base_symbols(n: int, m: int, stiff: Tuple[float, float], mass: Tuple[float,
 
 def _neighbour_sum(X: np.ndarray, axis: int) -> np.ndarray:
     """E X along `axis`: X[k - 1] + X[k + 1], zero beyond either end."""
-    E = np.zeros_like(X)
+    E = np.empty_like(X)
     Xs, Es = np.swapaxes(X, 0, axis), np.swapaxes(E, 0, axis)
-    Es[1:] = Xs[:-1]
-    Es[:-1] += Xs[1:]
+    np.add(Xs[:-2], Xs[2:], out=Es[1:-1])
+    Es[0], Es[-1] = (Xs[1], Xs[-2]) if len(Xs) > 1 else (0.0, 0.0)
     return E
 
 
@@ -300,9 +319,12 @@ class CylinderOperator:
     vectorized elimination for a unit load on the layer y=0; `profiles[:, j]` is the
     y-profile of mode j, rejected if its backward error exceeds BACKWARD_ERROR_TOL.  Every
     load is a trace load, the block on the layer y=0 (assemble_trace_load): `solve`
-    transforms it (`to_modes`), scales the profiles, transforms all layers back, checks the
-    result with `apply`, independent of both, and returns the field with its relative
-    residual.  So the trace response is diagonal in sine modes, profiles[0]: the optimizer
+    transforms it (`to_modes`) once, then scales the profiles and transforms back one block
+    of layers at a time (_blocks) into the field it returns, checks the field with `apply`,
+    independent of both, and returns it with its relative residual.  `apply` also runs per
+    block, each with a one-layer halo on either side for the y-bands, and writes each block's
+    rows into its one result; every row is the same expression in the same order as on the
+    whole field.  So the trace response is diagonal in sine modes, profiles[0]: the optimizer
     loop iterates there and certifies its outputs through `solve` (control._descend).  The
     graded y-direction is never diagonalized; its mass matrix is too badly conditioned.
     """
@@ -335,15 +357,41 @@ class CylinderOperator:
         response to one normalized sine mode, approximating lambda_j^{-s}."""
         return self.mass_modes * self.profiles[0]
 
+    def _blocks(self) -> List[slice]:
+        """The layers in as few consecutive blocks as take at most _BLOCK_BYTES each with a
+        one-layer halo on either side (one layer at least), or in one block if the field fits
+        in it.  Their sizes differ by one layer at most, the larger first, so that each later
+        block's arrays fit in the heap memory the first one freed: at state-n2 blocks of 15
+        and 14 layers fault no page in per problem, 14 and 15 about 240, 18 and 11 about 125."""
+        M, layer = self.mesh.extended.M, self.mesh.n_trace * np.dtype(float).itemsize
+        size = M if M * layer <= _BLOCK_BYTES else max(1, _BLOCK_BYTES // layer - 2)
+        count = -(-M // size)
+        q, r = divmod(M, count)
+        edges = [k * q + min(k, r) for k in range(count + 1)]
+        return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """K x over the free unknowns (layer-major, x1 fastest), from the 1D bands."""
+        """K x over the free unknowns (layer-major, x1 fastest), from the 1D bands, per block
+        of layers (_blocks): each block and its halo layers give the block's rows of K x."""
         n, m = self.mesh.n, len(self._sine)
         X = np.asarray(x, dtype=float).reshape((-1,) + (m,) * n)
-        fields = [X]  # N_t X, the terms of degree t in prod_d (1 + E_d) X
-        for axis in range(n, 0, -1):  # E_1 first: x1 is the last axis
-            shifted = [_neighbour_sum(F, axis) for F in fields]
-            fields = fields[:1] + [F + E for F, E in zip(fields[1:], shifted)] + shifted[-1:]
-        return sum(_band_apply(*T, F) for T, F in zip(self._layer_bands, fields)).ravel()
+        KX, blocks, M = np.empty_like(X), self._blocks(), len(X)
+        # the band products of a block; `sum` adds each before the next overwrites `out`
+        rows = min(max(block.stop - block.start for block in blocks) + 2, M)
+        out = np.empty((rows,) + X.shape[1:])
+        work = np.empty_like(out[1:])
+        for block in blocks:
+            lo, hi = max(block.start - 1, 0), min(block.stop + 1, M)  # with the halo
+            fields = [X[lo:hi]]  # N_t X, the terms of degree t in prod_d (1 + E_d) X
+            for axis in range(n, 0, -1):  # E_1 first: x1 is the last axis
+                fields.append(_neighbour_sum(fields[-1], axis))
+                for t in range(len(fields) - 2, 0, -1):  # top down: N_{t-1} X still old
+                    fields[t] += _neighbour_sum(fields[t - 1], axis)
+            inner = slice(block.start - lo, block.stop - lo)  # the block within its halo
+            buffers = out[:hi - lo], work[:hi - lo - 1]
+            KX[block] = sum(_band_apply(d[lo:hi], o[lo:hi - 1], F, *buffers)
+                            for (d, o), F in zip(self._layer_bands, fields))[inner]
+        return KX.ravel()
 
     def to_modes(self, layers: np.ndarray) -> np.ndarray:
         """Sine transform of a layer, or of each row, in every base direction; an involution."""
@@ -385,7 +433,11 @@ class CylinderOperator:
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
             return FeField(self.mesh, np.zeros(self.n)), 0.0
-        x = self.to_modes(self.profiles * self.to_modes(b[None, :])).ravel()
+        b_hat = self.to_modes(b[None, :])
+        x = np.empty((self.mesh.extended.M, self.mesh.n_trace))
+        for block in self._blocks():
+            x[block] = self.to_modes(self.profiles[block] * b_hat)
+        x = x.ravel()
         met, rnorm = self._contract_met(x, b, bnorm)
         relative = float(rnorm / bnorm)
         if not met:

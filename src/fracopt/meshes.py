@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -88,9 +89,14 @@ class BasePartition:
 
 class GradedPartition:
     """Partition of [0, Y] with nodes y_k = (k/M)^gamma * Y, or a cut of one (`below`);
-    warns if gamma is too weak for the order s, when s is given."""
+    warns if gamma is too weak for the order s, when s is given, after checking s."""
 
     def __init__(self, M: int, gamma: float, Y: float, s: float | None = None):
+        try:
+            M = operator.index(M)
+        except TypeError:
+            raise ConfigurationError(f"number of intervals M must be an integer, "
+                                     f"got {M!r}") from None
         if M < 1:
             raise ConfigurationError(f"number of intervals M must be >= 1, got {M}")
         if not 0.0 < Y < math.inf:
@@ -106,9 +112,11 @@ class GradedPartition:
                 f"{widths[0]:.3e}, not a positive normal float; use fewer layers "
                 "or a weaker grading"
             )
-        if s is not None and gamma <= 3.0 / (2.0 * s):
-            warnings.warn(f"grading gamma={gamma:.3g} does not exceed 3/(2s)={3/(2*s):.3g}; "
-                          "the graded-mesh convergence rate is not guaranteed", stacklevel=2)
+        if s is not None:
+            check_order(s)
+            if gamma <= 3.0 / (2.0 * s):
+                warnings.warn(f"grading gamma={gamma:.3g} does not exceed 3/(2s)={3/(2*s):.3g}; "
+                              "the graded-mesh convergence rate is not guaranteed", stacklevel=2)
 
     def below(self, Y: float) -> "GradedPartition":
         """Partition of [0, Y] by this partition's nodes below Y, closed by a node at Y."""

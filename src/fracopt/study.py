@@ -332,8 +332,11 @@ def _extension_node_rms(V: FeField, s: float, lam: float, exact_trace_scale: flo
                     for y in mesh.extended.nodes[:-1]])  # free layers 0..M-1
     coords = base.node_coords[base.interior_nodes]
     phi_vals = phi(*[coords[:, d] for d in range(base.n)]) / phi_scale
-    exact = exact_trace_scale * np.kron(psi, phi_vals)
-    return float(np.sqrt(np.mean((V.free_values - exact) ** 2)))
+    diff = np.kron(psi, phi_vals)  # the exact extension, then V minus it and its square, in place
+    diff *= exact_trace_scale
+    np.subtract(V.free_values, diff, out=diff)
+    diff *= diff
+    return float(np.sqrt(np.mean(diff)))
 
 
 def run_truncation_study(cfg: StudyConfig, Y_values: Sequence[float]) -> ConvergenceRecord:

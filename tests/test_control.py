@@ -241,16 +241,33 @@ def test_the_sampled_vi_check_streams_the_one_shot_sample(n, N, M, ulps):
     assert abs(vi - one_shot) <= ulps * np.spacing(abs(one_shot))
 
 
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_the_sampled_vi_check_holds_one_block():
     # 1000 x 10,000 samples are 80 MB; the check draws 256 KiB at a time
     args, _ = _vi_check_inputs(2, 100, 4)
-    tracemalloc.start()
-    try:
-        optimality_residuals(*args, seed=5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6
+    assert _peak_bytes(lambda: optimality_residuals(*args, seed=5)) < 8e6
+
+
+def test_a_solve_peaks_near_two_fields_and_a_control_problem_near_four():
+    # n=2, 188,442 dofs, once the operator is assembled: a solve holds the field it returns,
+    # the residual of its check and the arrays of a few layers (7.02 fields when it
+    # transformed and checked all layers at once); a fully discrete problem adds V and P
+    # (8.40 fields before)
+    _, problem, mesh = manufactured_setup(n=2, s=0.5, N=58, M=58)
+    assert mesh.n_free == 188_442
+    rp, field = ReducedProblem(problem, mesh), mesh.n_free * 8
+    b = assemble_trace_load(mesh, rp.ud_q, quad=rp.quad)
+    rp.op.solve(b)
+    assert _peak_bytes(lambda: rp.op.solve(b)) <= 2.6 * field
+    assert _peak_bytes(lambda: solve_fully_discrete(problem, mesh, rp=rp)) <= 4.0 * field
 
 
 def test_fully_discrete_converges_below_cost_rounding():

@@ -8,6 +8,7 @@ module for exact traces.
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -314,6 +315,30 @@ def test_gauss_rule_is_cached_and_read_only(npts):
             a[0] = 0.5
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_rules_on_equal_base_meshes_share_their_read_only_arrays(n):
+    # a control row builds its 3- and 4-point rules several times on one base mesh
+    names = ("ref_points", "weights", "shapes", "points")
+    rule, twin = (fem.BaseQuadrature(BasePartition(n, 6), 4) for _ in range(2))
+    for name in names:
+        a = getattr(rule, name)
+        assert getattr(twin, name) is a
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0.5
+    for other in (fem.BaseQuadrature(BasePartition(n, 6), 3),
+                  fem.BaseQuadrature(BasePartition(n, 7), 4)):
+        assert not any(getattr(other, name) is getattr(rule, name) for name in names)
+    # the same numbers as a rule built from its definition
+    base, (xi, w) = BasePartition(n, 6), fem._gauss_01(4)
+    idx = np.indices((4,) * n).reshape(n, -1).T
+    weights = w[idx].prod(axis=1)
+    for _ in range(n):
+        weights *= base.h
+    np.testing.assert_array_equal(rule.weights, weights)
+    np.testing.assert_array_equal(rule.points, base.cell_origins[:, None, :]
+                                  + base.h * xi[idx][None, :, :])
+
+
 # ---------------------------------------------------------------------------
 # solving
 # ---------------------------------------------------------------------------
@@ -465,6 +490,109 @@ def test_assembly_is_bit_identical_to_per_mode_reference(n, N, M, s):
     if n == 2:  # the modes (k, l) and (l, k) share one system
         P = op.profiles.reshape(M, N - 1, N - 1)
         np.testing.assert_array_equal(P, P.transpose(0, 2, 1))
+
+
+def _whole_field_apply(op, x):
+    """K x by the whole-field expressions `apply` had before it ran in blocks of layers: each
+    shift-sum and band product on all layers at once, the reference for the blocks."""
+    def neighbour_sum(X, axis):
+        E = np.zeros_like(X)
+        Xs, Es = np.swapaxes(X, 0, axis), np.swapaxes(E, 0, axis)
+        Es[1:] = Xs[:-1]
+        Es[:-1] += Xs[1:]
+        return E
+
+    def band_apply(diag, off, X):
+        d, o = (band.reshape((-1,) + (1,) * (X.ndim - 1)) for band in (diag, off))
+        TX = d * X
+        TX[1:] += o * X[:-1]
+        TX[:-1] += o * X[1:]
+        return TX
+
+    n, m = op.mesh.n, len(op._sine)
+    fields = [x.reshape((-1,) + (m,) * n)]
+    for axis in range(n, 0, -1):
+        shifted = [neighbour_sum(F, axis) for F in fields]
+        fields = fields[:1] + [F + E for F, E in zip(fields[1:], shifted)] + shifted[-1:]
+    return sum(band_apply(*T, F) for T, F in zip(op._layer_bands, fields)).ravel()
+
+
+def _whole_field_solve(op, b):
+    """The field and relative residual of the whole-field `solve`: one transform of all layers
+    and its check by the whole-field `apply`."""
+    x = op.to_modes(op.profiles * op.to_modes(b[None, :])).ravel()
+    r = _whole_field_apply(op, x)
+    r[: op.mesh.n_trace] -= b
+    return x, float(np.linalg.norm(r)) / float(np.linalg.norm(b))
+
+
+def _block_sizes(op):
+    return [block.stop - block.start for block in op._blocks()]
+
+
+@pytest.mark.parametrize("n, N, M, layers, sizes", [
+    (2, 29, 29, None, [15, 14]),  # the state-n2 mesh, 22,736 dofs
+    (2, 58, 58, None, [3] * 18 + [2, 2]),  # 188,442 dofs
+    (2, 12, 10, 3, [3, 3, 2, 2]),
+    (2, 12, 10, 1, [1] * 10),
+    (1, 128, 128, None, [128]),  # 16,256 dofs, the control-n1-mu mesh
+    (1, 64, 37, None, [37]),
+])
+@pytest.mark.parametrize("s", [0.2, 0.5])
+def test_blocks_of_layers_are_bit_identical_to_the_whole_field(n, N, M, layers, sizes, s,
+                                                               monkeypatch):
+    # every row of K x is the same expression in the same order, and at n >= 2 the sine
+    # transform makes one product per layer; layers=k forces blocks of k layers
+    mesh = small_mesh(n=n, N=N, M=M, gamma=default_grading(s), Y=2.0)
+    op = assemble_stiffness(mesh, s)
+    if layers is not None:
+        monkeypatch.setattr(fem, "_BLOCK_BYTES", (layers + 2) * mesh.n_trace * 8)
+    assert _block_sizes(op) == sizes
+    rng = np.random.default_rng(N + M)
+    x = rng.standard_normal(mesh.n_free)
+    np.testing.assert_array_equal(op.apply(x), _whole_field_apply(op, x))
+    b = assemble_trace_load(mesh, cell_load(mesh, rng.uniform(-1.0, 1.0, mesh.base.n_cells)))
+    V, residual = op.solve(b)
+    x_ref, residual_ref = _whole_field_solve(op, b)
+    np.testing.assert_array_equal(V.free_values, x_ref)
+    assert residual == residual_ref
+
+
+@pytest.mark.parametrize("layers", [1, 3, 7])
+def test_blocks_at_n1_move_the_field_by_rounding_only(layers, monkeypatch):
+    # at n=1 a block's (B, m) @ Q product may take another BLAS kernel than the whole
+    # field's (M, m) @ Q; `apply` has no product and stays bit-identical
+    mesh = small_mesh(n=1, N=64, M=37, gamma=default_grading(0.3), Y=2.0)
+    op = assemble_stiffness(mesh, 0.3)
+    monkeypatch.setattr(fem, "_BLOCK_BYTES", (layers + 2) * mesh.n_trace * 8)
+    assert len(op._blocks()) == -(-37 // layers)
+    rng = np.random.default_rng(layers)
+    x = rng.standard_normal(mesh.n_free)
+    np.testing.assert_array_equal(op.apply(x), _whole_field_apply(op, x))
+    b = assemble_trace_load(mesh, cell_load(mesh, rng.uniform(-1.0, 1.0, mesh.base.n_cells)))
+    x_ref = _whole_field_solve(op, b)[0]
+    assert np.linalg.norm(op.solve(b)[0].free_values - x_ref) <= 1e-15 * np.linalg.norm(x_ref)
+
+
+@pytest.mark.parametrize("n, N, M, sizes", [
+    (1, 128, 128, [128]),  # a field of _BLOCK_BYTES is one block
+    (1, 129, 129, [65, 64]),
+    (2, 29, 29, [15, 14]),
+    (2, 100, 100, [1] * 100),  # a layer and its halo exceed the bytes: one-layer blocks
+])
+def test_a_block_and_its_halo_stay_below_the_mmap_threshold(n, N, M, sizes):
+    # glibc maps an allocation of 128 KiB or more afresh and faults its pages in on every
+    # call; a block's arrays, halo included, stay below that wherever three layers fit, and
+    # the larger blocks come first, so the later ones reuse the memory the first one freed
+    assert fem._BLOCK_BYTES < 128 * 1024
+    mesh = small_mesh(n=n, N=N, M=M)
+    blocks = fem.CylinderOperator._blocks(SimpleNamespace(mesh=mesh))  # no assembly
+    assert [block.stop - block.start for block in blocks] == sizes
+    assert [block.start for block in blocks] == list(np.cumsum([0] + sizes[:-1]))
+    assert sorted(sizes, reverse=True) == sizes and sizes[0] - sizes[-1] <= 1
+    layer = mesh.n_trace * 8
+    if len(sizes) > 1 and 3 * layer <= fem._BLOCK_BYTES:
+        assert (max(sizes) + 2) * layer <= fem._BLOCK_BYTES
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -85,6 +86,15 @@ def test_graded_rejects_bad_input():
         GradedPartition(4, 2.0, 0.0)
     with pytest.raises(ConfigurationError):
         GradedPartition(4, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("M", [2.5, 4.0, "4", None])
+def test_graded_refuses_a_layer_count_that_is_not_an_integer(M):
+    # 2.5 layers used to give the nodes 0, 0.16, 0.64, 1.44, past Y=1
+    message = f"number of intervals M must be an integer, got {M!r}"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        GradedPartition(M, 2.0, 1.0)
+    assert GradedPartition(np.int64(4), 2.0, 1.0).M == 4
 
 
 @pytest.mark.parametrize("gamma, Y, message", [

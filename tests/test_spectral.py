@@ -19,6 +19,7 @@ from fracopt import (
     BoxBounds,
     ConfigurationError,
     FractionalConstants,
+    GradedPartition,
     ProblemConfig,
     StudyConfig,
     balanced_resolution,
@@ -66,7 +67,9 @@ def test_constants_formulas(s):
     FractionalConstants.from_order, default_grading, lambda s: build_manufactured(s, 1),
     lambda s: ProblemConfig(s=s, u_d=np.sin, bounds=BoxBounds(0.0, 0.5)),
     lambda s: StudyConfig(s_values=(0.5, s), n=1, dof_targets=(64,)),
-], ids=["from_order", "default_grading", "build_manufactured", "ProblemConfig", "StudyConfig"])
+    lambda s: GradedPartition(8, 2.0, 1.0, s=s),
+], ids=["from_order", "default_grading", "build_manufactured", "ProblemConfig", "StudyConfig",
+        "GradedPartition"])
 @pytest.mark.parametrize("s", [0.0, 1.0, -0.3, 2.0, math.nan])
 def test_every_entry_point_refuses_an_order_outside_the_rule(entry, s):
     message = f"fractional order s must be in (0,1), got {s}"

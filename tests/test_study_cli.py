@@ -20,7 +20,9 @@ from fracopt import (
     TensorMesh,
     build_manufactured,
     choose_truncation,
+    eigenpair,
     emit_report,
+    extension_profile,
     first_eigenvalue,
     fit_loglog_slope,
     run_compare_refinement,
@@ -30,7 +32,7 @@ from fracopt import (
 )
 from fracopt import study
 from fracopt.cli import main, read_config_file
-from fracopt.fem import BaseQuadrature
+from fracopt.fem import BaseQuadrature, FeField
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +158,21 @@ def test_oracle_extension_diagnostic_decreases():
     rec = run_oracle_check(cfg)[0]
     exts = [row["err_extension_nodes"] for row in rec.rows]
     assert exts[0] > exts[1] > exts[2]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_extension_node_rms_keeps_its_expression_bit_for_bit(n):
+    # formed in place in the kron product; the value of the expression it replaced
+    s, lam, N = 0.5, n * math.pi**2, 12
+    mesh = TensorMesh(BasePartition(n, N), GradedPartition(N, 3.1, 1.5))
+    V = FeField(mesh, np.random.default_rng(n).standard_normal(mesh.n_free))
+    psi = np.array([extension_profile(s, lam, float(y)) for y in mesh.extended.nodes[:-1]])
+    coords = mesh.base.node_coords[mesh.base.interior_nodes]
+    phi = eigenpair((1,) * n, n)[1]
+    exact = lam**-s * np.kron(psi, phi(*coords.T) / 2.0)
+    assert study._extension_node_rms(V, s, lam, exact_trace_scale=lam**-s, phi=phi,
+                                     phi_scale=2.0) == float(
+        np.sqrt(np.mean((V.free_values - exact) ** 2)))
 
 
 def test_truncation_study_structure():
